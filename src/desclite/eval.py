@@ -17,6 +17,17 @@ Protocol notes (simplified HPatches analogue, desk scale):
       other same-label rows plus sampled distractors; mAP over queries.
 All score ties break by stable index order, so reports are deterministic
 per (set, seed).
+
+Cost, for N rows of D dimensions:
+  verification — O(N log N) per tier to index its rows by label, then
+      O(log N) per sampling attempt; all pair distances in one call.
+  matching — O(R * T * D) for R reference rows against T target rows. The
+      reference rows go through `pairwise_distance_matrix` in blocks of about
+      BLOCK_FLOATS / T rows, so each distance matrix holds about BLOCK_FLOATS
+      float64 entries (8 MiB) and never R x T.
+  retrieval — O(N log N) to index rows by label, then O(P * D) per query for
+      a pool of P rows, in blocks of queries whose gathered rows hold at most
+      BLOCK_FLOATS entries.
 """
 from __future__ import annotations
 
@@ -28,6 +39,16 @@ import numpy as np
 from .data import DescriptorSet, tier_name
 from .errors import ConfigError
 from .numerics import pairwise_distance_matrix
+
+# Entries in the largest float64 array one block of matching or retrieval
+# works on.
+BLOCK_FLOATS = 1 << 20
+# Matching blocks hold a multiple of this many reference rows, and never a
+# lone trailing row unless that is the whole query set. Checked with
+# single-threaded OpenBLAS 0.3.31 on x86-64, such blocks give bit for bit the
+# distances of one call over all rows; other sizes can round the last bit
+# differently, and numpy sends a one-row product to gemv.
+_MATCH_ROW_STEP = 12
 
 
 @dataclass
@@ -65,16 +86,52 @@ def average_precision(ranked_relevance) -> float:
     return float((precision_at * rel).sum() / total)
 
 
-def _tier_of(dset: DescriptorSet, row: int) -> str:
-    if dset.tiers is None:
-        return "all"
-    return tier_name(int(dset.tiers[row]))
-
-
 def _ranked_relevance(distances: np.ndarray, relevant: np.ndarray,
                       tie_index: np.ndarray) -> np.ndarray:
     order = np.lexsort((tie_index, distances))
     return relevant[order]
+
+
+def _mean_by_tier(values: np.ndarray, codes) -> dict:
+    """Mean of `values` per tier name, tiers in order of first appearance;
+    `codes` holds one tier code per value, or is None for an untiered set."""
+    if codes is None:
+        return {"all": float(np.mean(values))}
+    codes = np.asarray(codes)
+    present, first = np.unique(codes, return_index=True)
+    return {tier_name(int(code)): float(np.mean(values[codes == code]))
+            for code in present[np.argsort(first)]}
+
+
+class _LabelIndex:
+    """Ascending `rows` grouped by label code, built once with a stable sort.
+
+    Label c's rows, ascending, are `rows[start[c]:start[c] + count[c]]`, and
+    `slot[k]` is where the row at input position k landed in `rows`.
+    `outside` finds the p-th row, in ascending order, whose label is not c by
+    binary search instead of a scan.
+    """
+
+    def __init__(self, rows: np.ndarray, codes: np.ndarray, n_codes: int):
+        order = np.argsort(codes, kind="stable")
+        self.input_rows = rows
+        self.rows = rows[order]
+        self.count = np.bincount(codes, minlength=n_codes)
+        self.start = np.cumsum(self.count) - self.count
+        self.slot = np.empty(len(rows), dtype=np.int64)
+        self.slot[order] = np.arange(len(rows))
+        # Label c's j-th row sits at input position order[start[c] + j]. The
+        # p-th position outside c is p + #{j : order[start[c] + j] - j <= p};
+        # offsetting each label's keys by c * span keeps all keys sorted.
+        sorted_codes = codes[order]
+        self._span = len(rows) + 1
+        self._key = (sorted_codes * self._span + order
+                     - (np.arange(len(rows)) - self.start[sorted_codes]))
+
+    def outside(self, code, p):
+        """The p-th rows (0-based, ascending) whose label is not `code`."""
+        below = np.searchsorted(self._key, code * self._span + p, side="right")
+        return self.input_rows[p + below - self.start[code]]
 
 
 def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
@@ -82,34 +139,50 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
     """Ranked same/different-label pair classification by descriptor distance.
 
     A pair's tier is the tier of its noisier member. Pairs are sampled
-    per-tier, balanced between positives and negatives.
+    per-tier, balanced between positives and negatives. A tier that draws
+    fewer than `pairs_per_tier` positives or negatives warns with both
+    counts, and a tier with no positives, which has no AP of its own and is
+    left out of `map_by_tier`, warns too; the report counts what was drawn.
     """
-    labels = dset.labels
-    classes, counts = np.unique(labels, return_counts=True)
+    classes, label_codes, counts = np.unique(
+        dset.labels, return_inverse=True, return_counts=True)
     if np.sum(counts >= 2) < 2:
         raise ConfigError("verification needs >= 2 classes with >= 2 patches each")
     rng = np.random.default_rng(seed)
     codes = dset.tiers if dset.tiers is not None else np.zeros(len(dset), np.uint8)
-    tiers_present = sorted(set(int(c) for c in codes))
+    tiers_present = np.unique(codes).tolist()
 
-    multi = set(classes[counts >= 2].tolist())
-    pair_dist, pair_rel, pair_tier = [], [], []
+    first, second, pair_rel, pair_tier = [], [], [], []
     for code in tiers_present:
+        name = "all" if dset.tiers is None else tier_name(code)
         tier_rows = np.flatnonzero(codes == code)
-        got_pos = _sample_pairs(dset, tier_rows, code, codes, rng, pairs_per_tier,
-                                positive=True, multi=multi)
-        got_neg = _sample_pairs(dset, tier_rows, code, codes, rng, pairs_per_tier,
-                                positive=False, multi=multi)
-        for (i, j) in got_pos:
-            pair_dist.append(float(np.linalg.norm(dset.descriptors[i] - dset.descriptors[j])))
-            pair_rel.append(1.0)
-            pair_tier.append(code)
-        for (i, j) in got_neg:
-            pair_dist.append(float(np.linalg.norm(dset.descriptors[i] - dset.descriptors[j])))
-            pair_rel.append(0.0)
-            pair_tier.append(code)
+        eligible_rows = np.flatnonzero(codes <= code)
+        eligible = _LabelIndex(eligible_rows, label_codes[eligible_rows], len(classes))
+        tier_slots = eligible.slot[np.searchsorted(eligible_rows, tier_rows)]
+        drawn = []
+        for positive in (True, False):
+            pairs = _sample_pairs(tier_rows, tier_slots, label_codes[tier_rows],
+                                  eligible, rng, pairs_per_tier, positive)
+            first += [i for i, _ in pairs]
+            second += [j for _, j in pairs]
+            pair_rel += [float(positive)] * len(pairs)
+            drawn.append(len(pairs))
+        pair_tier += [code] * sum(drawn)
+        if min(drawn) < pairs_per_tier:
+            warnings.warn(
+                f"verification: tier {name} drew {drawn[0]} positive and {drawn[1]} "
+                f"negative pairs of {pairs_per_tier} requested each",
+                RuntimeWarning, stacklevel=2)
+        if not drawn[0]:
+            warnings.warn(
+                f"verification: tier {name} has no positive pairs; left out of map_by_tier",
+                RuntimeWarning, stacklevel=2)
 
-    dist = np.asarray(pair_dist)
+    diff = (dset.descriptors[np.asarray(first, dtype=np.int64)]
+            - dset.descriptors[np.asarray(second, dtype=np.int64)])
+    # One BLAS dot per row, as np.linalg.norm computes a single vector's
+    # norm, so every distance has the bits of a per-pair norm.
+    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
     rel = np.asarray(pair_rel)
     tier_arr = np.asarray(pair_tier)
     idx = np.arange(len(dist))
@@ -132,28 +205,32 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
     )
 
 
-def _sample_pairs(dset, tier_rows, code, codes, rng, want, positive, multi):
-    """Seeded rejection sampling of pairs whose noisier member has `code`."""
+def _sample_pairs(tier_rows, tier_slots, tier_labels, eligible, rng, want, positive):
+    """Seeded rejection sampling of pairs (i, j): i is drawn from `tier_rows`,
+    j from the other rows of `eligible` (the rows no noisier than i's tier)
+    with i's label if `positive`, else with another label. An attempt whose
+    i has no such j draws nothing more."""
     pairs = []
-    if not len(tier_rows):
-        return pairs
-    labels = dset.labels
     attempts = 0
     max_attempts = max(50 * want, 1000)
     while len(pairs) < want and attempts < max_attempts:
         attempts += 1
-        i = int(tier_rows[rng.integers(len(tier_rows))])
+        t = rng.integers(len(tier_rows))
+        label = tier_labels[t]
         if positive:
-            if labels[i] not in multi:
-                continue
-            cand = np.flatnonzero((labels == labels[i]) & (codes <= code))
+            size = int(eligible.count[label]) - 1
         else:
-            cand = np.flatnonzero((labels != labels[i]) & (codes <= code))
-        cand = cand[cand != i]
-        if not len(cand):
+            size = len(eligible.rows) - int(eligible.count[label])
+        if not size:
             continue
-        j = int(cand[rng.integers(len(cand))])
-        pairs.append((i, j))
+        r = int(rng.integers(size))
+        if positive:
+            # skip i itself among its label's rows
+            r += r >= tier_slots[t] - eligible.start[label]
+            j = eligible.rows[eligible.start[label] + r]
+        else:
+            j = eligible.outside(label, r)
+        pairs.append((int(tier_rows[t]), int(j)))
     return pairs
 
 
@@ -167,6 +244,9 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
     occurs in the target are queried. A pair with no correct match scores
     AP 0, counted in `map_overall` and in its tier. `num_skipped` counts only
     the pairs that share no labels with the reference; each one warns.
+
+    Matching draws nothing: it is deterministic and ignores `seed`, which it
+    accepts so that every task takes the same keywords.
     """
     seqs = np.unique(dset.sequence_ids)
     if len(seqs) < 2:
@@ -174,7 +254,7 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
     ref_id = int(seqs.min())
     ref_rows = np.flatnonzero(dset.sequence_ids == ref_id)
     aps = []
-    tiers_of_pairs = []
+    pair_codes = []
     skipped = 0
     for target in seqs[seqs != ref_id]:
         tgt_rows = np.flatnonzero(dset.sequence_ids == target)
@@ -188,77 +268,102 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
             skipped += 1
             continue
         use_ref = ref_rows[np.isin(dset.labels[ref_rows], shared)]
-        dist = pairwise_distance_matrix(
-            dset.descriptors[use_ref], dset.descriptors[tgt_rows]
-        )
-        nn = dist.argmin(axis=1)
-        nn_dist = dist[np.arange(len(use_ref)), nn]
+        nn, nn_dist = _nearest(dset.descriptors[use_ref], dset.descriptors[tgt_rows])
         correct = (
             dset.labels[tgt_rows][nn] == dset.labels[use_ref]
         ).astype(np.float64)
         ranked = _ranked_relevance(nn_dist, correct, np.arange(len(use_ref)))
         # AP is undefined with no relevant item; an all-wrong pair scores 0
         aps.append(average_precision(ranked) if correct.any() else 0.0)
-        if dset.tiers is None:
-            tiers_of_pairs.append("all")
-        else:
-            codes = dset.tiers[tgt_rows]
-            tiers_of_pairs.append(tier_name(int(np.bincount(codes).argmax())))
+        if dset.tiers is not None:
+            pair_codes.append(int(np.bincount(dset.tiers[tgt_rows]).argmax()))
     if not aps:
         raise ConfigError(
             f"matching: no target sequence shares a label with reference sequence {ref_id}"
         )
-    by_tier: dict[str, list] = {}
-    for name, ap in zip(tiers_of_pairs, aps):
-        by_tier.setdefault(name, []).append(ap)
+    aps = np.asarray(aps)
     return EvalReport(
         task="matching",
         map_overall=float(np.mean(aps)),
-        map_by_tier={name: float(np.mean(v)) for name, v in by_tier.items()},
+        map_by_tier=_mean_by_tier(aps, pair_codes if dset.tiers is not None else None),
         num_queries=len(aps),
         num_skipped=skipped,
-        config={"seed": seed, "dim": dset.dim},
+        config={"dim": dset.dim},
     )
+
+
+def _nearest(queries: np.ndarray, targets: np.ndarray):
+    """Index of and distance to each query row's nearest target row,
+    computed in blocks of query rows (see BLOCK_FLOATS)."""
+    step = max(1, BLOCK_FLOATS // (len(targets) * _MATCH_ROW_STEP)) * _MATCH_ROW_STEP
+    nn = np.empty(len(queries), dtype=np.int64)
+    nn_dist = np.empty(len(queries))
+    start = 0
+    while start < len(queries):
+        stop = len(queries) if len(queries) - start <= step + 1 else start + step
+        dist = pairwise_distance_matrix(queries[start:stop], targets)
+        nn[start:stop] = dist.argmin(axis=1)
+        nn_dist[start:stop] = dist[np.arange(stop - start), nn[start:stop]]
+        del dist  # free this block's matrix before the next one is built
+        start = stop
+    return nn, nn_dist
 
 
 def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
                    seed: int = 0) -> EvalReport:
-    """Rank same-label patches against sampled distractors, per query patch."""
-    labels = dset.labels
-    classes, counts = np.unique(labels, return_counts=True)
+    """Rank same-label patches against sampled distractors, per query patch.
+
+    Each query draws its distractors with one `rng.choice` over the rows of
+    other labels, in row order; those draws depend only on how many rows
+    there are to choose from, so the rows are located afterwards.
+    """
+    classes, codes, counts = np.unique(dset.labels, return_inverse=True,
+                                       return_counts=True)
     if len(classes) < 2:
         raise ConfigError("retrieval needs >= 2 classes")
     rng = np.random.default_rng(seed)
-    count_of = dict(zip(classes.tolist(), counts.tolist()))
-    aps = []
-    tiers_of_queries = []
-    skipped = 0
-    for q in range(len(dset)):
-        if count_of[int(labels[q])] < 2:
-            skipped += 1
-            continue
-        same = np.flatnonzero((labels == labels[q]))
-        same = same[same != q]
-        other = np.flatnonzero(labels != labels[q])
-        take = min(distractors_per_query, len(other))
-        distractors = rng.choice(other, size=take, replace=False) if take else other[:0]
-        pool = np.concatenate([same, distractors])
-        dist = np.linalg.norm(dset.descriptors[pool] - dset.descriptors[q], axis=1)
-        rel = np.concatenate([np.ones(len(same)), np.zeros(len(distractors))])
-        ranked = _ranked_relevance(dist, rel, pool)
-        aps.append(average_precision(ranked))
-        tiers_of_queries.append(_tier_of(dset, q))
-    if not aps:
+    n = len(dset)
+    index = _LabelIndex(np.arange(n), codes, len(classes))
+    queries = np.flatnonzero(counts[codes] >= 2)
+    if not len(queries):
         raise ConfigError("retrieval: every class has a single patch")
-    by_tier: dict[str, list] = {}
-    for name, ap in zip(tiers_of_queries, aps):
-        by_tier.setdefault(name, []).append(ap)
+    n_same = counts[codes[queries]] - 1
+    n_other = n - n_same - 1
+    take = np.minimum(distractors_per_query, n_other)
+    picks = [rng.choice(pop, size=size, replace=False) if size else np.empty(0, np.int64)
+             for pop, size in zip(n_other.tolist(), take.tolist())]
+
+    aps = np.empty(len(queries))
+    # queries with equal (same-label count, distractor count) share a pool shape
+    shape_key = n_same * (int(take.max()) + 1) + take
+    by_shape = np.argsort(shape_key, kind="stable")
+    bounds = np.flatnonzero(np.diff(shape_key[by_shape])) + 1
+    for members in np.split(by_shape, bounds):
+        same, far = int(n_same[members[0]]), int(take[members[0]])
+        block = max(1, BLOCK_FLOATS // ((same + far) * dset.dim))
+        ranks = np.arange(1, same + far + 1)
+        j = np.arange(same)
+        for lo in range(0, len(members), block):
+            part = members[lo:lo + block]
+            q = queries[part]
+            label = codes[q]
+            # the query's label-mates, skipping the query itself
+            mates = index.rows[index.start[label][:, None] + j
+                               + (j >= (index.slot[q] - index.start[label])[:, None])]
+            distractors = index.outside(label[:, None],
+                                        np.stack([picks[k] for k in part]))
+            pool = np.hstack([mates, distractors])
+            dist = np.linalg.norm(
+                dset.descriptors[pool] - dset.descriptors[q][:, None, :], axis=-1)
+            # ties break by row index; label-mates fill the first `same` columns
+            hit = (np.lexsort((pool, dist), axis=-1) < same).astype(np.float64)
+            aps[part] = (np.cumsum(hit, axis=1) / ranks * hit).sum(axis=1) / same
     return EvalReport(
         task="retrieval",
         map_overall=float(np.mean(aps)),
-        map_by_tier={name: float(np.mean(v)) for name, v in by_tier.items()},
+        map_by_tier=_mean_by_tier(aps, None if dset.tiers is None else dset.tiers[queries]),
         num_queries=len(aps),
-        num_skipped=skipped,
+        num_skipped=n - len(queries),
         config={"distractors_per_query": distractors_per_query, "seed": seed,
                 "dim": dset.dim},
     )

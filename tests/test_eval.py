@@ -1,16 +1,21 @@
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from desclite.data import DescriptorSet
+from desclite import eval as ev
+from desclite.data import DescriptorSet, tier_name
 from desclite.errors import ConfigError
 from desclite.eval import (
+    EvalReport,
     average_precision,
     eval_matching,
     eval_retrieval,
     eval_verification,
 )
+from desclite.numerics import pairwise_distance_matrix
 
 
 def hand_average_precision(rel):
@@ -285,3 +290,228 @@ class TestInvariances:
         assert lines[0] == "task=matching"
         assert any(line.startswith("map_overall=") for line in lines)
         assert any(line.startswith("tier.") for line in lines)
+
+
+# Reference oracles: the per-query loops the tasks were first written as.
+# Each scans every row per query or attempt and builds whole distance
+# matrices, so they serve small sets only. Matching's config leaves out the
+# seed, which matching never used.
+
+def _reference_tier_of(dset, row):
+    return "all" if dset.tiers is None else tier_name(int(dset.tiers[row]))
+
+
+def _reference_ranked(distances, relevant, tie_index):
+    return relevant[np.lexsort((tie_index, distances))]
+
+
+def _reference_sample_pairs(dset, tier_rows, code, codes, rng, want, positive, multi):
+    pairs = []
+    if not len(tier_rows):
+        return pairs
+    labels = dset.labels
+    attempts = 0
+    max_attempts = max(50 * want, 1000)
+    while len(pairs) < want and attempts < max_attempts:
+        attempts += 1
+        i = int(tier_rows[rng.integers(len(tier_rows))])
+        if positive:
+            if labels[i] not in multi:
+                continue
+            cand = np.flatnonzero((labels == labels[i]) & (codes <= code))
+        else:
+            cand = np.flatnonzero((labels != labels[i]) & (codes <= code))
+        cand = cand[cand != i]
+        if not len(cand):
+            continue
+        j = int(cand[rng.integers(len(cand))])
+        pairs.append((i, j))
+    return pairs
+
+
+def _reference_verification(dset, pairs_per_tier, seed):
+    labels = dset.labels
+    classes, counts = np.unique(labels, return_counts=True)
+    rng = np.random.default_rng(seed)
+    codes = dset.tiers if dset.tiers is not None else np.zeros(len(dset), np.uint8)
+    tiers_present = sorted(set(int(c) for c in codes))
+    multi = set(classes[counts >= 2].tolist())
+    pair_dist, pair_rel, pair_tier = [], [], []
+    for code in tiers_present:
+        tier_rows = np.flatnonzero(codes == code)
+        for positive in (True, False):
+            for (i, j) in _reference_sample_pairs(dset, tier_rows, code, codes, rng,
+                                                  pairs_per_tier, positive, multi):
+                pair_dist.append(float(np.linalg.norm(dset.descriptors[i] - dset.descriptors[j])))
+                pair_rel.append(float(positive))
+                pair_tier.append(code)
+    dist, rel, tier_arr = np.asarray(pair_dist), np.asarray(pair_rel), np.asarray(pair_tier)
+    idx = np.arange(len(dist))
+    by_tier = {}
+    for code in tiers_present:
+        mask = tier_arr == code
+        if rel[mask].sum() > 0:
+            name = "all" if dset.tiers is None else tier_name(code)
+            by_tier[name] = average_precision(_reference_ranked(dist[mask], rel[mask], idx[mask]))
+    return EvalReport(
+        task="verification",
+        map_overall=average_precision(_reference_ranked(dist, rel, idx)),
+        map_by_tier=by_tier, num_queries=len(dist), num_skipped=0,
+        config={"pairs_per_tier": pairs_per_tier, "seed": seed, "dim": dset.dim},
+    )
+
+
+def _reference_matching(dset):
+    seqs = np.unique(dset.sequence_ids)
+    ref_id = int(seqs.min())
+    ref_rows = np.flatnonzero(dset.sequence_ids == ref_id)
+    aps, tiers_of_pairs, skipped = [], [], 0
+    for target in seqs[seqs != ref_id]:
+        tgt_rows = np.flatnonzero(dset.sequence_ids == target)
+        shared = np.intersect1d(dset.labels[ref_rows], dset.labels[tgt_rows])
+        if not len(shared):
+            skipped += 1
+            continue
+        use_ref = ref_rows[np.isin(dset.labels[ref_rows], shared)]
+        dist = pairwise_distance_matrix(dset.descriptors[use_ref], dset.descriptors[tgt_rows])
+        nn = dist.argmin(axis=1)
+        nn_dist = dist[np.arange(len(use_ref)), nn]
+        correct = (dset.labels[tgt_rows][nn] == dset.labels[use_ref]).astype(np.float64)
+        ranked = _reference_ranked(nn_dist, correct, np.arange(len(use_ref)))
+        aps.append(average_precision(ranked) if correct.any() else 0.0)
+        if dset.tiers is None:
+            tiers_of_pairs.append("all")
+        else:
+            tiers_of_pairs.append(tier_name(int(np.bincount(dset.tiers[tgt_rows]).argmax())))
+    by_tier = {}
+    for name, ap in zip(tiers_of_pairs, aps):
+        by_tier.setdefault(name, []).append(ap)
+    return EvalReport(
+        task="matching", map_overall=float(np.mean(aps)),
+        map_by_tier={name: float(np.mean(v)) for name, v in by_tier.items()},
+        num_queries=len(aps), num_skipped=skipped, config={"dim": dset.dim},
+    )
+
+
+def _reference_retrieval(dset, distractors_per_query, seed):
+    labels = dset.labels
+    classes, counts = np.unique(labels, return_counts=True)
+    rng = np.random.default_rng(seed)
+    count_of = dict(zip(classes.tolist(), counts.tolist()))
+    aps, tiers_of_queries, skipped = [], [], 0
+    for q in range(len(dset)):
+        if count_of[int(labels[q])] < 2:
+            skipped += 1
+            continue
+        same = np.flatnonzero(labels == labels[q])
+        same = same[same != q]
+        other = np.flatnonzero(labels != labels[q])
+        take = min(distractors_per_query, len(other))
+        distractors = rng.choice(other, size=take, replace=False) if take else other[:0]
+        pool = np.concatenate([same, distractors])
+        dist = np.linalg.norm(dset.descriptors[pool] - dset.descriptors[q], axis=1)
+        rel = np.concatenate([np.ones(len(same)), np.zeros(len(distractors))])
+        aps.append(average_precision(_reference_ranked(dist, rel, pool)))
+        tiers_of_queries.append(_reference_tier_of(dset, q))
+    by_tier = {}
+    for name, ap in zip(tiers_of_queries, aps):
+        by_tier.setdefault(name, []).append(ap)
+    return EvalReport(
+        task="retrieval", map_overall=float(np.mean(aps)),
+        map_by_tier={name: float(np.mean(v)) for name, v in by_tier.items()},
+        num_queries=len(aps), num_skipped=skipped,
+        config={"distractors_per_query": distractors_per_query, "seed": seed,
+                "dim": dset.dim},
+    )
+
+
+def _uneven_set(seed, tiered):
+    """Classes of 1 to 9 rows plus one of 40, rows shuffled, so sequences
+    are not index-aligned and labels are not contiguous."""
+    rng = np.random.default_rng(seed)
+    sizes = np.concatenate([rng.integers(1, 10, size=40), [1, 1, 40]])
+    labels = np.repeat(rng.permutation(500)[:len(sizes)], sizes)
+    n = len(labels)
+    centres = rng.standard_normal((labels.max() + 1, 6))
+    x = centres[labels] + 0.7 * rng.standard_normal((n, 6))
+    x[rng.integers(n, size=8)] = x[0]  # exact duplicates tie in every task
+    seqs = rng.integers(0, 4, size=n)
+    perm = rng.permutation(n)
+    tiers = rng.integers(0, 3, size=n).astype(np.uint8)[perm] if tiered else None
+    return make_set(x[perm], labels[perm], seqs[perm], tiers)
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("block", [ev.BLOCK_FLOATS, 60])
+    @pytest.mark.parametrize("tiered", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_equal_the_per_query_loops(self, seed, tiered, block, monkeypatch):
+        # a small block splits matching and retrieval into many blocks
+        monkeypatch.setattr(ev, "BLOCK_FLOATS", block)
+        dset = _uneven_set(seed, tiered)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for pairs in (7, 300):
+                assert eval_verification(dset, pairs_per_tier=pairs, seed=seed) == \
+                    _reference_verification(dset, pairs, seed)
+            assert eval_matching(dset, seed=seed) == _reference_matching(dset)
+        # 1000 distractors is more than the rows of other labels
+        for distractors in (0, 3, 50, 1000):
+            assert eval_retrieval(dset, distractors_per_query=distractors, seed=seed) == \
+                _reference_retrieval(dset, distractors, seed)
+
+    def test_matching_blocks_on_a_large_pair(self):
+        rng = np.random.default_rng(9)
+        n = 1500
+        assert n * n > 2 * ev.BLOCK_FLOATS  # the distances take several blocks
+        base = rng.standard_normal((n, 8))
+        perm = rng.permutation(n)
+        x = np.vstack([base, base[perm] + 0.3 * rng.standard_normal((n, 8))])
+        labels = np.concatenate([np.arange(n), perm])
+        dset = make_set(x, labels, np.repeat([0, 1], n))
+        assert eval_matching(dset) == _reference_matching(dset)
+
+
+def test_matching_ignores_the_seed():
+    dset = _uneven_set(4, tiered=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        a = eval_matching(dset, seed=1)
+        b = eval_matching(dset, seed=2)
+    assert a == b
+    assert "seed" not in a.config
+
+
+def test_verification_warns_on_a_short_tier():
+    # the two tough rows are the only rows of their labels: the tier draws
+    # negatives but no positive, so it has no AP of its own
+    labels = np.array([0, 0, 1, 1, 2, 3])
+    tiers = np.array([0, 0, 0, 0, 2, 2], dtype=np.uint8)
+    x = np.random.default_rng(3).standard_normal((6, 4))
+    dset = make_set(x, labels, tiers=tiers)
+    with pytest.warns(RuntimeWarning) as caught:
+        report = eval_verification(dset, pairs_per_tier=10, seed=5)
+    messages = [str(w.message) for w in caught]
+    assert messages == [
+        "verification: tier tough drew 0 positive and 10 negative pairs of 10 requested each",
+        "verification: tier tough has no positive pairs; left out of map_by_tier",
+    ]
+    assert set(report.map_by_tier) == {"easy"}
+    assert report.num_queries == 30
+    assert report == _reference_verification(dset, 10, 5)
+
+
+def test_matching_memory_stays_below_the_dense_matrix():
+    rng = np.random.default_rng(10)
+    n = 4000  # a dense 4000 x 4000 float64 matrix takes 128 MB
+    base = rng.standard_normal((n, 16))
+    x = np.vstack([base, base + 0.1 * rng.standard_normal((n, 16))])
+    dset = make_set(x, np.tile(np.arange(n), 2), np.repeat([0, 1], n))
+    tracemalloc.start()
+    try:
+        report = eval_matching(dset)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.num_queries == 1
+    assert peak < 8 * n * n / 4
