@@ -19,17 +19,21 @@ class KMeansModel:
     objective: float               # mean squared distance to assigned centroid
     iterations_run: int
     objective_history: list = field(default_factory=list)
+    empty_repaired: int = 0        # refills of emptied clusters, summed over the kept run
 
     @property
     def k(self) -> int:
         return len(self.centroids)
 
 
-def _sq_dist(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _sq_dist(points: np.ndarray, points_sq: np.ndarray,
+             centroids: np.ndarray) -> np.ndarray:
+    """Squared distances from each point to each centroid; `points_sq` holds
+    the points' squared row norms."""
     sq = (
-        (points * points).sum(axis=1)[:, None]
+        points_sq[:, None]
         + (centroids * centroids).sum(axis=1)[None, :]
-        - 2.0 * points @ centroids.T
+        - 2.0 * (points @ centroids.T)
     )
     np.maximum(sq, 0.0, out=sq)
     return sq
@@ -50,19 +54,31 @@ def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray, k: int, max_iters: int):
+def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
+           max_iters: int):
     n = len(x)
+    rows = np.arange(n)
     assignments = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
     iterations = 0
+    repaired = 0
+    # distances to the current centroids: each iteration's argmin, the
+    # previous iteration's objective and the final pass all read this matrix
+    sq = _sq_dist(x, x_sq, centroids)
     for _ in range(max_iters):
         iterations += 1
-        sq = _sq_dist(x, centroids)
         new_assign = sq.argmin(axis=1)
-        _repair_empty(x, centroids, new_assign, sq, k)
-        for j in range(k):
-            centroids[j] = x[new_assign == j].mean(axis=0)
-        objective = float(_sq_dist(x, centroids)[np.arange(n), new_assign].mean())
+        repaired += _repair_empty(x, new_assign, sq, k)
+        # each cluster's rows, in row order, as one contiguous slice
+        order = np.argsort(new_assign, kind="stable")
+        members = x[order]
+        stops = np.cumsum(np.bincount(new_assign, minlength=k))
+        start = 0
+        for j, stop in enumerate(stops):
+            centroids[j] = members[start:stop].sum(axis=0) / (stop - start)
+            start = stop
+        sq = _sq_dist(x, x_sq, centroids)
+        objective = float(sq[rows, new_assign].mean())
         if history and objective > history[-1] + 1e-9 * max(1.0, history[-1]):
             raise NumericError(
                 f"k-means objective increased: {history[-1]!r} -> {objective!r}"
@@ -72,9 +88,9 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, k: int, max_iters: int):
             break
         assignments = new_assign
     # final nearest-centroid pass so stored assignments match the centroids
-    final_assign = _sq_dist(x, centroids).argmin(axis=1)
-    objective = float(_sq_dist(x, centroids)[np.arange(n), final_assign].mean())
-    return centroids, final_assign, objective, iterations, history
+    final_assign = sq.argmin(axis=1)
+    objective = float(sq[rows, final_assign].mean())
+    return centroids, final_assign, objective, iterations, history, repaired
 
 
 def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
@@ -82,7 +98,9 @@ def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
     """Cluster rows of `points` into k groups.
 
     Runs `restarts` independent k-means++ seedings from one seeded RNG and
-    keeps the run with the lowest objective (deterministic per arguments).
+    keeps the run with the lowest objective. The result is deterministic per
+    arguments for a fixed BLAS library and thread count, which can change the
+    last bits of the distances and so break near-ties differently.
     Each run stops when assignments stop changing or after `max_iters` Lloyd
     iterations; an emptied cluster is repaired by moving the point farthest
     from its assigned centroid into it. The objective (mean squared distance
@@ -97,28 +115,31 @@ def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
     if restarts < 1:
         raise ConfigError(f"restarts must be >= 1, got {restarts}")
 
+    x_sq = (x * x).sum(axis=1)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
         init = _plus_plus_init(x, k, rng)
-        result = _lloyd(x, init, k, max_iters)
+        result = _lloyd(x, x_sq, init, k, max_iters)
         if best is None or result[2] < best[2]:
             best = result
-    centroids, assignments, objective, iterations, history = best
+    centroids, assignments, objective, iterations, history, repaired = best
     return KMeansModel(
         centroids=centroids,
         assignments=assignments,
         objective=objective,
         iterations_run=iterations,
         objective_history=history,
+        empty_repaired=repaired,
     )
 
 
-def _repair_empty(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
-                  sq: np.ndarray, k: int) -> None:
+def _repair_empty(x: np.ndarray, assign: np.ndarray, sq: np.ndarray, k: int) -> int:
+    """Refill empty clusters in place in `assign`; returns how many were refilled."""
     counts = np.bincount(assign, minlength=k)
     if np.all(counts > 0):
-        return
+        return 0
+    refilled = 0
     current = sq[np.arange(len(x)), assign].copy()
     for j in np.flatnonzero(counts == 0):
         donors = np.flatnonzero(counts[assign] > 1)
@@ -129,6 +150,8 @@ def _repair_empty(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
         assign[far] = j
         counts[j] = 1
         current[far] = 0.0
+        refilled += 1
+    return refilled
 
 
 def assign(model: KMeansModel, points) -> np.ndarray:
@@ -138,4 +161,4 @@ def assign(model: KMeansModel, points) -> np.ndarray:
         raise ShapeError(
             f"points have dim {x.shape[1]}, centroids have dim {model.centroids.shape[1]}"
         )
-    return _sq_dist(x, model.centroids).argmin(axis=1)
+    return _sq_dist(x, (x * x).sum(axis=1), model.centroids).argmin(axis=1)

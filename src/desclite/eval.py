@@ -16,7 +16,8 @@ Protocol notes (simplified HPatches analogue, desk scale):
   retrieval — every patch whose label has >= 2 rows queries a pool of all
       other same-label rows plus sampled distractors; mAP over queries.
 All score ties break by stable index order, so reports are deterministic
-per (set, seed).
+per (set, seed) for a fixed BLAS library and thread count; the thread count
+can change the last bits of a distance and so the order of near-ties.
 
 Cost, for N rows of D dimensions:
   verification — O(N log N) per tier to index its rows by label, then
@@ -58,6 +59,7 @@ class EvalReport:
     map_by_tier: dict = field(default_factory=dict)
     num_queries: int = 0
     num_skipped: int = 0
+    num_zero_ap: int = 0   # matching: pairs scored AP 0 (no correct match)
     config: dict = field(default_factory=dict)
 
     def lines(self):
@@ -67,6 +69,7 @@ class EvalReport:
             out.append(f"config.{key}={value}")
         out.append(f"num_queries={self.num_queries}")
         out.append(f"num_skipped={self.num_skipped}")
+        out.append(f"num_zero_ap={self.num_zero_ap}")
         out.append(f"map_overall={self.map_overall:.6f}")
         for tier, value in sorted(self.map_by_tier.items()):
             out.append(f"tier.{tier}.map={value:.6f}")
@@ -242,8 +245,9 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
     row's label (labels are 3D-point identity; row order is not used, so the
     sequences need not be index-aligned). Only reference rows whose label
     occurs in the target are queried. A pair with no correct match scores
-    AP 0, counted in `map_overall` and in its tier. `num_skipped` counts only
-    the pairs that share no labels with the reference; each one warns.
+    AP 0, counted in `map_overall` and in its tier and in `num_zero_ap`.
+    `num_skipped` counts only the pairs that share no labels with the
+    reference; each one warns.
 
     Matching draws nothing: it is deterministic and ignores `seed`, which it
     accepts so that every task takes the same keywords.
@@ -288,6 +292,7 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
         map_by_tier=_mean_by_tier(aps, pair_codes if dset.tiers is not None else None),
         num_queries=len(aps),
         num_skipped=skipped,
+        num_zero_ap=int(np.sum(aps == 0.0)),
         config={"dim": dset.dim},
     )
 

@@ -1,4 +1,4 @@
-"""Dense float64 matrix helpers and a cyclic-Jacobi symmetric eigensolver.
+"""Dense float64 matrix helpers and a symmetric eigensolver (LAPACK `eigh`).
 
 Matrices are plain 2-D float64 numpy arrays (row-major). Everything here is
 pure: inputs are never mutated and results depend only on the arguments.
@@ -11,9 +11,6 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-JACOBI_MAX_SWEEPS = 100
-JACOBI_TOL = 1e-12
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a finite 2-D float64 array."""
@@ -23,13 +20,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise NumericError(f"{name} contains non-finite entries")
     return m
-
-
-def as_vector(x, name: str = "vector") -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {v.shape}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -42,24 +32,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape validation."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return a @ b
-
-
-def l2_distance(x, y) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    x = as_vector(x, "x")
-    y = as_vector(y, "y")
-    if x.shape != y.shape:
-        raise ShapeError(f"l2_distance: lengths differ, {x.shape[0]} vs {y.shape[0]}")
-    return float(np.linalg.norm(x - y))
 
 
 def pairwise_distance_matrix(a, b) -> np.ndarray:
@@ -83,13 +55,13 @@ def pairwise_distance_matrix(a, b) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def sym_eigen(a, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def sym_eigen(a) -> EigenDecomposition:
+    """Full eigendecomposition of a symmetric matrix by LAPACK `eigh`.
 
-    The input is symmetrized as (A + A^T)/2 first and must be symmetric to
-    within 1e-9. Convergence: max off-diagonal magnitude below 1e-12 * |A|_F.
-
-    Raises NumericError if `max_sweeps` sweeps do not converge.
+    The input must be symmetric to within 1e-9 and is symmetrized as
+    (A + A^T)/2 first. A 0x0, 1x1 or all-zero matrix returns its diagonal
+    with the identity as eigenvectors. Non-finite entries raise NumericError;
+    a non-square or asymmetric matrix raises ShapeError.
     """
     a = as_matrix(a, "a")
     n, m = a.shape
@@ -98,45 +70,10 @@ def sym_eigen(a, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
     if n and np.abs(a - a.T).max() > 1e-9:
         raise ShapeError("sym_eigen: matrix is not symmetric within 1e-9")
     s = (a + a.T) / 2.0
-    v = np.eye(n)
-    fro = np.linalg.norm(s)
-    if n <= 1 or fro == 0.0:
-        return _sorted_eigen(np.diag(s).copy(), v)
-    thresh = JACOBI_TOL * fro
-    for _ in range(max_sweeps):
-        off = np.abs(np.triu(s, 1)).max()
-        if off < thresh:
-            vals = np.diag(s).copy()
-            return _sorted_eigen(vals, v)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = s[p, q]
-                if abs(apq) < thresh:
-                    continue
-                theta = (s[q, q] - s[p, p]) / (2.0 * apq)
-                t = 1.0 if theta == 0.0 else np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                sn = t * c
-                _rotate(s, v, p, q, c, sn)
-    raise NumericError(
-        f"sym_eigen: no convergence after {max_sweeps} sweeps (n={n})"
-    )
-
-
-def _rotate(s: np.ndarray, v: np.ndarray, p: int, q: int, c: float, sn: float) -> None:
-    # similarity transform J^T S J restricted to rows/cols p and q
-    sp = s[:, p].copy()
-    sq = s[:, q].copy()
-    s[:, p] = c * sp - sn * sq
-    s[:, q] = sn * sp + c * sq
-    rp = s[p, :].copy()
-    rq = s[q, :].copy()
-    s[p, :] = c * rp - sn * rq
-    s[q, :] = sn * rp + c * rq
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - sn * vq
-    v[:, q] = sn * vp + c * vq
+    if n <= 1 or not s.any():
+        return _sorted_eigen(np.diag(s).copy(), np.eye(n))
+    vals, vecs = np.linalg.eigh(s)
+    return _sorted_eigen(vals, vecs)
 
 
 def _sorted_eigen(vals: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:

@@ -28,7 +28,8 @@ class PcaModel:
 
 
 def fit_pca(train: DescriptorSet, d: int) -> PcaModel:
-    """Top-d principal directions of the sample covariance (divisor N-1).
+    """Top-d principal directions of the sample covariance (divisor N-1),
+    from its full eigendecomposition by LAPACK `eigh` (`numerics.sym_eigen`).
 
     Columns are ordered by descending eigenvalue, with the sign fixed so each
     column's largest-magnitude entry is positive. A covariance with fewer

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import losses
-from .cluster import kmeans_fit
+from .cluster import KMeansModel, kmeans_fit
 from .data import DescriptorSet
 from .errors import ConfigError, NumericError, ShapeError
 from .nn import AdamState, Linear, MlpModel, adam_step, backward, build_encoder, \
@@ -118,6 +118,13 @@ def _emit(log_fn, **event) -> None:
         log_fn(event)
 
 
+def _recluster_fields(model: KMeansModel) -> dict:
+    sizes = np.bincount(model.assignments, minlength=model.k)
+    return dict(k=model.k, objective=model.objective, iterations=model.iterations_run,
+                empty_repaired=model.empty_repaired,
+                min_cluster_size=int(sizes.min()), max_cluster_size=int(sizes.max()))
+
+
 def _batch_indices(n: int, batch_size: int, rng: np.random.Generator, minimum: int = 2):
     """Seeded shuffled batches, dropping a trailing batch smaller than `minimum`."""
     order = rng.permutation(n)
@@ -214,7 +221,7 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
             model = kmeans_fit(x, k, seed=cfg.seed + 47)
             pseudo = model.assignments
             _emit(log_fn, event="recluster", scheme="ss", epoch=epoch,
-                  source="original", k=k, objective=model.objective)
+                  source="original", **_recluster_fields(model))
         elif (epoch - 1) % cfg.recluster_period == 0:
             encoder.set_mode("eval")
             emb = project(encoder, x)
@@ -223,7 +230,7 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
             pseudo = model.assignments
             head.reinitialize(k, cfg.seed + 31 + epoch)
             _emit(log_fn, event="recluster", scheme="ss", epoch=epoch,
-                  source="embedding", k=k, objective=model.objective)
+                  source="embedding", **_recluster_fields(model))
         loss_sum = 0.0
         count = 0
         for idx in _batch_indices(n, cfg.batch_size, rng):

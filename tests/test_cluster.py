@@ -130,3 +130,141 @@ class TestAssign:
                             objective=0.0, iterations_run=0)
         with pytest.raises(ShapeError):
             assign(model, np.zeros((4, 2)))
+
+
+# Reference oracle: k-means as first written, before the Lloyd loop reused
+# each iteration's distance matrix and summed clusters as sorted slices.
+# kmeans_fit must match it bit for bit.
+
+def _reference_sq_dist(points, centroids):
+    sq = (
+        (points * points).sum(axis=1)[:, None]
+        + (centroids * centroids).sum(axis=1)[None, :]
+        - 2.0 * points @ centroids.T
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return sq
+
+
+def _reference_plus_plus_init(points, k, rng):
+    n = len(points)
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(n)
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            chosen[i] = rng.integers(n)  # all remaining points coincide
+        else:
+            chosen[i] = rng.choice(n, p=d2 / total)
+        d2 = np.minimum(d2, ((points - points[chosen[i]]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def _reference_repair_empty(x, centroids, assign, sq, k):
+    counts = np.bincount(assign, minlength=k)
+    if np.all(counts > 0):
+        return
+    current = sq[np.arange(len(x)), assign].copy()
+    for j in np.flatnonzero(counts == 0):
+        donors = np.flatnonzero(counts[assign] > 1)
+        if not len(donors):
+            break
+        far = donors[current[donors].argmax()]
+        counts[assign[far]] -= 1
+        assign[far] = j
+        counts[j] = 1
+        current[far] = 0.0
+
+
+def _reference_lloyd(x, centroids, k, max_iters):
+    n = len(x)
+    assignments = np.full(n, -1, dtype=np.int64)
+    history = []
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        sq = _reference_sq_dist(x, centroids)
+        new_assign = sq.argmin(axis=1)
+        _reference_repair_empty(x, centroids, new_assign, sq, k)
+        for j in range(k):
+            centroids[j] = x[new_assign == j].mean(axis=0)
+        objective = float(_reference_sq_dist(x, centroids)[np.arange(n), new_assign].mean())
+        history.append(objective)
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+    final_assign = _reference_sq_dist(x, centroids).argmin(axis=1)
+    objective = float(_reference_sq_dist(x, centroids)[np.arange(n), final_assign].mean())
+    return centroids, final_assign, objective, iterations, history
+
+
+def _reference_kmeans_fit(x, k, max_iters=50, seed=0, restarts=10):
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        init = _reference_plus_plus_init(x, k, rng)
+        result = _reference_lloyd(x, init, k, max_iters)
+        if best is None or result[2] < best[2]:
+            best = result
+    centroids, assignments, objective, iterations, history = best
+    return KMeansModel(centroids=centroids, assignments=assignments, objective=objective,
+                       iterations_run=iterations, objective_history=history)
+
+
+def _assert_same_model(got, want):
+    assert np.array_equal(got.centroids, want.centroids)
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.objective == want.objective
+    assert got.iterations_run == want.iterations_run
+    assert got.objective_history == want.objective_history
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_rows_with_empty_cluster_repair(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        base = rng.standard_normal((4, 3))
+        x = base[rng.integers(4, size=40)]  # 40 rows, 4 distinct
+        for k in (3, 6, 9):
+            model = kmeans_fit(x, k, seed=seed, restarts=3)
+            assert model.empty_repaired > 0 or k <= 4
+            _assert_same_model(model, _reference_kmeans_fit(x, k, seed=seed, restarts=3))
+
+    def test_k1_and_k_equals_n(self):
+        x = np.random.default_rng(30).standard_normal((12, 5))
+        for k in (1, 12):
+            _assert_same_model(kmeans_fit(x, k, seed=4), _reference_kmeans_fit(x, k, seed=4))
+
+    def test_one_dimensional_points(self):
+        x = np.random.default_rng(31).standard_normal((50, 1))
+        for k in (2, 7):
+            _assert_same_model(kmeans_fit(x, k, seed=5), _reference_kmeans_fit(x, k, seed=5))
+
+    def test_iteration_cap(self):
+        x = np.random.default_rng(32).standard_normal((80, 4))
+        for max_iters in (0, 1, 2):
+            _assert_same_model(kmeans_fit(x, 6, max_iters=max_iters, seed=6),
+                               _reference_kmeans_fit(x, 6, max_iters=max_iters, seed=6))
+
+    def test_descriptor_sized_set(self):
+        # the benchmark's shape: 2,100 training rows of 128-D, k = 50;
+        # unclustered skewed data keeps Lloyd going for about 25 iterations
+        x = np.random.default_rng(33).standard_normal((2100, 128)) ** 2
+        model = kmeans_fit(x, 50, seed=7, restarts=2)
+        assert model.iterations_run > 10
+        _assert_same_model(model, _reference_kmeans_fit(x, 50, seed=7, restarts=2))
+
+
+class TestEmptyRepaired:
+    def test_counts_refilled_clusters(self):
+        # k-means++ must draw a second [0, 0] centroid, which loses every
+        # distance tie, so each of the two iterations refills it once
+        x = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]])
+        model = kmeans_fit(x, 3, seed=0, restarts=1)
+        assert model.iterations_run == 2
+        assert model.empty_repaired == 2
+
+    def test_zero_without_empty_clusters(self):
+        x = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
+        assert kmeans_fit(x, 2, seed=0).empty_repaired == 0

@@ -178,6 +178,8 @@ class TestMatching:
         assert report.map_overall == 0.5
         assert report.num_queries == 2
         assert report.num_skipped == 0
+        assert report.num_zero_ap == 1
+        assert "num_zero_ap=1" in report.lines()
         assert report.map_by_tier == {"easy": 1.0, "tough": 0.0}
 
     def test_no_shared_labels_skipped_with_warning(self):
@@ -389,7 +391,8 @@ def _reference_matching(dset):
     return EvalReport(
         task="matching", map_overall=float(np.mean(aps)),
         map_by_tier={name: float(np.mean(v)) for name, v in by_tier.items()},
-        num_queries=len(aps), num_skipped=skipped, config={"dim": dset.dim},
+        num_queries=len(aps), num_skipped=skipped,
+        num_zero_ap=sum(ap == 0.0 for ap in aps), config={"dim": dset.dim},
     )
 
 

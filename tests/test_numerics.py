@@ -1,43 +1,8 @@
 import numpy as np
 import pytest
 
-from desclite.errors import ShapeError
-from desclite.numerics import (
-    EigenDecomposition,
-    l2_distance,
-    matmul,
-    pairwise_distance_matrix,
-    sym_eigen,
-)
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        assert np.array_equal(matmul(np.eye(2), a), a)
-
-    def test_hand_arithmetic(self):
-        assert np.array_equal(matmul([[1.0, 2.0]], [[3.0], [4.0]]), [[11.0]])
-
-    def test_zero_matrix(self):
-        z = np.zeros((2, 3))
-        b = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(matmul(z, b), np.zeros((2, 4)))
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a = rng.standard_normal((4, 5))
-            b = rng.standard_normal((5, 3))
-            c = rng.standard_normal((3, 6))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            scale = np.abs(left).max() + 1.0
-            assert np.abs(left - right).max() <= 1e-9 * scale
+from desclite.errors import NumericError, ShapeError
+from desclite.numerics import EigenDecomposition, pairwise_distance_matrix, sym_eigen
 
 
 class TestSymEigen:
@@ -102,30 +67,28 @@ class TestSymEigen:
         assert np.array_equal(eig.eigenvalues, np.zeros(3))
         assert np.array_equal(eig.eigenvectors, np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(NumericError):
+            sym_eigen(a)
+
+    def test_rank_deficient_covariance(self):
+        # 40 samples in 128-D: rank <= 39, so most eigenvalues are ~0
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((40, 128)) @ rng.standard_normal((128, 128))
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / (len(x) - 1)
+        eig = sym_eigen(cov)
+        vals, vecs = eig.eigenvalues, eig.eigenvectors
+        assert np.all(np.diff(vals) <= 0.0)
+        assert np.abs(vals[39:]).max() <= 1e-10 * vals[0]
+        assert np.abs(vecs.T @ vecs - np.eye(128)).max() <= 1e-12
+        assert np.abs(cov @ vecs - vecs * vals).max() <= 1e-12 * vals[0]
+
     def test_returns_dataclass(self):
         assert isinstance(sym_eigen(np.eye(2)), EigenDecomposition)
-
-
-class TestL2Distance:
-    def test_3_4_5(self):
-        assert l2_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-
-    def test_identity(self):
-        x = np.array([1.5, -2.0, 7.0])
-        assert l2_distance(x, x) == 0.0
-
-    def test_unit_axes(self):
-        assert l2_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(np.sqrt(2), abs=1e-15)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            l2_distance([1.0], [1.0, 2.0])
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x, y, z = rng.standard_normal((3, 6))
-            assert l2_distance(x, z) <= l2_distance(x, y) + l2_distance(y, z) + 1e-12
 
 
 class TestPairwiseDistanceMatrix:
@@ -138,7 +101,7 @@ class TestPairwiseDistanceMatrix:
         b = np.array([[0.0, 0.0, 0.0]])
         d = pairwise_distance_matrix(a, b)
         assert d.shape == (1, 1)
-        assert d[0, 0] == pytest.approx(l2_distance(a[0], b[0]), abs=1e-12)
+        assert d[0, 0] == pytest.approx(np.linalg.norm(a[0] - b[0]), abs=1e-12)
 
     def test_naive_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -147,7 +110,7 @@ class TestPairwiseDistanceMatrix:
         d = pairwise_distance_matrix(a, b)
         for i in range(4):
             for j in range(5):
-                assert abs(d[i, j] - l2_distance(a[i], b[j])) <= 1e-10
+                assert abs(d[i, j] - np.linalg.norm(a[i] - b[j])) <= 1e-10
 
     def test_symmetric_with_zero_diagonal(self):
         rng = np.random.default_rng(8)
