@@ -152,14 +152,18 @@ def _cmd_describe(args) -> int:
     manifest = _Manifest("describe", None)
     with manifest.phase("load"):
         dataset = load_patches(args.input)
+    t0 = time.perf_counter()
     with manifest.phase("describe"):
         dset = extract_descriptors(dataset)
+    elapsed = time.perf_counter() - t0
     with manifest.phase("write"):
         save_descriptors(dset, args.output, precision=args.precision)
     manifest.add("input", args.input)
     manifest.add("output", args.output)
     manifest.add("descriptors", len(dset))
     manifest.add("dim", dset.dim)
+    if len(dset):
+        manifest.add("describe_us_per_patch", f"{elapsed / len(dset) * 1e6:.3f}")
     manifest.emit(args.manifest)
     return 0
 

@@ -233,6 +233,105 @@ _GAUSS_SIGMA = 16.0
 _CELLS = 4
 _ORI_BINS = 8
 _CLAMP = 0.2
+# Each patch's histogram row holds its DESCRIPTOR_DIM bins, then _ORI_BINS
+# spare bins that collect the votes of corners outside the 4x4 grid.
+_ROW_BINS = DESCRIPTOR_DIM + _ORI_BINS
+
+# Patches described per chunk. Each patch casts 8 x 1024 votes, a bin index
+# and a float64 weight each: 32 MiB of vote buffers at 256 patches. 512 ran
+# slower than 128 or 256, and one chunk for all patches would need the
+# buffers for all of them (about 390 MB at 3,000 patches).
+DESCRIBE_CHUNK = 256
+
+
+def _cell_grid():
+    """Gaussian weight and, for each of the 4 (dy, dx) spatial corners of a
+    pixel, its histogram offset (the spare bins when the corner lies outside
+    the grid) and its y and x weights."""
+    center = (PATCH_SIZE - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(PATCH_SIZE), np.arange(PATCH_SIZE), indexing="ij")
+    weight = np.exp(-(((xx - center) ** 2 + (yy - center) ** 2) / (2.0 * _GAUSS_SIGMA ** 2)))
+    cell_w = PATCH_SIZE / _CELLS
+    bx = (xx + 0.5) / cell_w - 0.5
+    by = (yy + 0.5) / cell_w - 0.5
+    x0 = np.floor(bx).astype(np.int64)
+    y0 = np.floor(by).astype(np.int64)
+    fx = bx - x0
+    fy = by - y0
+    offsets, wys, wxs = [], [], []
+    for dy, wy in ((0, 1.0 - fy), (1, fy)):
+        yc = y0 + dy
+        for dx, wx in ((0, 1.0 - fx), (1, fx)):
+            xc = x0 + dx
+            ok = (yc >= 0) & (yc < _CELLS) & (xc >= 0) & (xc < _CELLS)
+            offsets.append(np.where(ok, (yc * _CELLS + xc) * _ORI_BINS, DESCRIPTOR_DIM).ravel())
+            wys.append(wy.ravel())
+            wxs.append(wx.ravel())
+    return weight.ravel(), np.array(offsets), np.array(wys), np.array(wxs)
+
+
+_GAUSS_WEIGHT, _CORNER_OFFSET, _CORNER_WY, _CORNER_WX = _cell_grid()
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, bit for bit `np.linalg.norm(row)`: a stacked
+    1 x D by D x 1 `matmul` takes the same BLAS dot product per row, where
+    `np.linalg.norm(x, axis=1)` sums in another order."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]).ravel())
+
+
+def _describe_chunk(patches: np.ndarray, bin_base: np.ndarray,
+                    idx: np.ndarray, votes: np.ndarray) -> np.ndarray:
+    """Descriptors of an (n, 32, 32) chunk. `bin_base[c, p]` is corner c's
+    per-pixel bin offset into patch p's histogram row; `idx` and `votes` are
+    (8, >= n, 1024) work buffers for the votes' bins and weights."""
+    n = len(patches)
+    img = np.asarray(patches, dtype=np.float64)
+    gy, gx = np.gradient(img, axis=(1, 2))
+    mag = np.hypot(gx, gy).reshape(n, -1) * _GAUSS_WEIGHT
+    ori_bin = (np.arctan2(gy, gx).reshape(n, -1) / (2.0 * np.pi / _ORI_BINS)) % _ORI_BINS
+    o0 = np.floor(ori_bin).astype(np.int64)
+    fo = ori_bin - o0
+    orientations = ((o0 % _ORI_BINS, 1.0 - fo), ((o0 + 1) % _ORI_BINS, fo))
+
+    # Votes in (corner, do) x patch x pixel order: each bin then receives its
+    # votes in the order of the per-patch loop's np.add.at calls, so the
+    # sums, and the descriptors, are bit for bit those of that loop.
+    idx = idx[:, :n]
+    votes = votes[:, :n]
+    g = 0
+    for c in range(len(_CORNER_OFFSET)):
+        w_spatial = mag * _CORNER_WY[c] * _CORNER_WX[c]
+        for oc, wo in orientations:
+            np.add(bin_base[c, :n], oc, out=idx[g])
+            np.multiply(w_spatial, wo, out=votes[g])
+            g += 1
+    hist = np.bincount(idx.ravel(), votes.ravel(), minlength=n * _ROW_BINS)
+    hist = hist.reshape(n, _ROW_BINS)[:, :DESCRIPTOR_DIM]
+
+    out = np.zeros((n, DESCRIPTOR_DIM))
+    norm = _row_norms(hist)
+    keep = norm >= 1e-12
+    vec = hist[keep] / norm[keep, None]
+    np.minimum(vec, _CLAMP, out=vec)
+    out[keep] = vec / _row_norms(vec)[:, None]
+    return out
+
+
+def _describe(patches: np.ndarray) -> np.ndarray:
+    """Descriptors of an (N, 32, 32) stack, DESCRIBE_CHUNK patches at a time.
+    Every chunk reuses one pair of vote buffers: fresh ones per chunk, whose
+    pages are faulted in again each time, made 3,000 patches ≈20% slower."""
+    n = len(patches)
+    chunk = max(1, min(n, DESCRIBE_CHUNK))
+    bin_base = (np.arange(chunk)[:, None] * _ROW_BINS)[None] + _CORNER_OFFSET[:, None, :]
+    idx = np.empty((2 * len(_CORNER_OFFSET), chunk, PATCH_SIZE * PATCH_SIZE), dtype=np.intp)
+    votes = np.empty(idx.shape)
+    out = np.empty((n, DESCRIPTOR_DIM))
+    for start in range(0, n, chunk):
+        out[start:start + chunk] = _describe_chunk(
+            patches[start:start + chunk], bin_base, idx, votes)
+    return out
 
 
 def sift_like_descriptor(patch) -> np.ndarray:
@@ -242,66 +341,34 @@ def sift_like_descriptor(patch) -> np.ndarray:
     with 8 orientation bins each (trilinear voting), under a centered
     Gaussian weight (sigma 16). The result is L2-normalized, clamped at 0.2
     per entry and renormalized; a gradient-free patch yields the zero vector.
+    This is the row `extract_descriptors` gives the patch.
     """
     img = np.asarray(patch, dtype=np.float64)
     if img.shape != (PATCH_SIZE, PATCH_SIZE):
         raise ShapeError(f"patch must be {PATCH_SIZE}x{PATCH_SIZE}, got {img.shape}")
-    gy, gx = np.gradient(img)
-    mag = np.hypot(gx, gy) * _GAUSS_WEIGHT
-    ori_bin = (np.arctan2(gy, gx) / (2.0 * np.pi / _ORI_BINS)) % _ORI_BINS
-
-    hist = np.zeros((_CELLS, _CELLS, _ORI_BINS))
-    x0 = _CELL_FLOOR_X
-    y0 = _CELL_FLOOR_Y
-    fx = _CELL_FRAC_X
-    fy = _CELL_FRAC_Y
-    o0 = np.floor(ori_bin).astype(np.int64)
-    fo = ori_bin - o0
-    for dy, wy in ((0, 1.0 - fy), (1, fy)):
-        yc = y0 + dy
-        ok_y = (yc >= 0) & (yc < _CELLS)
-        for dx, wx in ((0, 1.0 - fx), (1, fx)):
-            xc = x0 + dx
-            ok = ok_y & (xc >= 0) & (xc < _CELLS)
-            w_spatial = mag * wy * wx
-            for do, wo in ((0, 1.0 - fo), (1, fo)):
-                oc = (o0 + do) % _ORI_BINS
-                np.add.at(hist, (yc[ok], xc[ok], oc[ok]), (w_spatial * wo)[ok])
-
-    vec = hist.ravel()
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return np.zeros(_CELLS * _CELLS * _ORI_BINS)
-    vec = vec / norm
-    np.minimum(vec, _CLAMP, out=vec)
-    return vec / np.linalg.norm(vec)
-
-
-def _cell_grid():
-    center = (PATCH_SIZE - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(PATCH_SIZE), np.arange(PATCH_SIZE), indexing="ij")
-    weight = np.exp(-(((xx - center) ** 2 + (yy - center) ** 2) / (2.0 * _GAUSS_SIGMA ** 2)))
-    cell_w = PATCH_SIZE / _CELLS
-    bx = (xx + 0.5) / cell_w - 0.5
-    by = (yy + 0.5) / cell_w - 0.5
-    x0 = np.floor(bx).astype(np.int64)
-    y0 = np.floor(by).astype(np.int64)
-    return weight, x0, bx - x0, y0, by - y0
-
-
-_GAUSS_WEIGHT, _CELL_FLOOR_X, _CELL_FRAC_X, _CELL_FLOOR_Y, _CELL_FRAC_Y = _cell_grid()
+    return _describe(img[None])[0]
 
 
 def extract_descriptors(dataset: PatchDataset) -> DescriptorSet:
-    """Run the built-in descriptor over every patch of a dataset."""
-    descs = np.empty((len(dataset), DESCRIPTOR_DIM))
-    for i, patch in enumerate(dataset.patches):
-        descs[i] = sift_like_descriptor(patch)
+    """Run the built-in descriptor (see `sift_like_descriptor`) over every
+    patch of a dataset; the set is marked normalized.
+
+    Patches are described in chunks of DESCRIBE_CHUNK: per chunk, one
+    gradient pass and one `np.bincount` over its 8 x 1024 votes per patch,
+    so the cost is linear in N with no per-patch Python work: about 0.23 ms
+    per patch (1,800 patches in 0.42 s with one BLAS thread on a 2-vCPU
+    x86-64 VM, numpy 2.4), where the per-patch loop took 0.55. Every bin adds
+    its votes in the order of the per-patch reference loop (eight `np.add.at`
+    calls, `tests/test_data.py`) and row norms are the same BLAS dot
+    products, so each row is bit for bit that loop's descriptor, whatever
+    the chunk size.
+    """
     return DescriptorSet(
-        descriptors=descs,
+        descriptors=_describe(dataset.patches),
         labels=dataset.labels.copy(),
         sequence_ids=dataset.sequence_ids.copy(),
         tiers=dataset.tiers.copy(),
+        normalized=True,
     )
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from desclite import data
 from desclite.data import (
     DescriptorSet,
     PatchDataset,
@@ -15,6 +16,69 @@ from desclite.data import (
 )
 from desclite.errors import ConfigError, FormatError, ShapeError
 from desclite.numerics import pairwise_distance_matrix
+
+
+def _reference_cell_grid():
+    center = (32 - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(32), np.arange(32), indexing="ij")
+    weight = np.exp(-(((xx - center) ** 2 + (yy - center) ** 2) / (2.0 * 16.0 ** 2)))
+    cell_w = 32 / 4
+    bx = (xx + 0.5) / cell_w - 0.5
+    by = (yy + 0.5) / cell_w - 0.5
+    x0 = np.floor(bx).astype(np.int64)
+    y0 = np.floor(by).astype(np.int64)
+    return weight, x0, bx - x0, y0, by - y0
+
+
+_GAUSS_WEIGHT, _CELL_FLOOR_X, _CELL_FRAC_X, _CELL_FLOOR_Y, _CELL_FRAC_Y = _reference_cell_grid()
+
+
+def _reference_sift_like_descriptor(patch) -> np.ndarray:
+    """The per-patch loop the batched descriptor replaced, kept as its oracle."""
+    img = np.asarray(patch, dtype=np.float64)
+    if img.shape != (32, 32):
+        raise ShapeError(f"patch must be 32x32, got {img.shape}")
+    gy, gx = np.gradient(img)
+    mag = np.hypot(gx, gy) * _GAUSS_WEIGHT
+    ori_bin = (np.arctan2(gy, gx) / (2.0 * np.pi / 8)) % 8
+
+    hist = np.zeros((4, 4, 8))
+    x0 = _CELL_FLOOR_X
+    y0 = _CELL_FLOOR_Y
+    fx = _CELL_FRAC_X
+    fy = _CELL_FRAC_Y
+    o0 = np.floor(ori_bin).astype(np.int64)
+    fo = ori_bin - o0
+    for dy, wy in ((0, 1.0 - fy), (1, fy)):
+        yc = y0 + dy
+        ok_y = (yc >= 0) & (yc < 4)
+        for dx, wx in ((0, 1.0 - fx), (1, fx)):
+            xc = x0 + dx
+            ok = ok_y & (xc >= 0) & (xc < 4)
+            w_spatial = mag * wy * wx
+            for do, wo in ((0, 1.0 - fo), (1, fo)):
+                oc = (o0 + do) % 8
+                np.add.at(hist, (yc[ok], xc[ok], oc[ok]), (w_spatial * wo)[ok])
+
+    vec = hist.ravel()
+    norm = np.linalg.norm(vec)
+    if norm < 1e-12:
+        return np.zeros(4 * 4 * 8)
+    vec = vec / norm
+    np.minimum(vec, 0.2, out=vec)
+    return vec / np.linalg.norm(vec)
+
+
+def _patch_set(patches):
+    n = len(patches)
+    return PatchDataset(patches, np.arange(n), np.zeros(n, int), np.zeros(n, int))
+
+
+def _assert_matches_reference(patches):
+    got = extract_descriptors(_patch_set(patches)).descriptors
+    want = np.array([_reference_sift_like_descriptor(p) for p in patches]).reshape(-1, 128)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def random_set(rng, n=10, dim=128, n_labels=5):
@@ -60,6 +124,47 @@ class TestSiftLikeDescriptor:
             np.linalg.norm(rotated) * np.linalg.norm(expected)
         )
         assert cos > 0.9
+
+
+class TestMatchesPerPatchLoop:
+    """`extract_descriptors` is bit for bit the per-patch reference loop."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_generated_patches_of_every_tier(self, seed):
+        ds = generate_synthetic(40, 7, seed=seed)
+        assert set(ds.tiers.tolist()) == {0, 1, 2}
+        _assert_matches_reference(ds.patches)
+
+    def test_random_patches_not_a_multiple_of_the_chunk(self):
+        rng = np.random.default_rng(5)
+        assert 777 % data.DESCRIBE_CHUNK
+        _assert_matches_reference(rng.integers(0, 256, (777, 32, 32), dtype=np.uint8))
+
+    def test_edge_cases(self):
+        constant = np.full((32, 32), 117, dtype=np.uint8)
+        corner = np.zeros((32, 32), dtype=np.uint8)
+        corner[0, 0] = 255
+        ramp = np.tile(np.arange(0, 256, 8, dtype=np.uint8), (32, 1))
+        patches = np.stack([constant, corner, ramp])
+        _assert_matches_reference(patches)
+        assert not extract_descriptors(_patch_set(patches)).descriptors[0].any()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_single_patch(self, n):
+        rng = np.random.default_rng(n)
+        _assert_matches_reference(rng.integers(0, 256, (n, 32, 32), dtype=np.uint8))
+
+    def test_tiny_chunk(self, monkeypatch):
+        monkeypatch.setattr(data, "DESCRIBE_CHUNK", 3)
+        ds = generate_synthetic(4, 5, seed=3)
+        _assert_matches_reference(ds.patches)
+
+    def test_single_patch_entry_point_on_a_strided_view(self):
+        rng = np.random.default_rng(9)
+        patch = np.rot90(rng.integers(0, 256, (32, 32), dtype=np.uint8))
+        assert not patch.flags.c_contiguous
+        assert np.array_equal(sift_like_descriptor(patch),
+                              _reference_sift_like_descriptor(patch))
 
 
 class TestGenerateSynthetic:
@@ -171,6 +276,16 @@ class TestDescriptorFiles:
         path = str(tmp_path / "n.ddr")
         save_descriptors(dset, path)
         assert load_descriptors(path).normalized
+
+    def test_described_set_keeps_flag_and_bits_through_a_file(self, tmp_path):
+        described = extract_descriptors(generate_synthetic(5, 4, seed=6))
+        assert described.normalized
+        path = str(tmp_path / "d.ddr")
+        save_descriptors(described, path)
+        back = load_descriptors(path)
+        assert back.normalized
+        assert np.array_equal(back.descriptors, described.descriptors)
+        assert np.array_equal(back.tiers, described.tiers)
 
 
 class TestPatchFiles:
