@@ -29,7 +29,7 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericError, ShapeError, StateError
 from .eval import eval_matching, eval_retrieval, eval_verification
-from .nn import load_model, project, save_model
+from .nn import PROJECT_CHUNK, load_model, project, save_model
 from .pca import fit_pca, load_pca, pca_transform, save_pca
 from .train import TrainConfig, reduce as reduce_set, train as train_model
 
@@ -184,45 +184,33 @@ def _cmd_fit_pca(args) -> int:
     return 0
 
 
+# (flag and config-file key, TrainConfig field, config-file parser, default)
 _TRAIN_KEYS = (
-    ("scheme", str, "sv"),
-    ("dim", int, 64),
-    ("hidden", _parse_hidden, (512, 512)),
-    ("epochs", int, None),
-    ("batch-size", int, None),
-    ("lr", float, 0.001),
-    ("lr-schedule", str, None),
-    ("margin", float, 1.0),
-    ("alpha", float, 0.1),
-    ("beta", float, 3.0),
-    ("use-distance-loss", _parse_bool, False),
-    ("distance-loss-on-positives", _parse_bool, False),
-    ("k", int, None),
-    ("recluster-period", int, 10),
+    ("scheme", "scheme", str, "sv"),
+    ("dim", "target_dim", int, 64),
+    ("hidden", "hidden_sizes", _parse_hidden, (512, 512)),
+    ("epochs", "epochs", int, None),
+    ("batch-size", "batch_size", int, None),
+    ("lr", "learning_rate", float, 0.001),
+    ("lr-schedule", "lr_schedule", str, None),
+    ("margin", "margin", float, 1.0),
+    ("alpha", "alpha", float, 0.1),
+    ("beta", "beta", float, 3.0),
+    ("use-distance-loss", "use_distance_loss", _parse_bool, False),
+    ("distance-loss-on-positives", "distance_loss_on_positives", _parse_bool, False),
+    ("k", "k", int, None),
+    ("recluster-period", "recluster_period", int, 10),
 )
 
 
 def _train_config(args) -> TrainConfig:
+    """The resolved config: each key from its flag, else the config file,
+    else its default, then the scheme's defaults for what is still unset."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    values = {key: _merge(args, key, file_cfg, default, conv)
-              for key, conv, default in _TRAIN_KEYS}
-    return TrainConfig(
-        scheme=values["scheme"],
-        target_dim=values["dim"],
-        hidden_sizes=values["hidden"],
-        epochs=values["epochs"],
-        batch_size=values["batch-size"],
-        learning_rate=values["lr"],
-        lr_schedule=values["lr-schedule"],
-        margin=values["margin"],
-        alpha=values["alpha"],
-        beta=values["beta"],
-        use_distance_loss=values["use-distance-loss"],
-        distance_loss_on_positives=values["distance-loss-on-positives"],
-        k=values["k"],
-        recluster_period=values["recluster-period"],
-        seed=args.seed,
-    )
+    return TrainConfig(seed=args.seed, **{
+        field: _merge(args, key, file_cfg, default, parse)
+        for key, field, parse, default in _TRAIN_KEYS
+    }).resolved()
 
 
 def _format_log_event(event: dict) -> str:
@@ -254,20 +242,10 @@ def _cmd_train(args) -> int:
     manifest.add("output", args.output)
     if args.log:
         manifest.add("log", args.log)
-    for key, _, _ in _TRAIN_KEYS:
-        manifest.add(f"config.{key}", getattr(cfg, _CFG_ATTR[key]))
+    for key, field, _, _ in _TRAIN_KEYS:
+        manifest.add(f"config.{key}", getattr(cfg, field))
     manifest.emit(args.manifest)
     return 0
-
-
-_CFG_ATTR = {
-    "scheme": "scheme", "dim": "target_dim", "hidden": "hidden_sizes",
-    "epochs": "epochs", "batch-size": "batch_size", "lr": "learning_rate",
-    "lr-schedule": "lr_schedule", "margin": "margin", "alpha": "alpha",
-    "beta": "beta", "use-distance-loss": "use_distance_loss",
-    "distance-loss-on-positives": "distance_loss_on_positives", "k": "k",
-    "recluster-period": "recluster_period",
-}
 
 
 def _load_projector(path: str):
@@ -386,7 +364,7 @@ def _cmd_bench(args) -> int:
     x = dset.descriptors
     times = []
     with manifest.phase("bench"):
-        project(model, x[: min(len(x), 2048)])  # warm up buffers/BLAS
+        project(model, x[:PROJECT_CHUNK])  # warm up buffers/BLAS
         for _ in range(reps):
             t0 = time.perf_counter()
             project(model, x)

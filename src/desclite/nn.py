@@ -2,8 +2,9 @@
 
 Layer stack convention for encoders (hidden count H in {0, 1, 2}):
     [linear -> relu -> batchnorm] * H -> linear(output_dim) -> l2norm
-ReLU precedes batch normalization deliberately; the eval-mode projection
-folds each batchnorm affine into the following linear layer, which is exact.
+ReLU precedes batch normalization deliberately. Eval mode has one path,
+`project`: it folds each batchnorm affine into the following linear layer,
+which is exact. The layers' own `forward`s are the train-mode path only.
 
 Model file format "DNN1" (little-endian): magic, u8 version=1, u32 input_dim,
 u32 output_dim, u32 layer count, then per layer a u8 kind tag
@@ -23,6 +24,7 @@ _NORM_EPS = 1e-12
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 MAX_HIDDEN_LAYERS = 2
+PROJECT_CHUNK = 2048  # rows per chunk of `project`
 
 
 class Linear:
@@ -43,14 +45,13 @@ class Linear:
         self.grad_bias = np.zeros_like(self.bias)
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if train:
-            self._cache = x
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = x
         return x @ self.weight + self.bias
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise StateError("linear backward without a cached train-mode forward")
+            raise StateError("linear backward without a cached forward")
         x = self._cache
         self._cache = None
         self.grad_weight[...] = x.T @ grad
@@ -68,15 +69,13 @@ class ReLU:
     def __init__(self):
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        out = np.maximum(x, 0.0)
-        if train:
-            self._cache = x > 0.0  # subgradient 0 at exactly 0
-        return out
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._cache = x > 0.0  # subgradient 0 at exactly 0
+        return np.maximum(x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise StateError("relu backward without a cached train-mode forward")
+            raise StateError("relu backward without a cached forward")
         mask = self._cache
         self._cache = None
         return grad * mask
@@ -98,10 +97,7 @@ class BatchNorm:
         self.running_var = np.ones(width)
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if not train:
-            inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-            return (x - self.running_mean) * inv * self.gamma + self.beta
+    def forward(self, x: np.ndarray) -> np.ndarray:
         n = len(x)
         if n < 2:
             raise ConfigError("batchnorm in train mode requires batch size >= 2")
@@ -118,7 +114,7 @@ class BatchNorm:
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise StateError("batchnorm backward without a cached train-mode forward")
+            raise StateError("batchnorm backward without a cached forward")
         x_hat, inv_std = self._cache
         self._cache = None
         self.grad_gamma[...] = (grad * x_hat).sum(axis=0)
@@ -137,15 +133,14 @@ class L2Normalize:
     def __init__(self):
         self._cache = None
 
-    def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         out, norms, zero = _l2_rows(x)
-        if train:
-            self._cache = (out, norms, zero)
+        self._cache = (out, norms, zero)
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise StateError("l2norm backward without a cached train-mode forward")
+            raise StateError("l2norm backward without a cached forward")
         y, norms, zero = self._cache
         self._cache = None
         dots = (grad * y).sum(axis=1, keepdims=True)
@@ -188,9 +183,6 @@ class MlpModel:
             for name, param, grad in layer.parameters():
                 yield f"{i}.{name}", param, grad
 
-    def parameter_count(self) -> int:
-        return sum(p.size for _, p, _ in self.parameters())
-
 
 def build_encoder(input_dim: int, output_dim: int, hidden_sizes, seed: int = 0) -> MlpModel:
     """Encoder stack ending in row-wise L2 normalization."""
@@ -222,15 +214,22 @@ def build_mlp(input_dim: int, output_dim: int, hidden_sizes, seed: int = 0,
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
-    """Run the stack; train mode caches activations for backward()."""
+    """Run the stack. Train mode runs it layer by layer and caches what
+    backward() needs; eval mode is the folded `project` plan."""
+    if model.mode == "eval":
+        return project(model, batch)
+    x = _checked_batch(model, batch)
+    for layer in model.layers:
+        x = layer.forward(x)
+    return x
+
+
+def _checked_batch(model: MlpModel, batch) -> np.ndarray:
     x = as_matrix(batch, "batch")
     if x.shape[1] != model.input_dim:
         raise ShapeError(
             f"batch has {x.shape[1]} columns, model expects {model.input_dim}"
         )
-    train = model.mode == "train"
-    for layer in model.layers:
-        x = layer.forward(x, train)
     return x
 
 
@@ -376,21 +375,19 @@ def load_model(path: str, expect_input_dim: int | None = None) -> MlpModel:
 
 
 # ---------------------------------------------------------------------------
-# Fast eval-mode projection
+# Eval-mode projection
 # ---------------------------------------------------------------------------
 
-def project(model: MlpModel, batch, chunk_size: int = 2048) -> np.ndarray:
-    """Eval-mode forward tuned for large batches.
+def project(model: MlpModel, batch) -> np.ndarray:
+    """The eval-mode forward: the one path by which a trained model maps rows.
 
-    Chunks the input, preallocates per-chunk buffers, and folds each
-    eval-mode batchnorm affine into the next linear layer (algebraically
-    exact). Used by descriptor reduction and the timing harness.
+    Works in chunks of PROJECT_CHUNK rows with preallocated per-chunk
+    buffers, and folds each batchnorm's running-statistics affine into the
+    next linear layer (algebraically exact). Eval-mode `forward`, descriptor
+    reduction, `ss` reclustering and the timing command all run it.
     """
-    x = as_matrix(batch, "batch")
-    if x.shape[1] != model.input_dim:
-        raise ShapeError(
-            f"batch has {x.shape[1]} columns, model expects {model.input_dim}"
-        )
+    x = _checked_batch(model, batch)
+    chunk_size = PROJECT_CHUNK
     plan = _fold_plan(model)
     n = len(x)
     out = np.empty((n, model.output_dim))

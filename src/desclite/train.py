@@ -8,7 +8,7 @@ the line-oriented training log and tests use them as instrumentation hooks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -16,8 +16,8 @@ from . import losses
 from .cluster import KMeansModel, kmeans_fit
 from .data import DescriptorSet
 from .errors import ConfigError, NumericError, ShapeError
-from .nn import AdamState, Linear, MlpModel, adam_step, backward, build_encoder, \
-    build_mlp, forward, project
+from .nn import AdamState, MlpModel, adam_step, backward, build_encoder, build_mlp, \
+    forward, project
 
 SCHEMES = ("us", "ss", "sv")
 TARGET_DIMS = (64, 32, 24, 16)
@@ -62,8 +62,10 @@ class TrainConfig:
         )
         if cfg.target_dim < 1:
             raise ConfigError(f"target_dim must be >= 1, got {cfg.target_dim}")
-        if cfg.epochs < 1 or cfg.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        if cfg.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
+        if cfg.batch_size < 2:  # batchnorm statistics and triplet mining need 2 rows
+            raise ConfigError(f"batch_size must be >= 2, got {cfg.batch_size}")
         if cfg.learning_rate <= 0 or cfg.margin < 0:
             raise ConfigError("learning_rate must be > 0 and margin >= 0")
         if cfg.lr_schedule not in ("none", "linear"):
@@ -71,40 +73,6 @@ class TrainConfig:
         if cfg.recluster_period < 1:
             raise ConfigError("recluster_period must be >= 1")
         return cfg
-
-
-@dataclass
-class ClassifierHead:
-    """Re-initializable linear classification layer over the embedding."""
-
-    embedding_dim: int
-    k: int
-    seed: int
-    learning_rate: float = 0.001
-    model: MlpModel = field(init=False)
-    adam: AdamState = field(init=False)
-
-    def __post_init__(self):
-        self.reinitialize(self.k, self.seed)
-
-    def reinitialize(self, k: int, seed: int) -> None:
-        self.k = k
-        rng = np.random.default_rng(seed)
-        layer = Linear(self.embedding_dim, k, rng)
-        self.model = MlpModel([layer], self.embedding_dim, k, mode="train")
-        self.adam = AdamState(self.model, self.learning_rate)
-
-    @property
-    def width(self) -> int:
-        return self.model.output_dim
-
-
-@dataclass
-class TripletBatch:
-    """Paired anchor/positive descriptor rows; row i of each shares a label."""
-
-    anchors: np.ndarray
-    positives: np.ndarray
 
 
 def _check_finite(model: MlpModel, what: str) -> None:
@@ -125,14 +93,18 @@ def _recluster_fields(model: KMeansModel) -> dict:
                 min_cluster_size=int(sizes.min()), max_cluster_size=int(sizes.max()))
 
 
-def _batch_indices(n: int, batch_size: int, rng: np.random.Generator, minimum: int = 2):
-    """Seeded shuffled batches, dropping a trailing batch smaller than `minimum`."""
+def _batch_starts(n: int, batch_size: int) -> range:
+    """Start rows of an epoch's batches. A trailing single row is dropped,
+    since batchnorm needs two; every other batch has >= 2 rows because
+    batch_size >= 2. Its length is the epoch's step count."""
+    return range(0, n - 1, batch_size)
+
+
+def _batch_indices(n: int, batch_size: int, rng: np.random.Generator):
+    """Seeded shuffled batches, one per start of `_batch_starts`."""
     order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        chunk = order[start:start + batch_size]
-        if len(chunk) < minimum:
-            return
-        yield chunk
+    for start in _batch_starts(n, batch_size):
+        yield order[start:start + batch_size]
 
 
 def train_unsupervised(train_set: DescriptorSet, config: TrainConfig,
@@ -143,8 +115,6 @@ def train_unsupervised(train_set: DescriptorSet, config: TrainConfig,
     cfg = config.resolved()
     if cfg.scheme != "us":
         raise ConfigError(f"train_unsupervised needs scheme 'us', got {cfg.scheme!r}")
-    if cfg.use_distance_loss and cfg.batch_size < 2:
-        raise ConfigError("distance loss needs batch_size >= 2")
     x = train_set.descriptors
     if len(x) < 2:
         raise ConfigError(f"need at least 2 training rows, got {len(x)}")
@@ -153,10 +123,9 @@ def train_unsupervised(train_set: DescriptorSet, config: TrainConfig,
     encoder = build_encoder(dim, cfg.target_dim, cfg.hidden_sizes, seed=cfg.seed)
     decoder = build_mlp(cfg.target_dim, dim, tuple(reversed(cfg.hidden_sizes)),
                         seed=cfg.seed + 1, normalize_output=False)
-    steps_per_epoch = max(1, len(_plan_batches(len(x), cfg.batch_size)))
-    total_steps = cfg.epochs * steps_per_epoch
-    adam_enc = _make_adam(encoder, cfg, total_steps)
-    adam_dec = _make_adam(decoder, cfg, total_steps)
+    total_steps = cfg.epochs * len(_batch_starts(len(x), cfg.batch_size))
+    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
+    adam_dec = AdamState(decoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
     rng = np.random.default_rng(cfg.seed + 17)
 
     for epoch in range(1, cfg.epochs + 1):
@@ -209,44 +178,40 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
 
     encoder = build_encoder(train_set.dim, cfg.target_dim, cfg.hidden_sizes,
                             seed=cfg.seed)
-    steps_per_epoch = max(1, len(_plan_batches(n, cfg.batch_size)))
-    adam_enc = _make_adam(encoder, cfg, cfg.epochs * steps_per_epoch)
-    head = ClassifierHead(cfg.target_dim, k, seed=cfg.seed + 31,
-                          learning_rate=cfg.learning_rate)
+    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule,
+                         cfg.epochs * len(_batch_starts(n, cfg.batch_size)))
     rng = np.random.default_rng(cfg.seed + 17)
 
-    pseudo = None
     for epoch in range(1, cfg.epochs + 1):
-        if epoch == 1:
-            model = kmeans_fit(x, k, seed=cfg.seed + 47)
+        if (epoch - 1) % cfg.recluster_period == 0:  # always at epoch 1
+            if epoch == 1:
+                points, source, offset = x, "original", 0
+            else:  # the running-statistics embedding, as reduce() computes it
+                points, source, offset = project(encoder, x), "embedding", epoch
+            model = kmeans_fit(points, k, seed=cfg.seed + 47 + offset)
             pseudo = model.assignments
+            # a fresh linear classification head over the embedding
+            head = build_mlp(cfg.target_dim, k, (), cfg.seed + 31 + offset,
+                             normalize_output=False)
+            adam_head = AdamState(head, cfg.learning_rate)
             _emit(log_fn, event="recluster", scheme="ss", epoch=epoch,
-                  source="original", **_recluster_fields(model))
-        elif (epoch - 1) % cfg.recluster_period == 0:
-            encoder.set_mode("eval")
-            emb = project(encoder, x)
-            encoder.set_mode("train")
-            model = kmeans_fit(emb, k, seed=cfg.seed + 47 + epoch)
-            pseudo = model.assignments
-            head.reinitialize(k, cfg.seed + 31 + epoch)
-            _emit(log_fn, event="recluster", scheme="ss", epoch=epoch,
-                  source="embedding", **_recluster_fields(model))
+                  source=source, **_recluster_fields(model))
         loss_sum = 0.0
         count = 0
         for idx in _batch_indices(n, cfg.batch_size, rng):
             emb = forward(encoder, x[idx])
-            logits = forward(head.model, emb)
+            logits = forward(head, emb)
             loss = losses.softmax_cross_entropy(logits, pseudo[idx])
-            grad_emb = backward(head.model, loss.grad)
+            grad_emb = backward(head, loss.grad)
             backward(encoder, grad_emb)
             adam_step(adam_enc, encoder)
-            adam_step(head.adam, head.model)
+            adam_step(adam_head, head)
             loss_sum += loss.value
             count += 1
         _check_finite(encoder, "encoder")
         _emit(log_fn, event="epoch", scheme="ss", epoch=epoch,
               loss=loss_sum / count, cross_entropy=loss_sum / count,
-              lr=adam_enc.effective_lr(adam_enc.t), head_width=head.width)
+              lr=adam_enc.effective_lr(adam_enc.t), head_width=head.output_dim)
     return encoder.set_mode("eval")
 
 
@@ -272,24 +237,24 @@ def train_supervised(train_set: DescriptorSet, config: TrainConfig,
     encoder = build_encoder(train_set.dim, cfg.target_dim, cfg.hidden_sizes,
                             seed=cfg.seed)
     steps_per_epoch = len(eligible) // cfg.batch_size
-    adam_enc = _make_adam(encoder, cfg, cfg.epochs * steps_per_epoch)
+    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule,
+                         cfg.epochs * steps_per_epoch)
     rng = np.random.default_rng(cfg.seed + 17)
+    nb = cfg.batch_size
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(eligible))
         sums = np.zeros(3)  # total, triplet, distance
         for step in range(steps_per_epoch):
-            chosen = order[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-            batch = _sample_triplet_batch(x, class_rows, [eligible[i] for i in chosen], rng)
-            nb = len(batch.anchors)
-            stacked = np.vstack([batch.anchors, batch.positives])
-            emb = forward(encoder, stacked)
+            chosen = order[step * nb:(step + 1) * nb]
+            pairs = _sample_triplet_batch(x, class_rows, [eligible[i] for i in chosen], rng)
+            emb = forward(encoder, pairs)
             loss_tri = losses.triplet_loss_hardest(emb[:nb], emb[nb:], cfg.margin)
             if cfg.use_distance_loss:
-                loss_dist = losses.distance_loss(batch.anchors, emb[:nb])
+                loss_dist = losses.distance_loss(pairs[:nb], emb[:nb])
                 aux_grad = np.vstack([loss_dist.grad, np.zeros_like(loss_dist.grad)])
                 if cfg.distance_loss_on_positives:
-                    extra = losses.distance_loss(batch.positives, emb[nb:])
+                    extra = losses.distance_loss(pairs[nb:], emb[nb:])
                     aux = losses.LossValue(
                         loss_dist.value + extra.value,
                         np.vstack([loss_dist.grad, extra.grad]),
@@ -350,26 +315,13 @@ def _rows_by_class(labels: np.ndarray) -> dict:
 
 
 def _sample_triplet_batch(x: np.ndarray, class_rows: dict, chosen_classes,
-                          rng: np.random.Generator) -> TripletBatch:
-    anchors = np.empty((len(chosen_classes), x.shape[1]))
-    positives = np.empty_like(anchors)
+                          rng: np.random.Generator) -> np.ndarray:
+    """(2B, D) rows: anchors first, then positives; row i and row B + i share
+    the label of chosen class i."""
+    nb = len(chosen_classes)
+    pairs = np.empty((2 * nb, x.shape[1]))
     for i, c in enumerate(chosen_classes):
         pick = rng.choice(class_rows[c], size=2, replace=False)
-        anchors[i] = x[pick[0]]
-        positives[i] = x[pick[1]]
-    return TripletBatch(anchors=anchors, positives=positives)
-
-
-def _plan_batches(n: int, batch_size: int, minimum: int = 2):
-    sizes = []
-    for start in range(0, n, batch_size):
-        size = min(batch_size, n - start)
-        if size >= minimum:
-            sizes.append(size)
-    return sizes
-
-
-def _make_adam(model: MlpModel, cfg: TrainConfig, total_steps: int) -> AdamState:
-    decay = cfg.lr_schedule
-    return AdamState(model, cfg.learning_rate, decay=decay,
-                     total_steps=total_steps if decay == "linear" else None)
+        pairs[i] = x[pick[0]]
+        pairs[nb + i] = x[pick[1]]
+    return pairs

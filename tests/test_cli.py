@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from desclite.cli import EXIT_FORMAT, main
+from desclite.cli import EXIT_CONFIG, EXIT_FORMAT, main
 from desclite.data import (
     extract_descriptors,
     load_descriptors,
@@ -18,6 +18,18 @@ def patch_file(tmp_path, capsys):
                  "-o", str(path)]) == 0
     capsys.readouterr()
     return path
+
+
+@pytest.fixture
+def descriptor_file(tmp_path, patch_file, capsys):
+    path = tmp_path / "d.ddr"
+    assert main(["describe", str(patch_file), "-o", str(path)]) == 0
+    capsys.readouterr()
+    return path
+
+
+def _facts(manifest):
+    return dict(line.split("=", 1) for line in manifest.read_text().splitlines())
 
 
 class TestDescribe:
@@ -66,3 +78,57 @@ class TestDescribe:
         assert facts["dim"] == "128"
         assert float(facts["describe_us_per_patch"]) > 0.0
         assert capsys.readouterr().out == manifest.read_text()
+
+
+class TestTrain:
+    @pytest.mark.parametrize("scheme", ["us", "ss", "sv"])
+    def test_batch_of_one_exits_4_and_writes_nothing(self, tmp_path, descriptor_file,
+                                                     scheme, capsys):
+        before = set(tmp_path.iterdir())
+        assert main(["train", str(descriptor_file), "--scheme", scheme,
+                     "--batch-size", "1", "-o", str(tmp_path / "m.dnn"),
+                     "-m", str(tmp_path / "m.manifest")]) == EXIT_CONFIG
+        assert set(tmp_path.iterdir()) == before
+        assert "batch_size" in capsys.readouterr().err
+
+    def test_manifest_records_the_resolved_config(self, tmp_path, descriptor_file, capsys):
+        manifest = tmp_path / "m.manifest"
+        assert main(["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",
+                     "--hidden", "16", "--batch-size", "2", "-o", str(tmp_path / "m.dnn"),
+                     "-m", str(manifest)]) == 0
+        facts = _facts(manifest)
+        assert (facts["config.epochs"], facts["config.lr-schedule"]) == ("10", "linear")
+        assert facts["config.batch-size"] == "2"
+
+    # key, value by default, (file value, result), (file value, flag, result):
+    # one key of each config-file parser
+    PRECEDENCE = [
+        ("epochs", "5", ("3", "3"), ("3", ["--epochs", "2"], "2")),
+        ("lr", "0.001", ("0.01", "0.01"), ("0.01", ["--lr", "0.02"], "0.02")),
+        ("use-distance-loss", "False", ("yes", "True"),
+         ("off", ["--use-distance-loss"], "True")),
+        ("hidden", "(512, 512)", ("8,4", "(8, 4)"), ("8,4", ["--hidden", "6"], "(6,)")),
+    ]
+
+    @pytest.mark.parametrize("key,default,from_file,from_flag", PRECEDENCE)
+    def test_flag_beats_config_file_beats_default(self, tmp_path, descriptor_file,
+                                                  key, default, from_file, from_flag,
+                                                  capsys):
+        base = ["train", str(descriptor_file), "--scheme", "us", "--dim", "8",
+                "-o", str(tmp_path / "m.dnn")]
+        base += [] if key == "epochs" else ["--epochs", "1"]
+        base += [] if key == "hidden" else ["--hidden", "16"]
+        config = tmp_path / "train.cfg"
+        manifest = tmp_path / "m.manifest"
+
+        def run(file_value, flag):
+            extra = []
+            if file_value is not None:
+                config.write_text(f"# comment\n{key} = {file_value}\n")
+                extra = ["--config", str(config)]
+            assert main(base + extra + flag + ["-m", str(manifest)]) == 0
+            return _facts(manifest)[f"config.{key}"]
+
+        assert run(None, []) == default
+        assert run(from_file[0], []) == from_file[1]
+        assert run(from_flag[0], from_flag[1]) == from_flag[2]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from desclite import nn
 from desclite.errors import ConfigError, FormatError, ShapeError, StateError
 from desclite.losses import reconstruction_loss
 from desclite.nn import (
@@ -31,7 +32,7 @@ class TestBuildEncoder:
     def test_two_hidden_parameter_count(self):
         model = build_encoder(128, 64, [512, 512])
         expected = (128 * 512 + 512) + 2 * 512 + (512 * 512 + 512) + 2 * 512 + (512 * 64 + 64)
-        assert model.parameter_count() == expected
+        assert sum(p.size for _, p, _ in model.parameters()) == expected
 
     def test_hidden_block_order(self):
         model = build_encoder(16, 8, [32])
@@ -70,13 +71,13 @@ class TestForward:
         model.layers[0].weight = np.eye(2)
         relu_in = np.array([[-1.0, 2.0]])
         from desclite.nn import ReLU
-        assert np.array_equal(ReLU().forward(relu_in, train=False), [[0.0, 2.0]])
+        assert np.array_equal(ReLU().forward(relu_in), [[0.0, 2.0]])
 
     def test_batchnorm_definition(self):
         from desclite.nn import BatchNorm
         bn = BatchNorm(1)
         x = np.array([[3.0], [5.0], [7.0]])  # mean 5, biased var 8/3
-        out = bn.forward(x, train=True)
+        out = bn.forward(x)
         var = x.var(axis=0)
         expected = (x - 5.0) / np.sqrt(var + BN_EPS)
         assert np.allclose(out, expected, atol=1e-12)
@@ -85,7 +86,7 @@ class TestForward:
         from desclite.nn import BatchNorm
         bn = BatchNorm(1)
         x = np.array([[3.0], [7.0]])  # mean 5, biased var 4
-        out = bn.forward(x, train=True)
+        out = bn.forward(x)
         expected = (x - 5.0) / np.sqrt(4.0 + BN_EPS)
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -154,10 +155,10 @@ class TestBackward:
         rng = np.random.default_rng(14)
         layer = L2Normalize()
         x = rng.standard_normal((5, 4))
-        y = layer.forward(x, train=True)
+        y = layer.forward(x)
         g = layer.backward(y.copy())  # unit upstream along the output
         assert np.abs(g).max() <= 1e-12
-        y2 = layer.forward(x, train=True)
+        y2 = layer.forward(x)
         g2 = layer.backward(rng.standard_normal((5, 4)))
         assert np.abs((g2 * y2).sum(axis=1)).max() <= 1e-12
 
@@ -259,26 +260,58 @@ class TestSerialization:
         assert load_model(path).mode == "eval"
 
 
+def _reference_eval_forward(model, x):
+    """Layer-by-layer eval-mode arithmetic, with batchnorm applying its
+    running statistics unfolded: the oracle for the folded `project` plan."""
+    for layer in model.layers:
+        if layer.kind == "linear":
+            x = x @ layer.weight + layer.bias
+        elif layer.kind == "relu":
+            x = np.maximum(x, 0.0)
+        elif layer.kind == "batchnorm":
+            inv = 1.0 / np.sqrt(layer.running_var + BN_EPS)
+            x = (x - layer.running_mean) * inv * layer.gamma + layer.beta
+        else:
+            norms = np.linalg.norm(x, axis=1)
+            zero = norms < 1e-12
+            x = x / np.where(zero, 1.0, norms)[:, None]
+            x[zero] = 0.0
+    return x
+
+
+def _trained_encoder(hidden, rng):
+    model = build_encoder(12, 6, hidden, seed=31)
+    model.set_mode("train")
+    for _ in range(2):  # move running stats off their init
+        forward(model, rng.standard_normal((32, 12)))
+    return model.set_mode("eval")
+
+
 class TestProject:
     @pytest.mark.parametrize("hidden", [[], [16], [16, 8]])
-    def test_matches_plain_forward(self, hidden):
+    def test_matches_plain_forward(self, hidden, monkeypatch):
+        monkeypatch.setattr(nn, "PROJECT_CHUNK", 17)  # force ragged chunking
         rng = np.random.default_rng(30)
-        model = build_encoder(12, 6, hidden, seed=31)
-        model.set_mode("train")
-        for _ in range(2):
-            forward(model, rng.standard_normal((32, 12)))
-        model.set_mode("eval")
+        model = _trained_encoder(hidden, rng)
         x = rng.standard_normal((100, 12))
-        plain = forward(model, x)
-        fast = project(model, x, chunk_size=17)  # force ragged chunking
-        assert np.abs(plain - fast).max() <= 1e-9
+        fast = project(model, x)
+        assert np.abs(_reference_eval_forward(model, x) - fast).max() <= 1e-9
 
-    def test_does_not_mutate_input(self):
+    @pytest.mark.parametrize("hidden", [[], [16, 8]])
+    def test_eval_forward_is_project(self, hidden, monkeypatch):
+        monkeypatch.setattr(nn, "PROJECT_CHUNK", 17)
+        rng = np.random.default_rng(36)
+        model = _trained_encoder(hidden, rng)
+        x = rng.standard_normal((50, 12))
+        assert np.array_equal(forward(model, x), project(model, x))
+
+    def test_does_not_mutate_input(self, monkeypatch):
+        monkeypatch.setattr(nn, "PROJECT_CHUNK", 8)
         rng = np.random.default_rng(32)
         model = build_encoder(5, 3, [7], seed=33).set_mode("eval")
         x = rng.standard_normal((40, 5))
         keep = x.copy()
-        project(model, x, chunk_size=8)
+        project(model, x)
         assert np.array_equal(x, keep)
 
     def test_deterministic(self):

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from desclite.cluster import kmeans_fit
 from desclite.data import DescriptorSet
+from desclite.errors import ConfigError
 from desclite.train import TrainConfig, train
 
 
@@ -32,3 +34,33 @@ class TestSelfSupervisedLog:
         assert first["empty_repaired"] == model.empty_repaired > 0
         assert (first["min_cluster_size"], first["max_cluster_size"]) == \
             (sizes.min(), sizes.max())
+
+
+def _random_set(n, dim=8, seed=0):
+    rng = np.random.default_rng(seed)
+    return DescriptorSet(descriptors=rng.standard_normal((n, dim)),
+                         labels=np.arange(n), sequence_ids=np.zeros(n, dtype=np.int64))
+
+
+class TestLinearSchedule:
+    # 32 rows leave no trailing row at batch 8, 33 leave one (dropped).
+    # The rate reaches 0 only if the step count matches the batches run.
+    @pytest.mark.parametrize("scheme", ["us", "ss"])
+    @pytest.mark.parametrize("rows", [32, 33])
+    def test_last_epoch_ends_at_zero_lr(self, scheme, rows):
+        cfg = TrainConfig(scheme=scheme, target_dim=4, hidden_sizes=(16,), epochs=3,
+                          batch_size=8, lr_schedule="linear", k=4, seed=1)
+        events = []
+        train(_random_set(rows), cfg, log_fn=events.append)
+        epochs = [e for e in events if e["event"] == "epoch"]
+        assert [e["epoch"] for e in epochs] == [1, 2, 3]
+        assert epochs[-2]["lr"] > 0.0
+        assert epochs[-1]["lr"] == 0.0
+
+
+class TestBatchSize:
+    @pytest.mark.parametrize("scheme", ["us", "ss", "sv"])
+    def test_batch_of_one_rejected(self, scheme):
+        cfg = TrainConfig(scheme=scheme, target_dim=4, batch_size=1)
+        with pytest.raises(ConfigError, match="batch_size"):
+            cfg.resolved()
