@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from ._binio import write_atomic
@@ -231,19 +232,25 @@ def _cmd_train(args) -> int:
     cfg = _train_config(args)
     with manifest.phase("load"):
         dset = load_descriptors(args.input)
-    log_lines: list[str] = []
+    events: list[dict] = []
     with manifest.phase("train"):
-        encoder = train_model(dset, cfg, log_fn=lambda e: log_lines.append(_format_log_event(e)))
+        encoder = train_model(dset, cfg, log_fn=events.append)
     with manifest.phase("write"):
         save_model(encoder, args.output)
         if args.log:
-            write_atomic(args.log, ("\n".join(log_lines) + "\n").encode())
+            text = "\n".join(_format_log_event(e) for e in events) + "\n"
+            write_atomic(args.log, text.encode())
     manifest.add("input", args.input)
     manifest.add("output", args.output)
     if args.log:
         manifest.add("log", args.log)
+    if cfg.scheme == "ss":  # the cluster count training used, default or not
+        cfg = replace(cfg, k=next(e["k"] for e in events if e["event"] == "recluster"))
     for key, field, _, _ in _TRAIN_KEYS:
         manifest.add(f"config.{key}", getattr(cfg, field))
+    last_epoch = [e for e in events if e["event"] == "epoch"][-1]
+    manifest.add("steps_per_epoch", last_epoch["steps_per_epoch"])
+    manifest.add("total_steps", last_epoch["total_steps"])
     manifest.emit(args.manifest)
     return 0
 

@@ -39,19 +39,38 @@ def _sq_dist(points: np.ndarray, points_sq: np.ndarray,
     return sq
 
 
-def _plus_plus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_init(points: np.ndarray, points_sq: np.ndarray, k: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007); `points_sq`
+    holds the points' squared row norms."""
     n = len(points)
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _sq_dist_to_row(points, points_sq, chosen[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             chosen[i] = rng.integers(n)  # all remaining points coincide
         else:
             chosen[i] = rng.choice(n, p=d2 / total)
-        d2 = np.minimum(d2, ((points - points[chosen[i]]) ** 2).sum(axis=1))
+        np.minimum(d2, _sq_dist_to_row(points, points_sq, chosen[i]), out=d2)
     return points[chosen].copy()
+
+
+def _sq_dist_to_row(points: np.ndarray, points_sq: np.ndarray, c: int) -> np.ndarray:
+    """Squared distances from every point to point c, clamped at 0, and
+    exactly 0 for the rows equal to point c."""
+    d2 = points @ points[c]
+    d2 *= -2.0
+    d2 += points_sq
+    d2 += points_sq[c]
+    np.maximum(d2, 0.0, out=d2)
+    # a row equal to point c shares its squared norm and its first entry;
+    # only the rows that do are compared in full
+    same = np.flatnonzero(points_sq == points_sq[c])
+    same = same[(points[same, :1] == points[c, :1]).all(axis=1)]
+    d2[same[(points[same] == points[c]).all(axis=1)]] = 0.0
+    return d2
 
 
 def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
@@ -87,8 +106,11 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-    # final nearest-centroid pass so stored assignments match the centroids
+    # final nearest-centroid pass so stored assignments match the centroids,
+    # repaired like every iteration's (not counted in `repaired`) so that no
+    # stored cluster is empty
     final_assign = sq.argmin(axis=1)
+    _repair_empty(x, final_assign, sq, k)
     objective = float(sq[rows, final_assign].mean())
     return centroids, final_assign, objective, iterations, history, repaired
 
@@ -119,7 +141,7 @@ def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
-        init = _plus_plus_init(x, k, rng)
+        init = _plus_plus_init(x, x_sq, k, rng)
         result = _lloyd(x, x_sq, init, k, max_iters)
         if best is None or result[2] < best[2]:
             best = result

@@ -6,6 +6,15 @@ ReLU precedes batch normalization deliberately. Eval mode has one path,
 `project`: it folds each batchnorm affine into the following linear layer,
 which is exact. The layers' own `forward`s are the train-mode path only.
 
+An `MlpModel` keeps all its parameters in one flat float64 buffer, `params`,
+and all their gradients in another, `grads`; each layer's parameter and
+gradient attributes are reshaped views of them. `adam_step` therefore runs
+Adam's elementwise sequence once over the whole buffer, in chunks of
+ADAM_CHUNK entries so that every chunk's operands stay in cache, with two
+preallocated scratch chunks instead of per-parameter temporaries. A layer
+attribute rebound to another array after the model was built makes
+`adam_step` raise StateError instead of updating a detached copy.
+
 Model file format "DNN1" (little-endian): magic, u8 version=1, u32 input_dim,
 u32 output_dim, u32 layer count, then per layer a u8 kind tag
 (1 linear, 2 relu, 3 batchnorm, 4 l2norm) followed by its payload:
@@ -25,10 +34,23 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 MAX_HIDDEN_LAYERS = 2
 PROJECT_CHUNK = 2048  # rows per chunk of `project`
+ADAM_CHUNK = 32768  # parameters per chunk of `adam_step`: 256 KiB per operand
 
 
-class Linear:
+class _Layer:
+    """Shared by the layers: each name in PARAMS is a parameter attribute whose
+    gradient lives in `grad_<name>`."""
+
+    PARAMS = ()
+
+    def parameters(self):
+        for name in self.PARAMS:
+            yield name, getattr(self, name), getattr(self, "grad_" + name)
+
+
+class Linear(_Layer):
     kind = "linear"
+    PARAMS = ("weight", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
         if in_dim < 1 or out_dim < 1:
@@ -47,23 +69,21 @@ class Linear:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError("linear backward without a cached forward")
         x = self._cache
         self._cache = None
-        self.grad_weight[...] = x.T @ grad
+        np.dot(x.T, grad, out=self.grad_weight)
         self.grad_bias[...] = grad.sum(axis=0)
         return grad @ self.weight.T
 
-    def parameters(self):
-        yield "weight", self.weight, self.grad_weight
-        yield "bias", self.bias, self.grad_bias
 
-
-class ReLU:
+class ReLU(_Layer):
     kind = "relu"
 
     def __init__(self):
@@ -80,12 +100,10 @@ class ReLU:
         self._cache = None
         return grad * mask
 
-    def parameters(self):
-        return iter(())
 
-
-class BatchNorm:
+class BatchNorm(_Layer):
     kind = "batchnorm"
+    PARAMS = ("gamma", "beta")
 
     def __init__(self, width: int):
         self.width = width
@@ -101,33 +119,43 @@ class BatchNorm:
         n = len(x)
         if n < 2:
             raise ConfigError("batchnorm in train mode requires batch size >= 2")
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)
+        # the mean and variance by np.var's own steps: sum / n, then the
+        # centred rows squared, summed and divided by n
+        mean = x.sum(axis=0) / n
+        x_hat = x - mean
+        out = np.square(x_hat)
+        var = out.sum(axis=0) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = (x - mean) * inv_std
+        x_hat *= inv_std
         self._cache = (x_hat, inv_std)
         self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
         self.running_var = (
             (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var * n / (n - 1)
         )
-        return x_hat * self.gamma + self.beta
+        np.multiply(x_hat, self.gamma, out=out)
+        out += self.beta
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError("batchnorm backward without a cached forward")
         x_hat, inv_std = self._cache
         self._cache = None
-        self.grad_gamma[...] = (grad * x_hat).sum(axis=0)
+        scratch = grad * x_hat
+        self.grad_gamma[...] = scratch.sum(axis=0)
         self.grad_beta[...] = grad.sum(axis=0)
+        # (g - mean(g) - x_hat * mean(g * x_hat)) * inv_std with g = grad * gamma
         g = grad * self.gamma
-        return (g - g.mean(axis=0) - x_hat * (g * x_hat).mean(axis=0)) * inv_std
+        np.multiply(g, x_hat, out=scratch)
+        mean_gx = scratch.mean(axis=0)
+        g -= g.mean(axis=0)
+        np.multiply(x_hat, mean_gx, out=scratch)
+        g -= scratch
+        g *= inv_std
+        return g
 
-    def parameters(self):
-        yield "gamma", self.gamma, self.grad_gamma
-        yield "beta", self.beta, self.grad_beta
 
-
-class L2Normalize:
+class L2Normalize(_Layer):
     kind = "l2norm"
 
     def __init__(self):
@@ -148,9 +176,6 @@ class L2Normalize:
         out[zero] = 0.0
         return out
 
-    def parameters(self):
-        return iter(())
-
 
 def _l2_rows(x: np.ndarray):
     norms = np.linalg.norm(x, axis=1)
@@ -162,13 +187,32 @@ def _l2_rows(x: np.ndarray):
 
 
 class MlpModel:
-    """Ordered layer stack with a train/eval mode switch."""
+    """Ordered layer stack with a train/eval mode switch.
+
+    The constructor copies every parameter, in `parameters()` order, into the
+    flat buffer `params` and every gradient into the flat buffer `grads`, and
+    rebinds the layer attributes to reshaped views of them.
+    """
 
     def __init__(self, layers, input_dim: int, output_dim: int, mode: str = "train"):
         self.layers = list(layers)
         self.input_dim = input_dim
         self.output_dim = output_dim
         self.mode = mode
+        bound = [(layer, name) for layer in self.layers for name in layer.PARAMS]
+        sizes = [getattr(layer, name).size for layer, name in bound]
+        self.params = np.empty(sum(sizes))
+        self.grads = np.empty(sum(sizes))
+        self._views = []  # (layer, attribute, the view it must still hold)
+        start = 0
+        for (layer, name), size in zip(bound, sizes):
+            for flat, attr in ((self.params, name), (self.grads, "grad_" + name)):
+                array = getattr(layer, attr)
+                view = flat[start:start + size].reshape(array.shape)
+                view[...] = array
+                setattr(layer, attr, view)
+                self._views.append((layer, attr, view))
+            start += size
 
     def set_mode(self, mode: str) -> "MlpModel":
         if mode not in ("train", "eval"):
@@ -245,7 +289,7 @@ def backward(model: MlpModel, upstream_grad) -> np.ndarray:
 
 
 class AdamState:
-    """Adam moments for every parameter of a model, plus the lr schedule.
+    """Adam moments over a model's flat parameter buffer, plus the lr schedule.
 
     decay is either "none" or "linear" (learning rate reaches exactly zero
     at step == total_steps).
@@ -265,8 +309,10 @@ class AdamState:
         self.decay = decay
         self.total_steps = total_steps
         self.t = 0
-        self.m = {key: np.zeros_like(p) for key, p, _ in model.parameters()}
-        self.v = {key: np.zeros_like(p) for key, p, _ in model.parameters()}
+        self.m = np.zeros_like(model.params)
+        self.v = np.zeros_like(model.params)
+        chunk = min(ADAM_CHUNK, len(model.params))
+        self.scratch = (np.empty(chunk), np.empty(chunk))
 
     def effective_lr(self, t: int) -> float:
         if self.decay == "linear":
@@ -275,20 +321,43 @@ class AdamState:
 
 
 def adam_step(state: AdamState, model: MlpModel) -> None:
-    """One bias-corrected Adam update over every model parameter."""
+    """One bias-corrected Adam update over every model parameter.
+
+    Runs over the flat buffers in chunks of ADAM_CHUNK entries, with the
+    state's two scratch chunks as the only temporaries. Raises StateError if
+    a layer attribute no longer holds its view of the buffers (a rebound
+    `layer.weight`, say), rather than update a detached copy.
+    """
+    for layer, attr, view in model._views:
+        if getattr(layer, attr) is not view:
+            raise StateError(f"{layer.kind} layer's {attr} no longer views the "
+                             "model's flat buffer")
     state.t += 1
     lr = state.effective_lr(state.t)
     b1, b2, eps = AdamState.BETA1, AdamState.BETA2, AdamState.EPS
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
-    for key, param, grad in model.parameters():
-        m = state.m[key]
-        v = state.v[key]
+    for start in range(0, len(model.params), ADAM_CHUNK):
+        stop = start + ADAM_CHUNK
+        param, grad = model.params[start:stop], model.grads[start:stop]
+        m, v = state.m[start:stop], state.v[start:stop]
+        t1, t2 = (s[:len(param)] for s in state.scratch)
+        # m = b1 m + (1 - b1) grad;  v = b2 v + (1 - b2) grad grad
         m *= b1
-        m += (1.0 - b1) * grad
+        np.multiply(grad, 1.0 - b1, out=t1)
+        m += t1
         v *= b2
-        v += (1.0 - b2) * grad * grad
-        param -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        np.multiply(grad, 1.0 - b2, out=t1)
+        t1 *= grad
+        v += t1
+        # param -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += eps
+        np.divide(m, bc1, out=t2)
+        t2 *= lr
+        t2 /= t1
+        param -= t2
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +414,6 @@ def load_model(path: str, expect_input_dim: int | None = None) -> MlpModel:
             layer.weight = r.array("<f8", in_dim * out_dim, "weights").reshape(
                 in_dim, out_dim).astype(np.float64)
             layer.bias = r.array("<f8", out_dim, "bias").astype(np.float64)
-            layer.grad_weight = np.zeros_like(layer.weight)
-            layer.grad_bias = np.zeros_like(layer.bias)
             prev = out_dim
         elif tag == _KIND_TAGS["relu"]:
             layer = ReLU()

@@ -5,6 +5,8 @@ Every scheme consumes a DescriptorSet and a TrainConfig and returns the
 trained encoder (eval mode). An optional `log_fn` receives one dict per
 logged event (epoch summaries, recluster events); the CLI turns these into
 the line-oriented training log and tests use them as instrumentation hooks.
+Every epoch event carries `steps_per_epoch` and `total_steps`, the Adam steps
+of one epoch and of the whole run.
 """
 from __future__ import annotations
 
@@ -123,7 +125,8 @@ def train_unsupervised(train_set: DescriptorSet, config: TrainConfig,
     encoder = build_encoder(dim, cfg.target_dim, cfg.hidden_sizes, seed=cfg.seed)
     decoder = build_mlp(cfg.target_dim, dim, tuple(reversed(cfg.hidden_sizes)),
                         seed=cfg.seed + 1, normalize_output=False)
-    total_steps = cfg.epochs * len(_batch_starts(len(x), cfg.batch_size))
+    steps_per_epoch = len(_batch_starts(len(x), cfg.batch_size))
+    total_steps = cfg.epochs * steps_per_epoch
     adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
     adam_dec = AdamState(decoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
     rng = np.random.default_rng(cfg.seed + 17)
@@ -156,7 +159,8 @@ def train_unsupervised(train_set: DescriptorSet, config: TrainConfig,
         _check_finite(decoder, "decoder")
         _emit(log_fn, event="epoch", scheme="us", epoch=epoch,
               loss=sums[0] / count, reconstruction=sums[1] / count,
-              distance=sums[2] / count, lr=adam_enc.effective_lr(adam_enc.t))
+              distance=sums[2] / count, lr=adam_enc.effective_lr(adam_enc.t),
+              steps_per_epoch=steps_per_epoch, total_steps=total_steps)
     return encoder.set_mode("eval")
 
 
@@ -178,8 +182,9 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
 
     encoder = build_encoder(train_set.dim, cfg.target_dim, cfg.hidden_sizes,
                             seed=cfg.seed)
-    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule,
-                         cfg.epochs * len(_batch_starts(n, cfg.batch_size)))
+    steps_per_epoch = len(_batch_starts(n, cfg.batch_size))
+    total_steps = cfg.epochs * steps_per_epoch
+    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
     rng = np.random.default_rng(cfg.seed + 17)
 
     for epoch in range(1, cfg.epochs + 1):
@@ -211,7 +216,8 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
         _check_finite(encoder, "encoder")
         _emit(log_fn, event="epoch", scheme="ss", epoch=epoch,
               loss=loss_sum / count, cross_entropy=loss_sum / count,
-              lr=adam_enc.effective_lr(adam_enc.t), head_width=head.output_dim)
+              lr=adam_enc.effective_lr(adam_enc.t), head_width=head.output_dim,
+              steps_per_epoch=steps_per_epoch, total_steps=total_steps)
     return encoder.set_mode("eval")
 
 
@@ -237,8 +243,8 @@ def train_supervised(train_set: DescriptorSet, config: TrainConfig,
     encoder = build_encoder(train_set.dim, cfg.target_dim, cfg.hidden_sizes,
                             seed=cfg.seed)
     steps_per_epoch = len(eligible) // cfg.batch_size
-    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule,
-                         cfg.epochs * steps_per_epoch)
+    total_steps = cfg.epochs * steps_per_epoch
+    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
     rng = np.random.default_rng(cfg.seed + 17)
     nb = cfg.batch_size
 
@@ -272,7 +278,8 @@ def train_supervised(train_set: DescriptorSet, config: TrainConfig,
         _emit(log_fn, event="epoch", scheme="sv", epoch=epoch,
               loss=sums[0] / steps_per_epoch, triplet=sums[1] / steps_per_epoch,
               distance=sums[2] / steps_per_epoch,
-              lr=adam_enc.effective_lr(adam_enc.t))
+              lr=adam_enc.effective_lr(adam_enc.t),
+              steps_per_epoch=steps_per_epoch, total_steps=total_steps)
     return encoder.set_mode("eval")
 
 

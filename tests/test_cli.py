@@ -9,6 +9,9 @@ from desclite.data import (
     load_patches,
     save_descriptors,
 )
+from desclite.eval import eval_matching, eval_retrieval, eval_verification
+from desclite.nn import load_model
+from desclite.train import reduce
 
 
 @pytest.fixture
@@ -100,6 +103,31 @@ class TestTrain:
         assert (facts["config.epochs"], facts["config.lr-schedule"]) == ("10", "linear")
         assert facts["config.batch-size"] == "2"
 
+    def test_ss_manifest_records_the_cluster_count_used(self, tmp_path, descriptor_file,
+                                                        capsys):
+        manifest, log = tmp_path / "m.manifest", tmp_path / "train.log"
+        assert main(["train", str(descriptor_file), "--scheme", "ss", "--dim", "8",
+                     "--hidden", "16", "--epochs", "1", "--batch-size", "8",
+                     "--log", str(log), "-o", str(tmp_path / "m.dnn"),
+                     "-m", str(manifest)]) == 0
+        recluster = [line for line in log.read_text().splitlines()
+                     if line.startswith("event=recluster")]
+        assert len(recluster) == 1 and " k=6 " in recluster[0]  # 24 rows // 4
+        assert _facts(manifest)["config.k"] == "6"
+
+    @pytest.mark.parametrize("scheme,batch,steps", [("us", "8", 3), ("ss", "8", 3),
+                                                    ("sv", "3", 2)])
+    def test_manifest_records_the_step_counts(self, tmp_path, descriptor_file, scheme,
+                                              batch, steps, capsys):
+        # 24 rows at batch 8 make 3 batches; 6 classes at batch 3 make 2
+        manifest = tmp_path / "m.manifest"
+        assert main(["train", str(descriptor_file), "--scheme", scheme, "--dim", "8",
+                     "--hidden", "16", "--epochs", "2", "--batch-size", batch,
+                     "-o", str(tmp_path / "m.dnn"), "-m", str(manifest)]) == 0
+        facts = _facts(manifest)
+        assert (facts["steps_per_epoch"], facts["total_steps"]) == \
+            (str(steps), str(2 * steps))
+
     # key, value by default, (file value, result), (file value, flag, result):
     # one key of each config-file parser
     PRECEDENCE = [
@@ -132,3 +160,39 @@ class TestTrain:
         assert run(None, []) == default
         assert run(from_file[0], []) == from_file[1]
         assert run(from_flag[0], from_flag[1]) == from_flag[2]
+
+
+class TestPipeline:
+    LIBRARY_EVAL = {
+        "verification": lambda dset: eval_verification(dset, pairs_per_tier=1000, seed=0),
+        "matching": lambda dset: eval_matching(dset, seed=0),
+        "retrieval": lambda dset: eval_retrieval(dset, distractors_per_query=50, seed=0),
+    }
+
+    def test_every_command_in_turn(self, tmp_path, capsys):
+        def run(*argv):
+            assert main(list(map(str, argv))) == 0, argv
+
+        patches, descriptors = tmp_path / "p.dpt", tmp_path / "d.ddr"
+        run("synth", "--classes", 10, "--per-class", 4, "--seed", 5, "-o", patches)
+        run("describe", patches, "-o", descriptors)
+        run("fit-pca", descriptors, "--dim", 8, "-o", tmp_path / "pca.dpc")
+        run("train", descriptors, "--scheme", "sv", "--dim", 8, "--hidden", 16,
+            "--epochs", 2, "--batch-size", 4, "-o", tmp_path / "sv.dnn")
+        for name in ("pca.dpc", "sv.dnn"):
+            run("reduce", descriptors, "--model", tmp_path / name,
+                "-o", tmp_path / f"{name}.ddr")
+        run("bench", "--model", tmp_path / "sv.dnn", "--descriptors", descriptors)
+        want_reduced = reduce(load_model(str(tmp_path / "sv.dnn")),
+                              load_descriptors(str(descriptors)))
+        assert np.array_equal(load_descriptors(str(tmp_path / "sv.dnn.ddr")).descriptors,
+                              want_reduced.descriptors)
+
+        for name in ("pca.dpc", "sv.dnn"):
+            reduced = tmp_path / f"{name}.ddr"
+            for task, evaluate in self.LIBRARY_EVAL.items():
+                report, manifest = tmp_path / f"{name}.{task}", tmp_path / "e.manifest"
+                run("eval", reduced, "--task", task, "-o", report, "-m", manifest)
+                want = evaluate(load_descriptors(str(reduced)))
+                assert report.read_text() == "\n".join(want.lines()) + "\n"
+                assert _facts(manifest)["map_overall"] == f"{want.map_overall:.6f}"

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from desclite.cluster import KMeansModel, assign, kmeans_fit
+from desclite.cluster import KMeansModel, _plus_plus_init, assign, kmeans_fit
 from desclite.errors import ConfigError, ShapeError
 
 
@@ -89,6 +89,14 @@ class TestKmeansFit:
         model = kmeans_fit(x, 3, seed=9)
         assert len(np.unique(model.assignments)) == 3
         assert np.isfinite(model.centroids).all()
+
+    def test_near_duplicate_rows(self):
+        # the norm form can round a near-duplicate's squared distance to a
+        # centre below 0; clamped, it is still a valid k-means++ weight
+        base = np.random.default_rng(28).standard_normal((6, 128))
+        x = np.vstack([base, base + 1e-9])
+        model = kmeans_fit(x, 8, seed=0)
+        assert len(np.unique(model.assignments)) == 8
 
     def test_k_greater_than_n(self):
         with pytest.raises(ConfigError):
@@ -194,7 +202,9 @@ def _reference_lloyd(x, centroids, k, max_iters):
         if np.array_equal(new_assign, assignments):
             break
         assignments = new_assign
-    final_assign = _reference_sq_dist(x, centroids).argmin(axis=1)
+    final_sq = _reference_sq_dist(x, centroids)
+    final_assign = final_sq.argmin(axis=1)
+    _reference_repair_empty(x, centroids, final_assign, final_sq, k)
     objective = float(_reference_sq_dist(x, centroids)[np.arange(n), final_assign].mean())
     return centroids, final_assign, objective, iterations, history
 
@@ -231,6 +241,21 @@ class TestReferenceOracle:
             assert model.empty_repaired > 0 or k <= 4
             _assert_same_model(model, _reference_kmeans_fit(x, k, seed=seed, restarts=3))
 
+    def test_duplicate_wide_rows(self):
+        # at 128-D the norm form leaves a rounding residue, often positive,
+        # on a row equal to the centre; it must still read 0, so that once
+        # every distinct row is a centre the seeding takes its all-coincide
+        # branch and makes the reference's draws
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal((6, 128))[rng.integers(6, size=60)]
+        for k in (6, 9):
+            got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+            got = _plus_plus_init(x, (x * x).sum(axis=1), k, got_rng)
+            assert np.array_equal(got, _reference_plus_plus_init(x, k, want_rng))
+            assert got_rng.random() == want_rng.random()  # the same draws made
+            _assert_same_model(kmeans_fit(x, k, seed=8, restarts=4),
+                               _reference_kmeans_fit(x, k, seed=8, restarts=4))
+
     def test_k1_and_k_equals_n(self):
         x = np.random.default_rng(30).standard_normal((12, 5))
         for k in (1, 12):
@@ -264,6 +289,16 @@ class TestEmptyRepaired:
         model = kmeans_fit(x, 3, seed=0, restarts=1)
         assert model.iterations_run == 2
         assert model.empty_repaired == 2
+
+    def test_final_assignments_leave_no_cluster_empty(self):
+        # the final nearest-centroid pass sends every [0, 0] row to the first
+        # of the twin [0, 0] centroids; its repair refills the second, which
+        # `empty_repaired` does not count
+        x = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]])
+        model = kmeans_fit(x, 3, seed=0, restarts=1)
+        assert sorted(np.bincount(model.assignments, minlength=3)) == [1, 1, 9]
+        assert model.empty_repaired == 2
+        _assert_same_model(model, _reference_kmeans_fit(x, 3, seed=0, restarts=1))
 
     def test_zero_without_empty_clusters(self):
         x = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])

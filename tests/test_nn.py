@@ -223,6 +223,25 @@ class TestAdam:
         with pytest.raises(ConfigError):
             AdamState(model, 0.1, decay="linear")
 
+    def test_rebound_parameter_raises_and_updates_nothing(self):
+        model = build_encoder(4, 2, [3], seed=0)
+        state = AdamState(model, learning_rate=0.01)
+        model.grads[...] = 1.0
+        layer = model.layers[0]
+        layer.weight = layer.weight.copy()  # detached from the flat buffer
+        params, weight = model.params.copy(), layer.weight.copy()
+        with pytest.raises(StateError, match="weight"):
+            adam_step(state, model)
+        assert np.array_equal(model.params, params)
+        assert np.array_equal(layer.weight, weight)
+        assert state.t == 0
+
+    def test_parameters_view_the_flat_buffers(self):
+        model = build_encoder(5, 3, [4], seed=1)
+        for _, param, grad in model.parameters():
+            assert param.base is model.params and grad.base is model.grads
+        assert model.params.size == sum(p.size for _, p, _ in model.parameters())
+
 
 class TestSerialization:
     def test_round_trip_bit_exact_forward(self, tmp_path):
