@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .numerics import as_matrix
+from .numerics import _sq_distances, as_matrix
 
 DEFAULT_MAX_ITERS = 50
 DEFAULT_RESTARTS = 10
@@ -24,19 +24,6 @@ class KMeansModel:
     @property
     def k(self) -> int:
         return len(self.centroids)
-
-
-def _sq_dist(points: np.ndarray, points_sq: np.ndarray,
-             centroids: np.ndarray) -> np.ndarray:
-    """Squared distances from each point to each centroid; `points_sq` holds
-    the points' squared row norms."""
-    sq = (
-        points_sq[:, None]
-        + (centroids * centroids).sum(axis=1)[None, :]
-        - 2.0 * (points @ centroids.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return sq
 
 
 def _plus_plus_init(points: np.ndarray, points_sq: np.ndarray, k: int,
@@ -83,7 +70,7 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
     repaired = 0
     # distances to the current centroids: each iteration's argmin, the
     # previous iteration's objective and the final pass all read this matrix
-    sq = _sq_dist(x, x_sq, centroids)
+    sq = _sq_distances(x, x_sq, centroids, (centroids * centroids).sum(axis=1))
     for _ in range(max_iters):
         iterations += 1
         new_assign = sq.argmin(axis=1)
@@ -96,7 +83,7 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
         for j, stop in enumerate(stops):
             centroids[j] = members[start:stop].sum(axis=0) / (stop - start)
             start = stop
-        sq = _sq_dist(x, x_sq, centroids)
+        sq = _sq_distances(x, x_sq, centroids, (centroids * centroids).sum(axis=1))
         objective = float(sq[rows, new_assign].mean())
         if history and objective > history[-1] + 1e-9 * max(1.0, history[-1]):
             raise NumericError(
@@ -183,4 +170,5 @@ def assign(model: KMeansModel, points) -> np.ndarray:
         raise ShapeError(
             f"points have dim {x.shape[1]}, centroids have dim {model.centroids.shape[1]}"
         )
-    return _sq_dist(x, (x * x).sum(axis=1), model.centroids).argmin(axis=1)
+    c = model.centroids
+    return _sq_distances(x, (x * x).sum(axis=1), c, (c * c).sum(axis=1)).argmin(axis=1)

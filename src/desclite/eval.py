@@ -19,16 +19,20 @@ All score ties break by stable index order, so reports are deterministic
 per (set, seed) for a fixed BLAS library and thread count; the thread count
 can change the last bits of a distance and so the order of near-ties.
 
+Each task checks once, on entry, that every descriptor is finite, and
+raises NumericError if one is not.
+
 Cost, for N rows of D dimensions:
   verification — O(N log N) per tier to index its rows by label, then
       O(log N) per sampling attempt; all pair distances in one call.
   matching — O(R * T * D) for R reference rows against T target rows. The
-      reference rows go through `pairwise_distance_matrix` in blocks of about
-      BLOCK_FLOATS / T rows, so each distance matrix holds about BLOCK_FLOATS
-      float64 entries (8 MiB) and never R x T.
+      target's squared row norms are taken once per target sequence; the
+      reference rows then go through `pairwise_distance_matrix` in blocks of
+      about BLOCK_FLOATS / T rows, each O(rows * T * D), so each distance
+      matrix holds about BLOCK_FLOATS float64 entries (2 MiB) and never R x T.
   retrieval — O(N log N) to index rows by label, then O(P * D) per query for
       a pool of P rows, in blocks of queries whose gathered rows hold at most
-      BLOCK_FLOATS entries.
+      BLOCK_FLOATS entries; the blocks of one pool shape share one buffer.
 """
 from __future__ import annotations
 
@@ -39,11 +43,12 @@ import numpy as np
 
 from .data import DescriptorSet, tier_name
 from .errors import ConfigError
-from .numerics import pairwise_distance_matrix
+from .numerics import as_matrix, pairwise_distance_matrix
 
 # Entries in the largest float64 array one block of matching or retrieval
-# works on.
-BLOCK_FLOATS = 1 << 20
+# works on: 2 MiB, so a block's arrays stay in cache between passes (at
+# 5,000 target rows, matching blocks hold 48 reference rows).
+BLOCK_FLOATS = 1 << 18
 # Matching blocks hold a multiple of this many reference rows, and never a
 # lone trailing row unless that is the whole query set. Checked with
 # single-threaded OpenBLAS 0.3.31 on x86-64, such blocks give bit for bit the
@@ -147,6 +152,7 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
     counts, and a tier with no positives, which has no AP of its own and is
     left out of `map_by_tier`, warns too; the report counts what was drawn.
     """
+    x = as_matrix(dset.descriptors, "descriptors")
     classes, label_codes, counts = np.unique(
         dset.labels, return_inverse=True, return_counts=True)
     if np.sum(counts >= 2) < 2:
@@ -181,8 +187,7 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
                 f"verification: tier {name} has no positive pairs; left out of map_by_tier",
                 RuntimeWarning, stacklevel=2)
 
-    diff = (dset.descriptors[np.asarray(first, dtype=np.int64)]
-            - dset.descriptors[np.asarray(second, dtype=np.int64)])
+    diff = x[np.asarray(first, dtype=np.int64)] - x[np.asarray(second, dtype=np.int64)]
     # One BLAS dot per row, as np.linalg.norm computes a single vector's
     # norm, so every distance has the bits of a per-pair norm.
     dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
@@ -252,6 +257,7 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
     Matching draws nothing: it is deterministic and ignores `seed`, which it
     accepts so that every task takes the same keywords.
     """
+    x = as_matrix(dset.descriptors, "descriptors")
     seqs = np.unique(dset.sequence_ids)
     if len(seqs) < 2:
         raise ConfigError("matching needs a reference plus >= 1 target sequence")
@@ -272,7 +278,7 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
             skipped += 1
             continue
         use_ref = ref_rows[np.isin(dset.labels[ref_rows], shared)]
-        nn, nn_dist = _nearest(dset.descriptors[use_ref], dset.descriptors[tgt_rows])
+        nn, nn_dist = _nearest(x[use_ref], x[tgt_rows])
         correct = (
             dset.labels[tgt_rows][nn] == dset.labels[use_ref]
         ).astype(np.float64)
@@ -299,14 +305,16 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
 
 def _nearest(queries: np.ndarray, targets: np.ndarray):
     """Index of and distance to each query row's nearest target row,
-    computed in blocks of query rows (see BLOCK_FLOATS)."""
+    computed in blocks of query rows (see BLOCK_FLOATS). `targets` must be
+    finite; its squared row norms are taken once for all blocks."""
+    targets_sq = (targets * targets).sum(axis=1)
     step = max(1, BLOCK_FLOATS // (len(targets) * _MATCH_ROW_STEP)) * _MATCH_ROW_STEP
     nn = np.empty(len(queries), dtype=np.int64)
     nn_dist = np.empty(len(queries))
     start = 0
     while start < len(queries):
         stop = len(queries) if len(queries) - start <= step + 1 else start + step
-        dist = pairwise_distance_matrix(queries[start:stop], targets)
+        dist = pairwise_distance_matrix(queries[start:stop], targets, b_sq=targets_sq)
         nn[start:stop] = dist.argmin(axis=1)
         nn_dist[start:stop] = dist[np.arange(stop - start), nn[start:stop]]
         del dist  # free this block's matrix before the next one is built
@@ -322,6 +330,7 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
     other labels, in row order; those draws depend only on how many rows
     there are to choose from, so the rows are located afterwards.
     """
+    x = as_matrix(dset.descriptors, "descriptors")
     classes, codes, counts = np.unique(dset.labels, return_inverse=True,
                                        return_counts=True)
     if len(classes) < 2:
@@ -348,6 +357,12 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
         block = max(1, BLOCK_FLOATS // ((same + far) * dset.dim))
         ranks = np.arange(1, same + far + 1)
         j = np.arange(same)
+        # every block of this pool shape gathers its rows into `work` and
+        # takes their distances in place, by np.linalg.norm's own steps; the
+        # pool rows are valid, and np.take's default mode would gather into a
+        # temporary before copying into `out`
+        work = np.empty((min(block, len(members)), same + far, dset.dim))
+        work_dist = np.empty(work.shape[:2])
         for lo in range(0, len(members), block):
             part = members[lo:lo + block]
             q = queries[part]
@@ -358,8 +373,11 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
             distractors = index.outside(label[:, None],
                                         np.stack([picks[k] for k in part]))
             pool = np.hstack([mates, distractors])
-            dist = np.linalg.norm(
-                dset.descriptors[pool] - dset.descriptors[q][:, None, :], axis=-1)
+            diff = np.take(x, pool, axis=0, out=work[:len(part)], mode="clip")
+            diff -= x[q][:, None, :]
+            diff *= diff
+            dist = np.add.reduce(diff, axis=-1, out=work_dist[:len(part)])
+            np.sqrt(dist, out=dist)
             # ties break by row index; label-mates fill the first `same` columns
             hit = (np.lexsort((pool, dist), axis=-1) < same).astype(np.float64)
             aps[part] = (np.cumsum(hit, axis=1) / ranks * hit).sum(axis=1) / same

@@ -106,29 +106,28 @@ def triplet_loss_hardest(anchors_emb, positives_emb, margin: float) -> LossValue
     active = terms > 0.0
     value = float(np.maximum(terms, 0.0).mean())
 
-    ga = np.zeros_like(a)
-    gp = np.zeros_like(p)
+    # Per active pair i, in ascending i: the positive term moves anchor i
+    # and positive i, the negative term anchor i and positive j (row-mined)
+    # or anchor j and positive i (column-mined). np.add.at applies the
+    # updates to rows of vstack([d/d anchors, d/d positives]) in that order,
+    # so a row hit by several pairs sums its updates as a loop would.
+    act = np.flatnonzero(active)
+    neg = np.where(use_row, row_idx, col_idx)[act]
+    anchor = np.where(use_row[act], act, neg)
+    positive = np.where(use_row[act], neg, act)
+    # a term whose distance is at most _TINY moves nothing
+    dists = np.stack([pos[act], hardest[act]], axis=1)
+    keep = dists > _TINY
+    dists[~keep] = 1.0
     inv_n = 1.0 / n
-    for i in np.flatnonzero(active):
-        if pos[i] > _TINY:
-            u = (a[i] - p[i]) / pos[i] * inv_n
-            ga[i] += u
-            gp[i] -= u
-        if use_row[i]:
-            j = row_idx[i]
-            d = row_val[i]
-            if d > _TINY:
-                v = (a[i] - p[j]) / d * inv_n
-                ga[i] -= v
-                gp[j] += v
-        else:
-            j = col_idx[i]
-            d = col_val[i]
-            if d > _TINY:
-                v = (a[j] - p[i]) / d * inv_n
-                ga[j] -= v
-                gp[i] += v
-    return LossValue(value, np.vstack([ga, gp]))
+    u = (a[act] - p[act]) / dists[:, :1] * inv_n
+    v = (a[anchor] - p[positive]) / dists[:, 1:] * inv_n
+    rows = np.stack([act, n + act, anchor, n + positive], axis=1)
+    steps = np.stack([u, -u, -v, v], axis=1)
+    keep = np.repeat(keep, 2, axis=1)
+    grad = np.zeros((2 * n, a.shape[1]))
+    np.add.at(grad, rows[keep], steps[keep])
+    return LossValue(value, grad)
 
 
 def softmax_cross_entropy(logits, targets) -> LossValue:

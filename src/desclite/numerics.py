@@ -34,25 +34,47 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def pairwise_distance_matrix(a, b) -> np.ndarray:
+def pairwise_distance_matrix(a, b, *, b_sq=None) -> np.ndarray:
     """All-pairs Euclidean distances between rows of `a` and rows of `b`.
 
     Uses the expanded form |a|^2 + |b|^2 - 2ab^T; cancellation can push tiny
     squared distances below zero, so values are clamped at 0 before the sqrt.
     When both arguments are the same array the diagonal is exactly zero.
+
+    `b_sq`, for a caller that measures many blocks against one `b`, holds
+    b's squared row norms, `(b * b).sum(axis=1)`; `b` must then already be a
+    finite 2-D float64 array, and is neither checked nor measured again.
     """
     same = a is b
     a = as_matrix(a, "a")
-    b = a if same else as_matrix(b, "b")
+    if same:
+        b = a
+    elif b_sq is None:
+        b = as_matrix(b, "b")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(
             f"pairwise_distance_matrix: column counts differ, {a.shape[1]} vs {b.shape[1]}"
         )
-    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
+    a_sq = (a * a).sum(axis=1)
+    if b_sq is None:
+        b_sq = a_sq if same else (b * b).sum(axis=1)
+    elif len(b_sq) != len(b):
+        raise ShapeError(f"b_sq has {len(b_sq)} entries for {len(b)} rows of b")
+    sq = _sq_distances(a, a_sq, b, b_sq)
     if same:
         np.fill_diagonal(sq, 0.0)
-    return np.sqrt(sq)
+    return np.sqrt(sq, out=sq)
+
+
+def _sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
+                  b_sq: np.ndarray) -> np.ndarray:
+    """Squared distances (|a|^2 + |b|^2) - 2ab^T between rows, clamped at 0,
+    from the squared row norms `a_sq` and `b_sq`; no input is checked."""
+    ab = a @ b.T
+    ab *= 2.0
+    sq = np.add(a_sq[:, None], b_sq[None, :])
+    sq -= ab
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def sym_eigen(a) -> EigenDecomposition:

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from desclite.cli import EXIT_CONFIG, EXIT_FORMAT, main
+from desclite.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_USAGE, main
 from desclite.data import (
+    DescriptorSet,
     extract_descriptors,
     load_descriptors,
     load_patches,
@@ -160,6 +161,29 @@ class TestTrain:
         assert run(None, []) == default
         assert run(from_file[0], []) == from_file[1]
         assert run(from_flag[0], from_flag[1]) == from_flag[2]
+
+
+class TestEval:
+    @pytest.mark.parametrize("task", ["verification", "matching", "retrieval"])
+    def test_a_nan_row_exits_3_and_writes_nothing(self, tmp_path, descriptor_file, task,
+                                                 capsys):
+        dset = load_descriptors(str(descriptor_file))
+        x = dset.descriptors.copy()
+        x[5] = np.nan
+        bad = tmp_path / "nan.ddr"
+        save_descriptors(DescriptorSet(x, dset.labels, dset.sequence_ids, dset.tiers),
+                         str(bad))
+        before = set(tmp_path.iterdir())
+        assert main(["eval", str(bad), "--task", task, "-o", str(tmp_path / "r.txt"),
+                     "-m", str(tmp_path / "e.manifest")]) == EXIT_NUMERIC
+        assert set(tmp_path.iterdir()) == before
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_an_unknown_flag_exits_1(self, descriptor_file, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["eval", str(descriptor_file), "--task", "matching", "--no-such-flag"])
+        assert stop.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
 
 class TestPipeline:

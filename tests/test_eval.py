@@ -7,7 +7,7 @@ import pytest
 
 from desclite import eval as ev
 from desclite.data import DescriptorSet, tier_name
-from desclite.errors import ConfigError
+from desclite.errors import ConfigError, NumericError
 from desclite.eval import (
     EvalReport,
     average_precision,
@@ -445,7 +445,7 @@ def _uneven_set(seed, tiered):
 
 
 class TestReferenceOracle:
-    @pytest.mark.parametrize("block", [ev.BLOCK_FLOATS, 60])
+    @pytest.mark.parametrize("block", [ev.BLOCK_FLOATS, 1 << 20, 60])
     @pytest.mark.parametrize("tiered", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reports_equal_the_per_query_loops(self, seed, tiered, block, monkeypatch):
@@ -473,6 +473,17 @@ class TestReferenceOracle:
         labels = np.concatenate([np.arange(n), perm])
         dset = make_set(x, labels, np.repeat([0, 1], n))
         assert eval_matching(dset) == _reference_matching(dset)
+
+
+@pytest.mark.parametrize("task", [eval_verification, eval_matching, eval_retrieval])
+def test_a_non_finite_descriptor_raises(task):
+    # 10 classes seen in 4 sequences; one row of the reference sequence is NaN
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((40, 8))
+    x[12] = np.nan
+    dset = make_set(x, np.repeat(np.arange(10), 4), np.tile(np.arange(4), 10))
+    with pytest.raises(NumericError):
+        task(dset)
 
 
 def test_matching_ignores_the_seed():

@@ -144,6 +144,77 @@ class TestTripletLossHardest:
         with pytest.raises(ConfigError):
             triplet_loss_hardest(np.ones((1, 3)), np.ones((1, 3)), 1.0)
 
+    @pytest.mark.parametrize("case", ["spread", "clustered", "equal_pairs", "shared_negative"])
+    def test_equals_the_per_pair_loop(self, case):
+        rng = np.random.default_rng(11)
+        n, d = 48, 6
+        if case == "spread":
+            a = rng.standard_normal((n, d))
+            p = a + 0.5 * rng.standard_normal((n, d))
+        elif case == "clustered":
+            # a few distinct points: exact distance ties, zero distances and
+            # negatives shared by many pairs
+            a = rng.standard_normal((4, d))[rng.integers(4, size=n)]
+            p = rng.standard_normal((4, d))[rng.integers(4, size=n)]
+        elif case == "equal_pairs":
+            a = rng.standard_normal((n, d))
+            p = a.copy()
+            p[::3] += 0.2 * rng.standard_normal((len(p[::3]), d))
+        else:
+            # one positive sits next to every anchor, so most pairs mine it
+            a = rng.standard_normal((n, d))
+            p = a + rng.standard_normal((n, d))
+            p[7] = a.mean(axis=0)
+        for margin in (0.1, 1.0, 5.0):
+            got = triplet_loss_hardest(a, p, margin)
+            want = _reference_triplet_loss_hardest(a, p, margin)
+            assert got.value == want.value
+            assert np.array_equal(got.grad, want.grad)
+
+
+def _reference_triplet_loss_hardest(a, p, margin):
+    """The per-active-pair loop that `triplet_loss_hardest` replaced."""
+    _TINY = 1e-12
+    n = len(a)
+    dist = pairwise_distance_matrix(a, p)
+    pos = np.diag(dist).copy()
+    masked = dist.copy()
+    np.fill_diagonal(masked, np.inf)
+    row_idx = masked.argmin(axis=1)
+    row_val = masked[np.arange(n), row_idx]
+    col_idx = masked.argmin(axis=0)
+    col_val = masked[col_idx, np.arange(n)]
+    use_row = row_val <= col_val
+    hardest = np.where(use_row, row_val, col_val)
+
+    terms = margin + pos - hardest
+    active = terms > 0.0
+    value = float(np.maximum(terms, 0.0).mean())
+
+    ga = np.zeros_like(a)
+    gp = np.zeros_like(p)
+    inv_n = 1.0 / n
+    for i in np.flatnonzero(active):
+        if pos[i] > _TINY:
+            u = (a[i] - p[i]) / pos[i] * inv_n
+            ga[i] += u
+            gp[i] -= u
+        if use_row[i]:
+            j = row_idx[i]
+            d = row_val[i]
+            if d > _TINY:
+                v = (a[i] - p[j]) / d * inv_n
+                ga[i] -= v
+                gp[j] += v
+        else:
+            j = col_idx[i]
+            d = col_val[i]
+            if d > _TINY:
+                v = (a[j] - p[i]) / d * inv_n
+                ga[j] -= v
+                gp[i] += v
+    return LossValue(value, np.vstack([ga, gp]))
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_two_classes(self):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from desclite.errors import NumericError, ShapeError
-from desclite.numerics import EigenDecomposition, pairwise_distance_matrix, sym_eigen
+from desclite.numerics import (
+    EigenDecomposition,
+    as_matrix,
+    pairwise_distance_matrix,
+    sym_eigen,
+)
 
 
 class TestSymEigen:
@@ -122,3 +127,51 @@ class TestPairwiseDistanceMatrix:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             pairwise_distance_matrix(np.ones((2, 3)), np.ones((2, 4)))
+
+    @pytest.mark.parametrize("na, nb, d", [(1, 1, 3), (1, 40, 32), (24, 500, 32),
+                                           (48, 37, 128), (17, 23, 5), (205, 61, 7)])
+    def test_equals_the_reference_bit_for_bit(self, na, nb, d):
+        rng = np.random.default_rng(na * nb + d)
+        a = rng.standard_normal((na, d))
+        b = rng.standard_normal((nb, d))
+        b[0] = a[0]  # one exact zero distance
+        want = _reference_pairwise_distance_matrix(a, b)
+        assert np.array_equal(pairwise_distance_matrix(a, b), want)
+        b_sq = (b * b).sum(axis=1)
+        assert np.array_equal(pairwise_distance_matrix(a, b, b_sq=b_sq), want)
+
+    @pytest.mark.parametrize("n", [1, 12, 13, 96])
+    def test_same_array_equals_the_reference(self, n):
+        a = np.random.default_rng(n).standard_normal((n, 16))
+        got = pairwise_distance_matrix(a, a)
+        assert np.array_equal(got, _reference_pairwise_distance_matrix(a, a))
+        assert np.array_equal(np.diag(got), np.zeros(n))
+
+    def test_precomputed_norms_must_fit_b(self):
+        b = np.ones((3, 2))
+        with pytest.raises(ShapeError):
+            pairwise_distance_matrix(np.ones((2, 2)), b, b_sq=np.ones(4))
+
+    def test_non_finite_rejected(self):
+        a = np.ones((2, 2))
+        a[1, 0] = np.nan
+        with pytest.raises(NumericError):
+            pairwise_distance_matrix(a, np.ones((3, 2)))
+        with pytest.raises(NumericError):
+            pairwise_distance_matrix(np.ones((3, 2)), a)
+
+
+def _reference_pairwise_distance_matrix(a, b):
+    """`pairwise_distance_matrix` as it was before the shared kernel."""
+    same = a is b
+    a = as_matrix(a, "a")
+    b = a if same else as_matrix(b, "b")
+    if a.shape[1] != b.shape[1]:
+        raise ShapeError(
+            f"pairwise_distance_matrix: column counts differ, {a.shape[1]} vs {b.shape[1]}"
+        )
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    np.maximum(sq, 0.0, out=sq)
+    if same:
+        np.fill_diagonal(sq, 0.0)
+    return np.sqrt(sq)
