@@ -84,6 +84,11 @@ class PatchDataset:
         return len(self.patches)
 
 
+def _unit_or_zero(norms: np.ndarray) -> bool:
+    """Every norm is 1 or 0 within 1e-6; a NaN norm is neither."""
+    return bool(np.all((np.abs(norms - 1.0) <= 1e-6) | (norms <= 1e-6)))
+
+
 @dataclass
 class DescriptorSet:
     """N x D float64 descriptors with per-row label and sequence id.
@@ -112,9 +117,7 @@ class DescriptorSet:
             if self.tiers.shape != (n,):
                 raise ShapeError(f"tiers must have shape ({n},), got {self.tiers.shape}")
         if self.normalized and n:
-            norms = np.linalg.norm(self.descriptors, axis=1)
-            bad = np.abs(norms - 1.0) > 1e-6
-            if np.any(bad & (norms > 1e-6)):
+            if not _unit_or_zero(np.linalg.norm(self.descriptors, axis=1)):
                 raise ConfigError("normalized flag set but rows are not unit/zero norm")
 
     @property
@@ -215,7 +218,7 @@ def load_descriptors(path: str) -> DescriptorSet:
     r.expect_end()
     desc = payload.astype(np.float64).reshape(n, d)
     norms = np.linalg.norm(desc, axis=1) if n else np.empty(0)
-    normalized = bool(n) and bool(np.all((np.abs(norms - 1.0) <= 1e-6) | (norms <= 1e-6)))
+    normalized = bool(n) and _unit_or_zero(norms)
     return DescriptorSet(
         descriptors=desc,
         labels=labels.astype(np.int64),

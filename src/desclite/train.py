@@ -18,6 +18,7 @@ from . import losses
 from .cluster import KMeansModel, kmeans_fit
 from .data import DescriptorSet
 from .errors import ConfigError, NumericError, ShapeError
+from .eval import _choice
 from .nn import AdamState, MlpModel, adam_step, backward, build_encoder, build_mlp, \
     forward, project
 
@@ -325,10 +326,10 @@ def _sample_triplet_batch(x: np.ndarray, class_rows: dict, chosen_classes,
                           rng: np.random.Generator) -> np.ndarray:
     """(2B, D) rows: anchors first, then positives; row i and row B + i share
     the label of chosen class i."""
-    nb = len(chosen_classes)
-    pairs = np.empty((2 * nb, x.shape[1]))
-    for i, c in enumerate(chosen_classes):
-        pick = rng.choice(class_rows[c], size=2, replace=False)
-        pairs[i] = x[pick[0]]
-        pairs[nb + i] = x[pick[1]]
-    return pairs
+    rows = [class_rows[c] for c in chosen_classes]
+    # one batch of the draws that rng.choice(rows, size=2, replace=False)
+    # per class would make, in class order
+    picks = _choice(rng, [len(r) for r in rows], np.full(len(rows), 2)).tolist()
+    anchors = [r[a] for r, (a, _) in zip(rows, picks)]
+    positives = [r[b] for r, (_, b) in zip(rows, picks)]
+    return x[np.asarray(anchors + positives, dtype=np.int64)]

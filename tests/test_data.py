@@ -371,6 +371,13 @@ class TestValidation:
                 normalized=True,
             )
 
+    def test_normalized_flag_rejects_a_nan_row(self):
+        x = np.eye(4)
+        x[2] = np.nan
+        with pytest.raises(ConfigError):
+            DescriptorSet(descriptors=x, labels=[0, 1, 2, 3], sequence_ids=[0, 0, 0, 0],
+                          normalized=True)
+
     def test_patch_dataset_shape(self):
         with pytest.raises(ShapeError):
             PatchDataset(

@@ -338,15 +338,19 @@ def _reference_verification(dset, pairs_per_tier, seed):
     codes = dset.tiers if dset.tiers is not None else np.zeros(len(dset), np.uint8)
     tiers_present = sorted(set(int(c) for c in codes))
     multi = set(classes[counts >= 2].tolist())
-    pair_dist, pair_rel, pair_tier = [], [], []
+    pair_dist, pair_rel, pair_tier, pairs_by_tier = [], [], [], {}
     for code in tiers_present:
         tier_rows = np.flatnonzero(codes == code)
+        counts = {"requested": pairs_per_tier}
         for positive in (True, False):
-            for (i, j) in _reference_sample_pairs(dset, tier_rows, code, codes, rng,
-                                                  pairs_per_tier, positive, multi):
+            pairs = _reference_sample_pairs(dset, tier_rows, code, codes, rng,
+                                            pairs_per_tier, positive, multi)
+            counts["positive" if positive else "negative"] = len(pairs)
+            for (i, j) in pairs:
                 pair_dist.append(float(np.linalg.norm(dset.descriptors[i] - dset.descriptors[j])))
                 pair_rel.append(float(positive))
                 pair_tier.append(code)
+        pairs_by_tier["all" if dset.tiers is None else tier_name(code)] = counts
     dist, rel, tier_arr = np.asarray(pair_dist), np.asarray(pair_rel), np.asarray(pair_tier)
     idx = np.arange(len(dist))
     by_tier = {}
@@ -360,6 +364,7 @@ def _reference_verification(dset, pairs_per_tier, seed):
         map_overall=average_precision(_reference_ranked(dist, rel, idx)),
         map_by_tier=by_tier, num_queries=len(dist), num_skipped=0,
         config={"pairs_per_tier": pairs_per_tier, "seed": seed, "dim": dset.dim},
+        pairs_by_tier=pairs_by_tier,
     )
 
 
@@ -515,6 +520,38 @@ def test_verification_warns_on_a_short_tier():
     assert report == _reference_verification(dset, 10, 5)
 
 
+@pytest.mark.parametrize("seed", [391016, 30827])
+def test_verification_draws_past_rejected_words(seed):
+    # 3,000 rows in two labels: an attempt draws a row below 3000, then a
+    # positive partner below 1499. Lemire's method rejects one of the first
+    # words of these seeds: a row draw's at seed 391016, a partner draw's at
+    # seed 30827 (found by search), so the draw moves on to the next word.
+    x = np.random.default_rng(0).standard_normal((3000, 4))
+    dset = make_set(x, np.repeat([0, 1], 1500))
+    assert eval_verification(dset, pairs_per_tier=10, seed=seed) == \
+        _reference_verification(dset, 10, seed)
+
+
+def test_verification_reports_pairs_per_tier():
+    labels = np.array([0, 0, 1, 1, 2, 3])
+    tiers = np.array([0, 0, 0, 0, 2, 2], dtype=np.uint8)
+    x = np.random.default_rng(3).standard_normal((6, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = eval_verification(make_set(x, labels, tiers=tiers), pairs_per_tier=10, seed=5)
+    assert report.pairs_by_tier == {
+        "easy": {"requested": 10, "positive": 10, "negative": 10},
+        "tough": {"requested": 10, "positive": 0, "negative": 10},
+    }
+    lines = report.lines()
+    assert lines[lines.index("tier.tough.pairs_requested=10"):] == [
+        "tier.tough.pairs_requested=10",
+        "tier.tough.pairs_positive=0",
+        "tier.tough.pairs_negative=10",
+    ]
+    assert "tier.easy.pairs_positive=10" in lines
+
+
 def test_matching_memory_stays_below_the_dense_matrix():
     rng = np.random.default_rng(10)
     n = 4000  # a dense 4000 x 4000 float64 matrix takes 128 MB
@@ -529,3 +566,78 @@ def test_matching_memory_stays_below_the_dense_matrix():
         tracemalloc.stop()
     assert report.num_queries == 1
     assert peak < 8 * n * n / 4
+
+
+# The batched draws against numpy's own per-call draws: the values, and
+# where the generator stands after them.
+
+def _per_call_choice(rng, pops, takes):
+    width = max(takes, default=0)
+    out = np.zeros((len(pops), width), dtype=np.int64)
+    for q, (pop, take) in enumerate(zip(pops, takes)):
+        out[q, :take] = rng.choice(pop, take, replace=False)
+    return out
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_integers_equal_per_call_draws(self, seed):
+        bounds = np.random.default_rng(40 + seed).integers(1, 6, size=300)
+        bounds[::7] = 1  # bound 1 takes no word
+        bounds = np.concatenate([bounds, [1, 2**32, 2**32 - 1, 2**31 + 12345, 1, 29950]])
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert ev._integers(a, bounds).tolist() == [int(b.integers(n)) for n in bounds]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_integers_with_half_the_words_rejected(self):
+        # (2**32 - b) % b is just under 2**31 here: about half the words fail
+        bounds = np.full(500, 2**31 + 12345)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert ev._integers(a, bounds).tolist() == [int(b.integers(n)) for n in bounds]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_only_bound_one_draws_nothing(self):
+        a = np.random.default_rng(4)
+        before = a.bit_generator.state
+        assert ev._integers(a, [1, 1, 1]).tolist() == [0, 0, 0]
+        assert a.bit_generator.state == before
+
+    @pytest.mark.parametrize("pop,take", [
+        (7, 7),                # take == pop: Floyd's first step has bound 1
+        (1, 1),
+        (30, 1),
+        (29950, 50),           # retrieval on 30k rows
+        (10000, 300),          # pop not over 10,000: Floyd
+        (10001, 200),          # take not over pop // 50: Floyd
+        (10001, 201),          # numpy's tail shuffle from here on
+        (11000, 5000),
+        (12000, 241),
+        (12000, 12000),
+        (2**31 + 12345, 40),   # about half the words are rejected
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_choice_equals_per_call_draws(self, pop, take, seed):
+        rows = 3
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = ev._choice(a, [pop] * rows, [take] * rows)
+        assert np.array_equal(got, _per_call_choice(b, [pop] * rows, [take] * rows))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("block", [ev.BLOCK_FLOATS, 40])
+    def test_choice_over_mixed_rows(self, block, monkeypatch):
+        # uneven takes (0 among them), repeats in Floyd's picks and tail rows
+        # in one call; a small block splits the rows over many blocks
+        monkeypatch.setattr(ev, "BLOCK_FLOATS", block)
+        rng = np.random.default_rng(6)
+        pops = rng.integers(1, 60, size=300)
+        takes = np.minimum(rng.integers(0, 12, size=300), pops)
+        pops[::37], takes[::37] = 10500, 300
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        got = ev._choice(a, pops, takes)
+        assert np.array_equal(got, _per_call_choice(b, pops.tolist(), takes.tolist()))
+        assert a.bit_generator.state == b.bit_generator.state
+        # unordered rows hold the same picks and leave the generator alike
+        c = np.random.default_rng(7)
+        loose = ev._choice(c, pops, takes, ordered=False)
+        assert np.array_equal(np.sort(loose, axis=1), np.sort(got, axis=1))
+        assert c.bit_generator.state == a.bit_generator.state

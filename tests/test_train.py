@@ -205,3 +205,21 @@ class TestReferenceOracle:
         assert got_events == want_events
         if cfg.scheme == "ss":
             assert sum(e["event"] == "recluster" for e in got_events) == 3
+
+
+def test_triplet_batch_equals_per_class_choice():
+    # classes of 2 to 12 rows; the rows of a class are not contiguous
+    rng = np.random.default_rng(12)
+    labels = rng.permutation(np.repeat(np.arange(40), rng.integers(2, 13, size=40)))
+    x = rng.standard_normal((len(labels), 6))
+    class_rows = train_module._rows_by_class(labels)
+    chosen = rng.permutation(40)[:25].tolist()
+    a, b = np.random.default_rng(13), np.random.default_rng(13)
+    for _ in range(3):
+        got = train_module._sample_triplet_batch(x, class_rows, chosen, a)
+        want = np.empty_like(got)
+        for i, c in enumerate(chosen):
+            pick = b.choice(class_rows[c], size=2, replace=False)
+            want[i], want[len(chosen) + i] = x[pick[0]], x[pick[1]]
+        assert np.array_equal(got, want)
+        assert a.bit_generator.state == b.bit_generator.state
