@@ -367,6 +367,8 @@ def _cmd_bench(args) -> int:
         )
     if kind != "mlp":
         raise ConfigError("bench times MLP projections; got a PCA model file")
+    if not len(dset):
+        raise ConfigError(f"{args.descriptors} holds no descriptors to time")
     reps = max(10, args.reps)
     x = dset.descriptors
     times = []

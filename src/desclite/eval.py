@@ -29,14 +29,21 @@ Cost, for N rows of D dimensions:
       call.
   matching — O(R * T * D) for R reference rows against T target rows. The
       target's squared row norms are taken once per target sequence; the
-      reference rows then go through `pairwise_distance_matrix` in blocks of
-      about BLOCK_FLOATS / T rows, each O(rows * T * D), so each distance
-      matrix holds about BLOCK_FLOATS float64 entries (2 MiB) and never R x T.
+      reference rows then go through `pairwise_distance_matrix(...,
+      squared=True)` in blocks of about BLOCK_FLOATS / T rows, each
+      O(rows * T * D), so each block of squared distances holds about
+      BLOCK_FLOATS float64 entries (2 MiB) and never R x T. Only each row's
+      smallest entry is rooted, one sqrt per reference row; the row's match
+      is the first entry whose root equals it (`_nearest_in_rows`), which is
+      the argmin of the rooted row, ties made by the root's rounding and
+      several clamped zeros included.
   retrieval — O(N log N) to index rows by label; 2 * K - 1 draws per query
       for K distractors, decoded in blocks of about BLOCK_FLOATS draws; then
       O(P * D) per query for a pool of P rows, in blocks of queries whose
-      gathered rows hold at most BLOCK_FLOATS entries; the blocks of one
-      pool shape share one buffer.
+      gathered rows, and whose label-mate against pool comparisons, hold at
+      most BLOCK_FLOATS entries; the blocks of one pool shape share one
+      buffer. Ranking is O(S * P) per query for its S label-mates, with no
+      sort: a mate's rank counts the pool entries ahead of it.
 
 Random draws. Verification and retrieval take their seeded draws in batches
 of the generator's 32-bit words (`_integers`, `_choice`), not one numpy call
@@ -543,12 +550,37 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
     start = 0
     while start < len(queries):
         stop = len(queries) if len(queries) - start <= step + 1 else start + step
-        dist = pairwise_distance_matrix(queries[start:stop], targets, b_sq=targets_sq)
-        nn[start:stop] = dist.argmin(axis=1)
-        nn_dist[start:stop] = dist[np.arange(stop - start), nn[start:stop]]
-        del dist  # free this block's matrix before the next one is built
+        sq = pairwise_distance_matrix(queries[start:stop], targets, b_sq=targets_sq,
+                                      squared=True)
+        nn[start:stop], nn_dist[start:stop] = _nearest_in_rows(sq)
+        del sq  # free this block's matrix before the next one is built
         start = stop
     return nn, nn_dist
+
+
+def _nearest_in_rows(sq: np.ndarray):
+    """`np.sqrt(sq).argmin(axis=1)` and the root at each row's argmin, bit
+    for bit, from squared distances `sq` with one root per row.
+
+    The root is monotone but rounds neighbouring doubles to one value, so the
+    rooted row can tie where `sq` does not: every entry up to `top`, the
+    largest double whose root is still the row's smallest distance, ties
+    with the minimum, and the first of them is the rooted row's argmin.
+    `top` is at most a few `np.nextafter` steps above the minimum. A row
+    holding a NaN, which only squared norms that overflowed give, keeps
+    argmin's first NaN."""
+    first = sq.argmin(axis=1)
+    low = sq[np.arange(len(sq)), first]
+    dist = np.sqrt(low)
+    top = low
+    while True:
+        up = np.nextafter(top, np.inf)
+        step = (np.sqrt(up) == dist) & (up != top)  # an inf minimum stays put
+        if not step.any():
+            break
+        top = np.where(step, up, top)
+    nn = (sq <= top[:, None]).argmax(axis=1)
+    return np.where(np.isnan(dist), first, nn), dist
 
 
 def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
@@ -585,7 +617,8 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
     bounds = np.flatnonzero(np.diff(shape_key[by_shape])) + 1
     for members in np.split(by_shape, bounds):
         same, far = int(n_same[members[0]]), int(take[members[0]])
-        block = max(1, BLOCK_FLOATS // ((same + far) * dset.dim))
+        # the rank count compares `same` mates with the pool: same * P per query
+        block = max(1, BLOCK_FLOATS // ((same + far) * max(dset.dim, same)))
         ranks = np.arange(1, same + far + 1)
         j = np.arange(same)
         # every block of this pool shape gathers its rows into `work` and
@@ -608,8 +641,14 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
             diff *= diff
             dist = np.add.reduce(diff, axis=-1, out=work_dist[:len(part)])
             np.sqrt(dist, out=dist)
-            # ties break by row index; label-mates fill the first `same` columns
-            hit = (np.lexsort((pool, dist), axis=-1) < same).astype(np.float64)
+            # ties break by row index; label-mates fill the first `same` columns.
+            # A mate's 0-based rank counts the pool entries ahead of it: nearer,
+            # or as near with a smaller row index.
+            mate_dist = dist[:, :same, None]
+            ahead = dist[:, None, :] < mate_dist
+            ahead |= (dist[:, None, :] == mate_dist) & (pool[:, None, :] < mates[:, :, None])
+            hit = np.zeros(dist.shape)
+            hit[np.arange(len(part))[:, None], ahead.sum(axis=2)] = 1.0
             aps[part] = (np.cumsum(hit, axis=1) / ranks * hit).sum(axis=1) / same
     return EvalReport(
         task="retrieval",

@@ -34,7 +34,7 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def pairwise_distance_matrix(a, b, *, b_sq=None) -> np.ndarray:
+def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False) -> np.ndarray:
     """All-pairs Euclidean distances between rows of `a` and rows of `b`.
 
     Uses the expanded form |a|^2 + |b|^2 - 2ab^T; cancellation can push tiny
@@ -44,6 +44,10 @@ def pairwise_distance_matrix(a, b, *, b_sq=None) -> np.ndarray:
     `b_sq`, for a caller that measures many blocks against one `b`, holds
     b's squared row norms, `(b * b).sum(axis=1)`; `b` must then already be a
     finite 2-D float64 array, and is neither checked nor measured again.
+
+    With `squared`, the clamped squared distances are returned without the
+    sqrt, for a caller that roots only the entries it reads; the sqrt of
+    that matrix is bit for bit the default result.
     """
     same = a is b
     a = as_matrix(a, "a")
@@ -63,7 +67,7 @@ def pairwise_distance_matrix(a, b, *, b_sq=None) -> np.ndarray:
     sq = _sq_distances(a, a_sq, b, b_sq)
     if same:
         np.fill_diagonal(sq, 0.0)
-    return np.sqrt(sq, out=sq)
+    return sq if squared else np.sqrt(sq, out=sq)
 
 
 def _sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,

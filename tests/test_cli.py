@@ -186,6 +186,23 @@ class TestEval:
         assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
 
 
+class TestBench:
+    def test_zero_rows_exit_4_and_write_nothing(self, tmp_path, descriptor_file, capsys):
+        model = tmp_path / "m.dnn"
+        assert main(["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",
+                     "--hidden", "16", "--epochs", "1", "--batch-size", "2",
+                     "-o", str(model)]) == 0
+        dset = load_descriptors(str(descriptor_file))
+        empty = tmp_path / "empty.ddr"
+        save_descriptors(dset.take(np.arange(0)), str(empty))
+        capsys.readouterr()
+        before = set(tmp_path.iterdir())
+        assert main(["bench", "--model", str(model), "--descriptors", str(empty),
+                     "-m", str(tmp_path / "b.manifest")]) == EXIT_CONFIG
+        assert set(tmp_path.iterdir()) == before
+        assert "no descriptors" in capsys.readouterr().err
+
+
 class TestPipeline:
     LIBRARY_EVAL = {
         "verification": lambda dset: eval_verification(dset, pairs_per_tier=1000, seed=0),

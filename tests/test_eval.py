@@ -468,6 +468,24 @@ class TestReferenceOracle:
             assert eval_retrieval(dset, distractors_per_query=distractors, seed=seed) == \
                 _reference_retrieval(dset, distractors, seed)
 
+    @pytest.mark.parametrize("distractors", [1000, 4])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_retrieval_ties_between_mates_and_distractors(self, seed, distractors):
+        # Label 0 is rows 1, 4 and 9, and row 9 is row 4's twin. Rows 0 and 6
+        # are row 4's twins under other labels, one below and one above it,
+        # so for query row 1 two mates and two distractors sit at one
+        # distance and rank by row index: 0, 4, 6, 9.
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((12, 5))
+        x[[0, 6, 9]] = x[4]
+        labels = np.array([1, 0, 3, 2, 0, 3, 2, 1, 4, 0, 4, 5])
+        dset = make_set(x, labels)
+        report = eval_retrieval(dset, distractors_per_query=distractors, seed=seed)
+        assert report == _reference_retrieval(dset, distractors, seed)
+        # the tied distances are equal bit for bit
+        dist = np.linalg.norm(x[[0, 4, 6, 9]] - x[1], axis=1)
+        assert (dist == dist[0]).all()
+
     def test_matching_blocks_on_a_large_pair(self):
         rng = np.random.default_rng(9)
         n = 1500
@@ -550,6 +568,61 @@ def test_verification_reports_pairs_per_tier():
         "tier.tough.pairs_negative=10",
     ]
     assert "tier.easy.pairs_positive=10" in lines
+
+
+class TestNearestInRows:
+    """Matching's row selection from squared distances against the argmin of
+    the rooted block, which the selection must equal, ties and all."""
+
+    @staticmethod
+    def _rooted(sq):
+        root = np.sqrt(sq)
+        nn = root.argmin(axis=1)
+        return nn, root[np.arange(len(sq)), nn]
+
+    def test_entries_of_equal_roots_tie_to_the_first(self):
+        m = 1.0
+        above = np.nextafter(m, np.inf)
+        assert np.sqrt(above) == np.sqrt(m)  # the root rounds both to 1.0
+        nn, dist = ev._nearest_in_rows(np.array([[above, m]]))
+        assert nn.tolist() == [0] and dist.tolist() == [1.0]
+
+    def test_first_of_several_clamped_zeros(self):
+        nn, dist = ev._nearest_in_rows(np.array([[3.0, 0.0, 0.0, 1.0, 0.0]]))
+        assert nn.tolist() == [1] and dist.tolist() == [0.0]
+
+    def test_minimum_in_the_last_column(self):
+        nn, dist = ev._nearest_in_rows(np.array([[4.0, 9.0, 2.25, 1.0]]))
+        assert nn.tolist() == [3] and dist.tolist() == [1.0]
+
+    def test_overflowed_rows(self):
+        # inf and NaN come only from squared norms that overflowed
+        sq = np.array([[np.inf, np.inf, np.inf], [2.0, np.inf, 1.0],
+                       [1.0, np.nan, 0.5], [np.inf, np.inf, np.nan]])
+        nn, dist = ev._nearest_in_rows(sq)
+        want_nn, want_dist = self._rooted(sq)
+        assert nn.tolist() == want_nn.tolist() == [0, 2, 1, 2]
+        assert np.array_equal(dist, want_dist, equal_nan=True)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_near_ties_match_the_rooted_argmin(self, seed):
+        rng = np.random.default_rng(seed)
+        sq = rng.random((200, 37)) * 10.0 ** rng.integers(-3, 4, size=(200, 1))
+        low = sq.argmin(axis=1)
+        for r in range(len(sq)):
+            # 1 to 3 entries 1 to 3 ulps above the minimum, anywhere in the row
+            m = sq[r, low[r]]
+            for col in rng.choice(37, size=rng.integers(1, 4), replace=False):
+                if col != low[r]:
+                    up = m
+                    for _ in range(rng.integers(1, 4)):
+                        up = np.nextafter(up, np.inf)
+                    sq[r, col] = up
+        want_nn, want_dist = self._rooted(sq)
+        assert (want_nn != sq.argmin(axis=1)).sum() > 10  # ties the root made
+        nn, dist = ev._nearest_in_rows(sq)
+        assert np.array_equal(nn, want_nn)
+        assert np.array_equal(dist, want_dist)
 
 
 def test_matching_memory_stays_below_the_dense_matrix():

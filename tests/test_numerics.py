@@ -136,9 +136,12 @@ class TestPairwiseDistanceMatrix:
         b = rng.standard_normal((nb, d))
         b[0] = a[0]  # one exact zero distance
         want = _reference_pairwise_distance_matrix(a, b)
-        assert np.array_equal(pairwise_distance_matrix(a, b), want)
         b_sq = (b * b).sum(axis=1)
-        assert np.array_equal(pairwise_distance_matrix(a, b, b_sq=b_sq), want)
+        for kw in ({}, {"b_sq": b_sq}):
+            assert np.array_equal(pairwise_distance_matrix(a, b, **kw), want)
+            # the squared matrix is the default's before the root
+            sq = pairwise_distance_matrix(a, b, squared=True, **kw)
+            assert np.array_equal(np.sqrt(sq), want)
 
     @pytest.mark.parametrize("n", [1, 12, 13, 96])
     def test_same_array_equals_the_reference(self, n):
@@ -146,6 +149,9 @@ class TestPairwiseDistanceMatrix:
         got = pairwise_distance_matrix(a, a)
         assert np.array_equal(got, _reference_pairwise_distance_matrix(a, a))
         assert np.array_equal(np.diag(got), np.zeros(n))
+        sq = pairwise_distance_matrix(a, a, squared=True)
+        assert np.array_equal(np.sqrt(sq), got)
+        assert np.array_equal(np.diag(sq), np.zeros(n))
 
     def test_precomputed_norms_must_fit_b(self):
         b = np.ones((3, 2))
