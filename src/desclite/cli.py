@@ -249,8 +249,9 @@ def _cmd_train(args) -> int:
     for key, field, _, _ in _TRAIN_KEYS:
         manifest.add(f"config.{key}", getattr(cfg, field))
     last_epoch = [e for e in events if e["event"] == "epoch"][-1]
-    manifest.add("steps_per_epoch", last_epoch["steps_per_epoch"])
-    manifest.add("total_steps", last_epoch["total_steps"])
+    for key in ("steps_per_epoch", "total_steps", "unused_classes_per_epoch"):
+        if key in last_epoch:  # unused classes: sv only
+            manifest.add(key, last_epoch[key])
     manifest.emit(args.manifest)
     return 0
 

@@ -32,7 +32,8 @@ Cost, for N rows of D dimensions:
       reference rows then go through `pairwise_distance_matrix(...,
       squared=True)` in blocks of about BLOCK_FLOATS / T rows, each
       O(rows * T * D), so each block of squared distances holds about
-      BLOCK_FLOATS float64 entries (2 MiB) and never R x T. Only each row's
+      BLOCK_FLOATS float64 entries (2 MiB) and never R x T; every block
+      reuses one product buffer and one distance buffer. Only each row's
       smallest entry is rooted, one sqrt per reference row; the row's match
       is the first entry whose root equals it (`_nearest_in_rows`), which is
       the argmin of the rooted row, ties made by the root's rounding and
@@ -542,18 +543,21 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
 def _nearest(queries: np.ndarray, targets: np.ndarray):
     """Index of and distance to each query row's nearest target row,
     computed in blocks of query rows (see BLOCK_FLOATS). `targets` must be
-    finite; its squared row norms are taken once for all blocks."""
+    finite; its squared row norms are taken once for all blocks. Every block
+    writes its product and its distances into the same two buffers, so no
+    block maps fresh memory."""
     targets_sq = (targets * targets).sum(axis=1)
     step = max(1, BLOCK_FLOATS // (len(targets) * _MATCH_ROW_STEP)) * _MATCH_ROW_STEP
     nn = np.empty(len(queries), dtype=np.int64)
     nn_dist = np.empty(len(queries))
+    size = min(len(queries), step + 1) * len(targets)  # the last block may hold step + 1
+    work = (np.empty(size), np.empty(size))
     start = 0
     while start < len(queries):
         stop = len(queries) if len(queries) - start <= step + 1 else start + step
         sq = pairwise_distance_matrix(queries[start:stop], targets, b_sq=targets_sq,
-                                      squared=True)
+                                      squared=True, work=work)
         nn[start:stop], nn_dist[start:stop] = _nearest_in_rows(sq)
-        del sq  # free this block's matrix before the next one is built
         start = stop
     return nn, nn_dist
 

@@ -7,9 +7,14 @@ scalar value with respect to the differentiated input:
   distance_loss          -> grad w.r.t. the projected batch
   triplet_loss_hardest   -> grad w.r.t. vstack([anchors, positives]) (2N x d)
   softmax_cross_entropy  -> grad w.r.t. the logits
+
+Each loss computes in its inputs' dtype (see `numerics.as_matrix`), so a
+float32 batch gets a float32 gradient. Scalars that scale an array are
+Python floats, which never widen it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +74,7 @@ def distance_loss(x, x_hat) -> LossValue:
     ratio = np.where(dh < _TINY, 0.0, diff / np.where(dh < _TINY, 1.0, dh))
     np.fill_diagonal(ratio, 0.0)
     row_sum = ratio.sum(axis=1)
-    grad = (2.0 * coeff / np.sqrt(s)) * (row_sum[:, None] * xh - ratio @ xh)
+    grad = (2.0 * coeff / math.sqrt(s)) * (row_sum[:, None] * xh - ratio @ xh)
     return LossValue(float(value), grad)
 
 
@@ -125,7 +130,7 @@ def triplet_loss_hardest(anchors_emb, positives_emb, margin: float) -> LossValue
     rows = np.stack([act, n + act, anchor, n + positive], axis=1)
     steps = np.stack([u, -u, -v, v], axis=1)
     keep = np.repeat(keep, 2, axis=1)
-    grad = np.zeros((2 * n, a.shape[1]))
+    grad = np.zeros((2 * n, a.shape[1]), dtype=np.result_type(a, p))
     np.add.at(grad, rows[keep], steps[keep])
     return LossValue(value, grad)
 

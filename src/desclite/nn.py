@@ -6,7 +6,13 @@ ReLU precedes batch normalization deliberately. Eval mode has one path,
 `project`: it folds each batchnorm affine into the following linear layer,
 which is exact. The layers' own `forward`s are the train-mode path only.
 
-An `MlpModel` keeps all its parameters in one flat float64 buffer, `params`,
+Training and projection run in one dtype, the module constant DTYPE
+(float32): parameters, gradients, batchnorm running statistics, Adam moments,
+layer caches and `project`'s chunk buffers are all DTYPE, and a batch is cast
+to DTYPE on entry. `project` widens only its final l2norm to float64, so
+reduced descriptors are float64 unit rows.
+
+An `MlpModel` keeps all its parameters in one flat DTYPE buffer, `params`,
 and all their gradients in another, `grads`; each layer's parameter and
 gradient attributes are reshaped views of them. `adam_step` therefore runs
 Adam's elementwise sequence once over the whole buffer, in chunks of
@@ -19,7 +25,10 @@ Model file format "DNN1" (little-endian): magic, u8 version=1, u32 input_dim,
 u32 output_dim, u32 layer count, then per layer a u8 kind tag
 (1 linear, 2 relu, 3 batchnorm, 4 l2norm) followed by its payload:
 linear = u32 in, u32 out, W row-major f64, bias f64; batchnorm = u32 width,
-gamma, beta, running_mean, running_var (all f64).
+gamma, beta, running_mean, running_var (all f64). Saving widens DTYPE values
+to f64, which is exact, so a saved model loads back bit for bit. Loading
+narrows each f64 value to DTYPE, rounding to nearest: a file holding values
+that DTYPE cannot represent loads as their nearest DTYPE values.
 """
 from __future__ import annotations
 
@@ -33,8 +42,9 @@ _NORM_EPS = 1e-12
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 MAX_HIDDEN_LAYERS = 2
+DTYPE = np.float32  # of every parameter, gradient, moment and layer activation
 PROJECT_CHUNK = 2048  # rows per chunk of `project`
-ADAM_CHUNK = 32768  # parameters per chunk of `adam_step`: 256 KiB per operand
+ADAM_CHUNK = 32768  # parameters per chunk of `adam_step`: 128 KiB per operand
 
 
 class _Layer:
@@ -58,11 +68,11 @@ class Linear(_Layer):
         self.in_dim = in_dim
         self.out_dim = out_dim
         if rng is None:
-            self.weight = np.zeros((in_dim, out_dim))
+            self.weight = np.zeros((in_dim, out_dim), dtype=DTYPE)
         else:
             limit = np.sqrt(6.0 / (in_dim + out_dim))
-            self.weight = rng.uniform(-limit, limit, size=(in_dim, out_dim))
-        self.bias = np.zeros(out_dim)
+            self.weight = rng.uniform(-limit, limit, size=(in_dim, out_dim)).astype(DTYPE)
+        self.bias = np.zeros(out_dim, dtype=DTYPE)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._cache = None
@@ -107,12 +117,12 @@ class BatchNorm(_Layer):
 
     def __init__(self, width: int):
         self.width = width
-        self.gamma = np.ones(width)
-        self.beta = np.zeros(width)
-        self.grad_gamma = np.zeros(width)
-        self.grad_beta = np.zeros(width)
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
+        self.gamma = np.ones(width, dtype=DTYPE)
+        self.beta = np.zeros(width, dtype=DTYPE)
+        self.grad_gamma = np.zeros(width, dtype=DTYPE)
+        self.grad_beta = np.zeros(width, dtype=DTYPE)
+        self.running_mean = np.zeros(width, dtype=DTYPE)
+        self.running_var = np.ones(width, dtype=DTYPE)
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -128,8 +138,8 @@ class BatchNorm(_Layer):
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat *= inv_std
         self._cache = (x_hat, inv_std)
-        self.running_mean = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
-        self.running_var = (
+        self.running_mean[...] = (1.0 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+        self.running_var[...] = (
             (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var * n / (n - 1)
         )
         np.multiply(x_hat, self.gamma, out=out)
@@ -201,8 +211,8 @@ class MlpModel:
         self.mode = mode
         bound = [(layer, name) for layer in self.layers for name in layer.PARAMS]
         sizes = [getattr(layer, name).size for layer, name in bound]
-        self.params = np.empty(sum(sizes))
-        self.grads = np.empty(sum(sizes))
+        self.params = np.empty(sum(sizes), dtype=DTYPE)
+        self.grads = np.empty(sum(sizes), dtype=DTYPE)
         self._views = []  # (layer, attribute, the view it must still hold)
         start = 0
         for (layer, name), size in zip(bound, sizes):
@@ -262,7 +272,7 @@ def forward(model: MlpModel, batch) -> np.ndarray:
     backward() needs; eval mode is the folded `project` plan."""
     if model.mode == "eval":
         return project(model, batch)
-    x = _checked_batch(model, batch)
+    x = _checked_batch(model, batch).astype(DTYPE, copy=False)
     for layer in model.layers:
         x = layer.forward(x)
     return x
@@ -280,7 +290,7 @@ def _checked_batch(model: MlpModel, batch) -> np.ndarray:
 def backward(model: MlpModel, upstream_grad) -> np.ndarray:
     """Backpropagate, filling per-layer parameter gradients; returns the
     gradient with respect to the forward input."""
-    g = as_matrix(upstream_grad, "upstream_grad")
+    g = as_matrix(upstream_grad, "upstream_grad").astype(DTYPE, copy=False)
     if model.mode != "train":
         raise StateError("backward requires the model in train mode")
     for layer in reversed(model.layers):
@@ -312,7 +322,7 @@ class AdamState:
         self.m = np.zeros_like(model.params)
         self.v = np.zeros_like(model.params)
         chunk = min(ADAM_CHUNK, len(model.params))
-        self.scratch = (np.empty(chunk), np.empty(chunk))
+        self.scratch = (np.empty(chunk, dtype=DTYPE), np.empty(chunk, dtype=DTYPE))
 
     def effective_lr(self, t: int) -> float:
         if self.decay == "linear":
@@ -412,8 +422,8 @@ def load_model(path: str, expect_input_dim: int | None = None) -> MlpModel:
                 )
             layer = Linear(in_dim, out_dim)
             layer.weight = r.array("<f8", in_dim * out_dim, "weights").reshape(
-                in_dim, out_dim).astype(np.float64)
-            layer.bias = r.array("<f8", out_dim, "bias").astype(np.float64)
+                in_dim, out_dim).astype(DTYPE)
+            layer.bias = r.array("<f8", out_dim, "bias").astype(DTYPE)
             prev = out_dim
         elif tag == _KIND_TAGS["relu"]:
             layer = ReLU()
@@ -424,10 +434,10 @@ def load_model(path: str, expect_input_dim: int | None = None) -> MlpModel:
                     f"{path}: batchnorm width {width} != stack width {prev}"
                 )
             layer = BatchNorm(width)
-            layer.gamma = r.array("<f8", width, "gamma").astype(np.float64)
-            layer.beta = r.array("<f8", width, "beta").astype(np.float64)
-            layer.running_mean = r.array("<f8", width, "running mean").astype(np.float64)
-            layer.running_var = r.array("<f8", width, "running var").astype(np.float64)
+            layer.gamma = r.array("<f8", width, "gamma").astype(DTYPE)
+            layer.beta = r.array("<f8", width, "beta").astype(DTYPE)
+            layer.running_mean = r.array("<f8", width, "running mean").astype(DTYPE)
+            layer.running_var = r.array("<f8", width, "running var").astype(DTYPE)
         elif tag == _KIND_TAGS["l2norm"]:
             layer = L2Normalize()
         else:
@@ -448,10 +458,13 @@ def load_model(path: str, expect_input_dim: int | None = None) -> MlpModel:
 def project(model: MlpModel, batch) -> np.ndarray:
     """The eval-mode forward: the one path by which a trained model maps rows.
 
-    Works in chunks of PROJECT_CHUNK rows with preallocated per-chunk
+    Works in chunks of PROJECT_CHUNK rows with preallocated per-chunk DTYPE
     buffers, and folds each batchnorm's running-statistics affine into the
-    next linear layer (algebraically exact). Eval-mode `forward`, descriptor
-    reduction, `ss` reclustering and the timing command all run it.
+    next linear layer (algebraically exact). Each chunk of the input is cast
+    into its own buffer, so a float64 set is never copied whole. The output
+    is float64: the final l2norm divides the widened rows, so they are unit
+    rows to float64 precision. Eval-mode `forward`, descriptor reduction,
+    `ss` reclustering and the timing command all run it.
     """
     x = _checked_batch(model, batch)
     chunk_size = PROJECT_CHUNK
@@ -461,8 +474,8 @@ def project(model: MlpModel, batch) -> np.ndarray:
     bufs = {}
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        h = x[start:stop]
-        owned = False  # h still aliases the caller's input until a linear runs
+        h = _chunk_buf(bufs, "input", chunk_size, x.shape[1])[: stop - start]
+        h[...] = x[start:stop]
         for op, payload in plan:
             if op == "linear":
                 w, b = payload
@@ -470,24 +483,18 @@ def project(model: MlpModel, batch) -> np.ndarray:
                 np.dot(h, w, out=buf)
                 buf += b
                 h = buf
-                owned = True
             elif op == "relu":
-                if not owned:
-                    h = h.copy()
-                    owned = True
                 np.maximum(h, 0.0, out=h)
             elif op == "affine":
                 scale, shift = payload
-                if not owned:
-                    h = h.copy()
-                    owned = True
                 h *= scale
                 h += shift
-            else:  # l2norm
+            else:  # l2norm, in float64
+                h = h.astype(np.float64)
                 norms = np.sqrt(np.einsum("ij,ij->i", h, h))
                 zero = norms < _NORM_EPS
                 norms[zero] = 1.0
-                h = h / norms[:, None]
+                h /= norms[:, None]
                 h[zero] = 0.0
         out[start:stop] = h
     return out
@@ -495,40 +502,40 @@ def project(model: MlpModel, batch) -> np.ndarray:
 
 def _chunk_buf(bufs: dict, key, chunk: int, width: int) -> np.ndarray:
     if key not in bufs:
-        bufs[key] = np.empty((chunk, width))
+        bufs[key] = np.empty((chunk, width), dtype=DTYPE)
     return bufs[key]
 
 
 def _fold_plan(model: MlpModel):
-    """Compile the layer stack into ops, folding batchnorm into linears."""
+    """Compile the layer stack into ops, folding batchnorm into linears.
+
+    The fold is computed in float64 from the DTYPE parameters; each payload
+    array is then cast to DTYPE once."""
     plan = []
     pending = None  # (scale, shift) from a batchnorm awaiting a linear
     for layer in model.layers:
         if layer.kind == "batchnorm":
-            scale = layer.gamma / np.sqrt(layer.running_var + BN_EPS)
-            shift = layer.beta - layer.running_mean * scale
+            gamma, beta, mean, var = (a.astype(np.float64) for a in (
+                layer.gamma, layer.beta, layer.running_mean, layer.running_var))
+            scale = gamma / np.sqrt(var + BN_EPS)
+            shift = beta - mean * scale
             if pending is not None:
                 plan.append(("affine", pending))
             pending = (scale, shift)
         elif layer.kind == "linear":
+            w, b = layer.weight.astype(np.float64), layer.bias.astype(np.float64)
             if pending is not None:
                 scale, shift = pending
-                w = scale[:, None] * layer.weight
-                b = shift @ layer.weight + layer.bias
+                w, b = scale[:, None] * w, shift @ w + b
                 pending = None
-            else:
-                w, b = layer.weight, layer.bias
-            plan.append(("linear", (np.ascontiguousarray(w), b)))
-        elif layer.kind == "relu":
+            plan.append(("linear", (w, b)))
+        else:  # relu or l2norm
             if pending is not None:
                 plan.append(("affine", pending))
                 pending = None
-            plan.append(("relu", None))
-        else:
-            if pending is not None:
-                plan.append(("affine", pending))
-                pending = None
-            plan.append(("l2norm", None))
+            plan.append((layer.kind, None))
     if pending is not None:
         plan.append(("affine", pending))
-    return plan
+    return [(op, None if payload is None
+             else tuple(a.astype(DTYPE, order="C") for a in payload))
+            for op, payload in plan]

@@ -1,7 +1,9 @@
-"""Dense float64 matrix helpers and a symmetric eigensolver (LAPACK `eigh`).
+"""Dense matrix helpers and a symmetric eigensolver (LAPACK `eigh`).
 
-Matrices are plain 2-D float64 numpy arrays (row-major). Everything here is
-pure: inputs are never mutated and results depend only on the arguments.
+Matrices are plain 2-D numpy arrays (row-major), float32 or float64: a
+float32 array stays float32, anything else becomes float64, and results have
+the input's dtype. Everything here is pure: inputs are never mutated and
+results depend only on the arguments.
 """
 from __future__ import annotations
 
@@ -13,8 +15,11 @@ from .errors import NumericError, ShapeError
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a finite 2-D float64 array."""
-    m = np.asarray(a, dtype=np.float64)
+    """Validate and return `a` as a finite 2-D array: float32 if it is
+    float32, float64 otherwise."""
+    m = np.asarray(a)
+    if m.dtype != np.float32:
+        m = m.astype(np.float64, copy=False)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -34,7 +39,7 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False) -> np.ndarray:
+def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False, work=None) -> np.ndarray:
     """All-pairs Euclidean distances between rows of `a` and rows of `b`.
 
     Uses the expanded form |a|^2 + |b|^2 - 2ab^T; cancellation can push tiny
@@ -43,11 +48,18 @@ def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False) -> np.ndarray:
 
     `b_sq`, for a caller that measures many blocks against one `b`, holds
     b's squared row norms, `(b * b).sum(axis=1)`; `b` must then already be a
-    finite 2-D float64 array, and is neither checked nor measured again.
+    finite 2-D array that `as_matrix` would return unchanged, and is neither
+    checked nor measured again.
 
     With `squared`, the clamped squared distances are returned without the
     sqrt, for a caller that roots only the entries it reads; the sqrt of
     that matrix is bit for bit the default result.
+
+    `work`, for a caller that measures many blocks in turn, is a pair of flat
+    arrays of the result's dtype with at least len(a) * len(b) entries each;
+    the product and the result are written into them instead of fresh
+    arrays, so the result is a view of `work[1]` that the next call with the
+    same pair overwrites. The values do not depend on it.
     """
     same = a is b
     a = as_matrix(a, "a")
@@ -64,19 +76,23 @@ def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False) -> np.ndarray:
         b_sq = a_sq if same else (b * b).sum(axis=1)
     elif len(b_sq) != len(b):
         raise ShapeError(f"b_sq has {len(b_sq)} entries for {len(b)} rows of b")
-    sq = _sq_distances(a, a_sq, b, b_sq)
+    sq = _sq_distances(a, a_sq, b, b_sq, work)
     if same:
         np.fill_diagonal(sq, 0.0)
     return sq if squared else np.sqrt(sq, out=sq)
 
 
 def _sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
-                  b_sq: np.ndarray) -> np.ndarray:
+                  b_sq: np.ndarray, work=None) -> np.ndarray:
     """Squared distances (|a|^2 + |b|^2) - 2ab^T between rows, clamped at 0,
-    from the squared row norms `a_sq` and `b_sq`; no input is checked."""
-    ab = a @ b.T
+    from the squared row norms `a_sq` and `b_sq`, written into the two flat
+    arrays `work` if given (see `pairwise_distance_matrix`); no input is
+    checked."""
+    ab, sq = (None, None) if work is None else (
+        w[:len(a) * len(b)].reshape(len(a), len(b)) for w in work)
+    ab = np.matmul(a, b.T, out=ab)
     ab *= 2.0
-    sq = np.add(a_sq[:, None], b_sq[None, :])
+    sq = np.add(a_sq[:, None], b_sq[None, :], out=sq)
     sq -= ab
     return np.maximum(sq, 0.0, out=sq)
 

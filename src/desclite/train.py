@@ -6,7 +6,13 @@ trained encoder (eval mode). An optional `log_fn` receives one dict per
 logged event (epoch summaries, recluster events); the CLI turns these into
 the line-oriented training log and tests use them as instrumentation hooks.
 Every epoch event carries `steps_per_epoch` and `total_steps`, the Adam steps
-of one epoch and of the whole run.
+of one epoch and of the whole run; `sv` epoch events also carry
+`unused_classes_per_epoch`, the eligible classes that no batch of an epoch
+draws (each epoch makes whole batches of distinct classes).
+
+Training runs in `nn.DTYPE` (float32): each scheme casts the training
+descriptors once, and the models it returns hold DTYPE parameters. Their
+eval-mode projections, and so reduced sets, are float64.
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import losses
+from . import losses, nn
 from .cluster import KMeansModel, kmeans_fit
 from .data import DescriptorSet
 from .errors import ConfigError, NumericError, ShapeError
@@ -118,7 +124,7 @@ def train_unsupervised(train_set: DescriptorSet, config: TrainConfig,
     cfg = config.resolved()
     if cfg.scheme != "us":
         raise ConfigError(f"train_unsupervised needs scheme 'us', got {cfg.scheme!r}")
-    x = train_set.descriptors
+    x = train_set.descriptors.astype(nn.DTYPE)
     if len(x) < 2:
         raise ConfigError(f"need at least 2 training rows, got {len(x)}")
     dim = train_set.dim
@@ -173,7 +179,8 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
     cfg = config.resolved()
     if cfg.scheme != "ss":
         raise ConfigError(f"train_selfsupervised needs scheme 'ss', got {cfg.scheme!r}")
-    x = train_set.descriptors
+    x = train_set.descriptors  # float64, clustered at epoch 1
+    x_train = x.astype(nn.DTYPE)
     n = len(x)
     if n < 2:
         raise ConfigError(f"need at least 2 training rows, got {n}")
@@ -193,7 +200,7 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
             if epoch == 1:
                 points, source, offset = x, "original", 0
             else:  # the running-statistics embedding, as reduce() computes it
-                points, source, offset = project(encoder, x), "embedding", epoch
+                points, source, offset = project(encoder, x_train), "embedding", epoch
             model = kmeans_fit(points, k, seed=cfg.seed + 47 + offset)
             pseudo = model.assignments
             # a fresh linear classification head over the embedding
@@ -205,7 +212,7 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
         loss_sum = 0.0
         count = 0
         for idx in _batch_indices(n, cfg.batch_size, rng):
-            emb = forward(encoder, x[idx])
+            emb = forward(encoder, x_train[idx])
             logits = forward(head, emb)
             loss = losses.softmax_cross_entropy(logits, pseudo[idx])
             grad_emb = backward(head, loss.grad)
@@ -231,7 +238,7 @@ def train_supervised(train_set: DescriptorSet, config: TrainConfig,
     cfg = config.resolved()
     if cfg.scheme != "sv":
         raise ConfigError(f"train_supervised needs scheme 'sv', got {cfg.scheme!r}")
-    x = train_set.descriptors
+    x = train_set.descriptors.astype(nn.DTYPE)
     class_rows = _rows_by_class(train_set.labels)
     eligible = [c for c, rows in class_rows.items() if len(rows) >= 2]
     if len(eligible) < cfg.batch_size:
@@ -244,6 +251,7 @@ def train_supervised(train_set: DescriptorSet, config: TrainConfig,
     encoder = build_encoder(train_set.dim, cfg.target_dim, cfg.hidden_sizes,
                             seed=cfg.seed)
     steps_per_epoch = len(eligible) // cfg.batch_size
+    unused_classes = len(eligible) % cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
     adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
     rng = np.random.default_rng(cfg.seed + 17)
@@ -280,7 +288,8 @@ def train_supervised(train_set: DescriptorSet, config: TrainConfig,
               loss=sums[0] / steps_per_epoch, triplet=sums[1] / steps_per_epoch,
               distance=sums[2] / steps_per_epoch,
               lr=adam_enc.effective_lr(adam_enc.t),
-              steps_per_epoch=steps_per_epoch, total_steps=total_steps)
+              steps_per_epoch=steps_per_epoch, total_steps=total_steps,
+              unused_classes_per_epoch=unused_classes)
     return encoder.set_mode("eval")
 
 

@@ -129,6 +129,18 @@ class TestTrain:
         assert (facts["steps_per_epoch"], facts["total_steps"]) == \
             (str(steps), str(2 * steps))
 
+    @pytest.mark.parametrize("scheme,batch,unused", [("sv", "3", "0"), ("sv", "4", "2"),
+                                                     ("us", "8", None)])
+    def test_manifest_records_the_unused_classes(self, tmp_path, descriptor_file, scheme,
+                                                 batch, unused, capsys):
+        # 6 classes at batch 4 make one batch and leave 2 out of every sv
+        # epoch; us and ss draw rows, not classes, and record no count
+        manifest = tmp_path / "m.manifest"
+        assert main(["train", str(descriptor_file), "--scheme", scheme, "--dim", "8",
+                     "--hidden", "16", "--epochs", "2", "--batch-size", batch,
+                     "-o", str(tmp_path / "m.dnn"), "-m", str(manifest)]) == 0
+        assert _facts(manifest).get("unused_classes_per_epoch") == unused
+
     # key, value by default, (file value, result), (file value, flag, result):
     # one key of each config-file parser
     PRECEDENCE = [

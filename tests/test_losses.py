@@ -262,6 +262,34 @@ class TestSoftmaxCrossEntropy:
             softmax_cross_entropy(np.zeros((2, 3)), [0, 3])
 
 
+def _loss_cases():
+    rng = np.random.default_rng(13)
+    x, y = rng.standard_normal((6, 5)), rng.standard_normal((6, 5))
+    xh = rng.standard_normal((6, 3))
+    a = rng.standard_normal((6, 4))
+    p = a + 0.3 * rng.standard_normal((6, 4))
+    logits, targets = rng.standard_normal((6, 4)), rng.integers(0, 4, 6)
+    return {
+        "reconstruction": lambda dt: reconstruction_loss(x.astype(dt), y.astype(dt)),
+        "distance": lambda dt: distance_loss(x.astype(dt), xh.astype(dt)),
+        "triplet": lambda dt: triplet_loss_hardest(a.astype(dt), p.astype(dt), 1.0),
+        "cross_entropy": lambda dt: softmax_cross_entropy(logits.astype(dt), targets),
+    }
+
+
+class TestDtypes:
+    @pytest.mark.parametrize("name", sorted(_loss_cases()))
+    def test_gradient_has_the_inputs_dtype(self, name):
+        loss = _loss_cases()[name]
+        narrow, wide = loss(np.float32), loss(np.float64)
+        assert narrow.grad.dtype == np.float32 and wide.grad.dtype == np.float64
+        assert isinstance(narrow.value, float) and isinstance(wide.value, float)
+        # float32 arithmetic on the rounded inputs: within float32's resolution
+        tol = 100 * np.finfo(np.float32).eps
+        assert abs(narrow.value - wide.value) <= tol * abs(wide.value)
+        assert np.abs(narrow.grad - wide.grad).max() <= tol * np.abs(wide.grad).max()
+
+
 class TestCombine:
     def test_weight_zero_keeps_main(self):
         rng = np.random.default_rng(0)

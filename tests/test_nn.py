@@ -23,6 +23,13 @@ from desclite.nn import (
 from helpers import check_model_gradients
 
 
+@pytest.fixture
+def float64_layers(monkeypatch):
+    """Build and run models in float64: for checks whose tolerances sit
+    below float32's resolution (finite differences, 1e-9 oracles)."""
+    monkeypatch.setattr(nn, "DTYPE", np.float64)
+
+
 class TestBuildEncoder:
     def test_zero_hidden_structure(self):
         model = build_encoder(128, 64, [])
@@ -121,7 +128,7 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(model, np.ones((2, 4)))
 
-    def test_batchnorm_train_outputs_standardized(self):
+    def test_batchnorm_train_outputs_standardized(self, float64_layers):
         rng = np.random.default_rng(3)
         model = build_encoder(6, 4, [12], seed=4)
         model.set_mode("train")
@@ -134,13 +141,35 @@ class TestForward:
 
 
 class TestBackward:
-    def test_every_parameter_fd_6_4_2(self):
+    def test_every_parameter_fd_6_4_2(self, float64_layers):
         rng = np.random.default_rng(10)
         model = build_encoder(6, 2, [4], seed=11)
         x = rng.standard_normal((8, 6))
         target = rng.standard_normal((8, 2))
         check_model_gradients(
             model, lambda out: reconstruction_loss(target, out), x)
+
+    @pytest.mark.parametrize("hidden", [[], [8], [8, 6]])
+    def test_float32_gradients_track_float64(self, hidden, monkeypatch):
+        # one model and batch in both dtypes; the tolerance is set by
+        # float32's resolution, relative to each tensor's largest gradient
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((16, 6))
+        target = rng.standard_normal((16, 3))
+
+        def gradients(dtype):
+            monkeypatch.setattr(nn, "DTYPE", dtype)
+            model = build_encoder(6, 3, hidden, seed=18)
+            model.set_mode("train")
+            out = forward(model, x)
+            backward(model, reconstruction_loss(target.astype(dtype), out).grad)
+            assert model.grads.dtype == dtype
+            return {key: grad.astype(np.float64) for key, _, grad in model.parameters()}
+
+        narrow, wide = gradients(np.float32), gradients(np.float64)
+        tol = 100 * np.finfo(np.float32).eps
+        for key, want in wide.items():
+            assert np.abs(narrow[key] - want).max() <= tol * np.abs(want).max(), key
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(12)
@@ -257,6 +286,40 @@ class TestSerialization:
         x = rng.standard_normal((5, 6))
         assert np.array_equal(forward(model, x), forward(back, x))
 
+    def test_round_trip_keeps_every_float32_bit(self, tmp_path):
+        rng = np.random.default_rng(22)
+        model = build_encoder(6, 3, [8], seed=23)
+        model.set_mode("train")
+        for _ in range(3):
+            forward(model, rng.standard_normal((16, 6)))
+        path = str(tmp_path / "m.dnn")
+        save_model(model.set_mode("eval"), path)
+        back = load_model(path)
+        assert back.params.dtype == model.params.dtype == np.float32
+        assert back.params.tobytes() == model.params.tobytes()
+        for old, new in zip(model.layers, back.layers):
+            if old.kind == "batchnorm":
+                for stat in ("running_mean", "running_var"):
+                    assert getattr(new, stat).dtype == np.float32
+                    assert getattr(new, stat).tobytes() == getattr(old, stat).tobytes()
+
+    def test_f64_payload_loads_rounded_to_nearest_float32(self, tmp_path, monkeypatch):
+        one = np.float64(1.0)
+        ulp = np.spacing(np.float32(1.0)).astype(np.float64)  # 2 ** -23
+        # halfway to the next float32 ties to even (down); just above the
+        # halfway point rounds up; 0.1 is not a float32
+        values = np.array([one + ulp / 2, one + ulp / 2 + ulp / 64, 0.1, -0.1])
+        with monkeypatch.context() as patch:
+            patch.setattr(nn, "DTYPE", np.float64)
+            layer = Linear(2, 2)
+            layer.weight[...] = values.reshape(2, 2)
+            path = str(tmp_path / "m.dnn")
+            save_model(MlpModel([layer], 2, 2), path)
+        weight = load_model(path).layers[0].weight
+        assert weight.dtype == np.float32
+        assert weight.ravel().tolist() == [1.0, float(np.float32(one + ulp)),
+                                           float(np.float32(0.1)), float(np.float32(-0.1))]
+
     def test_truncated_file(self, tmp_path):
         model = build_encoder(4, 2, [3], seed=0)
         path = tmp_path / "m.dnn"
@@ -308,7 +371,7 @@ def _trained_encoder(hidden, rng):
 
 class TestProject:
     @pytest.mark.parametrize("hidden", [[], [16], [16, 8]])
-    def test_matches_plain_forward(self, hidden, monkeypatch):
+    def test_matches_plain_forward(self, hidden, monkeypatch, float64_layers):
         monkeypatch.setattr(nn, "PROJECT_CHUNK", 17)  # force ragged chunking
         rng = np.random.default_rng(30)
         model = _trained_encoder(hidden, rng)

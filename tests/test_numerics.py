@@ -96,6 +96,18 @@ class TestSymEigen:
         assert isinstance(sym_eigen(np.eye(2)), EigenDecomposition)
 
 
+class TestAsMatrix:
+    def test_float32_stays_float32_and_the_rest_becomes_float64(self):
+        a = np.ones((2, 3), dtype=np.float32)
+        assert as_matrix(a) is a
+        for other in ([[1, 2]], np.ones((2, 2), dtype=np.int32),
+                      np.ones((1, 2), dtype=np.float16)):
+            assert as_matrix(other).dtype == np.float64
+        a[0, 1] = np.inf
+        with pytest.raises(NumericError):
+            as_matrix(a)
+
+
 class TestPairwiseDistanceMatrix:
     def test_small_example(self):
         a = np.array([[0.0, 0.0], [3.0, 4.0]])
@@ -137,11 +149,14 @@ class TestPairwiseDistanceMatrix:
         b[0] = a[0]  # one exact zero distance
         want = _reference_pairwise_distance_matrix(a, b)
         b_sq = (b * b).sum(axis=1)
-        for kw in ({}, {"b_sq": b_sq}):
+        # reused buffers, longer than one block needs and holding stale values
+        work = (np.full(na * nb + 5, np.nan), np.full(na * nb + 5, np.nan))
+        for kw in ({}, {"b_sq": b_sq}, {"b_sq": b_sq, "work": work}):
             assert np.array_equal(pairwise_distance_matrix(a, b, **kw), want)
             # the squared matrix is the default's before the root
             sq = pairwise_distance_matrix(a, b, squared=True, **kw)
             assert np.array_equal(np.sqrt(sq), want)
+        assert np.shares_memory(sq, work[1])
 
     @pytest.mark.parametrize("n", [1, 12, 13, 96])
     def test_same_array_equals_the_reference(self, n):

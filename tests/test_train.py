@@ -9,7 +9,7 @@ from desclite.cluster import kmeans_fit
 from desclite.data import DescriptorSet
 from desclite.errors import ConfigError, StateError
 from desclite.nn import BN_EPS, BN_MOMENTUM, save_model
-from desclite.train import TrainConfig, train
+from desclite.train import TrainConfig, reduce, train
 
 train_module = importlib.import_module("desclite.train")
 
@@ -205,6 +205,49 @@ class TestReferenceOracle:
         assert got_events == want_events
         if cfg.scheme == "ss":
             assert sum(e["event"] == "recluster" for e in got_events) == 3
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_one_epoch_keeps_every_array_float32(self, name, monkeypatch):
+        stepped = []  # (Adam state, model) of the encoder and its decoder or head
+
+        def recording_adam_step(state, model):
+            stepped.append((state, model))
+            nn.adam_step(state, model)
+
+        monkeypatch.setattr(train_module, "adam_step", recording_adam_step)
+        dset = _classed_set(40, 3, seed=5)
+        cfg = TrainConfig(target_dim=8, hidden_sizes=(24, 20), epochs=1, seed=4,
+                          **ORACLE_CONFIGS[name])
+        encoder = train(dset, cfg)
+        assert any(model is encoder for _, model in stepped)
+        for state, model in stepped:
+            arrays = [model.params, model.grads, state.m, state.v, *state.scratch]
+            for _, param, grad in model.parameters():
+                arrays += [param, grad]
+            for layer in model.layers:
+                if layer.kind == "batchnorm":
+                    arrays += [layer.running_mean, layer.running_var]
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+        reduced = reduce(encoder, dset)
+        assert reduced.descriptors.dtype == np.float64
+        norms = np.linalg.norm(reduced.descriptors, axis=1)
+        assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+class TestUnusedClasses:
+    @pytest.mark.parametrize("classes,batch,unused", [(350, 256, 94), (20, 6, 2),
+                                                      (18, 6, 0)])
+    def test_sv_epochs_report_the_classes_left_out(self, classes, batch, unused):
+        # paper-3k's shape first: 350 classes at batch 256 leave 94 out
+        cfg = TrainConfig(scheme="sv", target_dim=4, hidden_sizes=(8,), epochs=2,
+                          batch_size=batch, seed=3)
+        events = []
+        train(_classed_set(classes, 2, dim=8), cfg, log_fn=events.append)
+        assert [e["unused_classes_per_epoch"] for e in events] == [unused] * 2
+        assert events[0]["steps_per_epoch"] == classes // batch
 
 
 def test_triplet_batch_equals_per_class_choice():
