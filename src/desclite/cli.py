@@ -13,6 +13,7 @@ explicit flags win over config-file values.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -124,11 +125,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_ints(raw: str):
+    return tuple(int(tok) for tok in raw.split(","))
+
+
 def _parse_hidden(raw: str):
     raw = raw.strip()
     if not raw or raw == "none":
         return ()
-    return tuple(int(tok) for tok in raw.split(","))
+    return _parse_ints(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +241,16 @@ def _cmd_train(args) -> int:
     with manifest.phase("train"):
         encoder = train_model(dset, cfg, log_fn=events.append)
     with manifest.phase("write"):
-        save_model(encoder, args.output)
+        # the log first, so that a failed write of either leaves neither
         if args.log:
             text = "\n".join(_format_log_event(e) for e in events) + "\n"
             write_atomic(args.log, text.encode())
+        try:
+            save_model(encoder, args.output)
+        except BaseException:
+            if args.log:
+                os.unlink(args.log)
+            raise
     manifest.add("input", args.input)
     manifest.add("output", args.output)
     if args.log:
@@ -322,10 +333,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     manifest = _Manifest("sweep", args.seed)
-    layer_counts = [int(t) for t in args.layers.split(",")]
-    sizes = [int(t) for t in args.sizes.split(",")]
+    layer_counts, sizes = args.layers, args.sizes
     if any(c not in (0, 1, 2) for c in layer_counts):
-        raise ConfigError(f"layer counts must be within 0..2, got {layer_counts}")
+        raise ConfigError(f"layer counts must be within 0..2, got {list(layer_counts)}")
     with manifest.phase("load"):
         train_set = load_descriptors(args.train_file)
         eval_set = load_descriptors(args.eval_file)
@@ -475,8 +485,8 @@ def build_parser() -> _Parser:
     p.add_argument("eval_file")
     p.add_argument("--scheme", choices=("us", "ss", "sv"), default="sv")
     p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--layers", default="0,1,2")
-    p.add_argument("--sizes", default="96,128,256,512,1024")
+    p.add_argument("--layers", type=_parse_ints, default="0,1,2")
+    p.add_argument("--sizes", type=_parse_ints, default="96,128,256,512,1024")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--seed", type=int, default=0)

@@ -23,10 +23,9 @@ Each task checks once, on entry, that every descriptor is finite, and
 raises NumericError if one is not.
 
 Cost, for N rows of D dimensions:
-  verification — O(N log N) per tier to index its rows by label; each
-      sampling attempt is then O(1) over words decoded in one batch, and
-      each drawn pair's row is found in O(log N); all pair distances in one
-      call.
+  verification — O(N log N) per tier to index its rows by label; the
+      attempts are drawn in one call and filtered in O(attempts), and each
+      drawn pair's row is found in O(log N); all pair distances in one call.
   matching — O(R * T * D) for R reference rows against T target rows. The
       target's squared row norms are taken once per target sequence; the
       reference rows then go through `pairwise_distance_matrix(...,
@@ -38,24 +37,20 @@ Cost, for N rows of D dimensions:
       is the first entry whose root equals it (`_nearest_in_rows`), which is
       the argmin of the rooted row, ties made by the root's rounding and
       several clamped zeros included.
-  retrieval — O(N log N) to index rows by label; 2 * K - 1 draws per query
-      for K distractors, decoded in blocks of about BLOCK_FLOATS draws; then
+  retrieval — O(N log N) to index rows by label; K draws per query for K
+      distractors, made in blocks of about BLOCK_FLOATS draws; then
       O(P * D) per query for a pool of P rows, in blocks of queries whose
       gathered rows, and whose label-mate against pool comparisons, hold at
       most BLOCK_FLOATS entries; the blocks of one pool shape share one
       buffer. Ranking is O(S * P) per query for its S label-mates, with no
       sort: a mate's rank counts the pool entries ahead of it.
 
-Random draws. Verification and retrieval take their seeded draws in batches
-of the generator's 32-bit words (`_integers`, `_choice`), not one numpy call
-per attempt or query, and decode them as numpy's `Generator` does: a bounded
-integer by Lemire's multiply-and-reject method, and `choice(pop, k,
-replace=False)` by Floyd's algorithm plus a shuffle, or by a partial tail
-shuffle when pop > 10,000 and k > pop // 50. Every draw, and where the
-generator ends, is that of the per-call loop, so the reports are too. This
-rests on numpy's `Generator` algorithms, checked against numpy 2.4.6; the
-per-call reference loops in the tests are the guard against a numpy that
-draws differently.
+Random draws. Every draw is a public `Generator.integers` call over a whole
+array, never one call per attempt or query: verification draws all of a
+tier's attempts at once and then their partners, and retrieval draws each
+query's distractors as a uniform subset by Floyd's algorithm (`_distinct`).
+The same seed gives the same draws and reports; they are not those of
+per-item `rng.choice` calls.
 """
 from __future__ import annotations
 
@@ -139,153 +134,36 @@ def _mean_by_tier(values: np.ndarray, codes) -> dict:
             for code in present[np.argsort(first)]}
 
 
-def _lemire(words, bounds):
-    """Decode 32-bit generator words as draws below `bounds` (uint64, each
-    in 1..2**32) by Lemire's method: word w gives (w * b) >> 32 unless the
-    low 32 bits of w * b fall under (2**32 - b) % b, which rejects it.
-    Returns the values and which words were accepted."""
-    bounds = np.asarray(bounds, dtype=np.uint64)
-    m = np.multiply(words, bounds, dtype=np.uint64)
-    low = m & 0xFFFFFFFF
-    near = low < bounds  # (2**32 - b) % b < b, so only these can be rejected
-    ok = np.ones(m.shape, dtype=bool)
-    if near.any():
-        at = np.flatnonzero(near)
-        b = np.broadcast_to(bounds, m.shape)[at]
-        ok[at] = low[at] >= ((1 << 32) - b) % b
-    return (m >> 32).view(np.int64), ok
+def _distinct(rng, pops, takes):
+    """Row q holds `takes[q]` distinct integers below `pops[q]`, a uniform
+    subset, and zeros past them; each take is at most its pop.
 
-
-def _integers(rng, bounds):
-    """`[rng.integers(b) for b in bounds]` as one array, bit for bit, with
-    `rng` left where those calls leave it (every bound in 1..2**32).
-
-    A bound of 1 takes no word; every other draw takes the next accepted
-    word. Each draw still to come takes at least one word, so drawing that
-    many never takes a word the calls would not."""
-    bounds = np.asarray(bounds, dtype=np.int64)
-    drawn = bounds > 1
-    b = (bounds if drawn.all() else bounds[drawn]).view(np.uint64)
-    values = np.empty(len(b), dtype=np.int64)
-    words = np.empty(0, dtype=np.uint32)
-    k = pos = 0
-    while k < len(b):
-        if pos == len(words):
-            words = rng.integers(0, 1 << 32, size=len(b) - k, dtype=np.uint32)
-            pos = 0
-        # windows of at most 2**16 draws: a rejection redoes the rest of one
-        n = min(len(b) - k, len(words) - pos, 1 << 16)
-        v, ok = _lemire(words[pos:pos + n], b[k:k + n])
-        run = n if ok.all() else int(ok.argmin())
-        values[k:k + run] = v[:run]
-        # a rejected word is skipped and its draw tries the next one
-        k += run
-        pos += run + (run < n)
-    if len(b) == len(bounds):
-        return values
-    out = np.zeros(len(bounds), dtype=np.int64)
-    out[drawn] = values
-    return out
-
-
-def _choice(rng, pops, takes, ordered=True):
-    """Row q holds `rng.choice(pops[q], takes[q], replace=False)`, the rows
-    drawn in order, bit for bit, with `rng` left where those calls leave it;
-    entries past a row's take are 0. Each pop is at most 2**32. With
-    `ordered` False, the shuffle that ends each call is drawn but not
-    applied: a row holds the same picks, in another order.
-
-    numpy picks by Floyd's algorithm, then shuffles the picks, unless
-    pop > 10,000 and take > pop // 50; then it shuffles the tail of
-    arange(pop) instead, as `_tail_shuffle` replays. Rows are drawn in
-    blocks of about BLOCK_FLOATS draws."""
+    Floyd's algorithm: pick k is `rng.integers(0, top + 1)` with
+    top = pop - take + k, or top itself when an earlier pick of the row took
+    that value. The picks are uniform as a set, not in their order: the first
+    is never pop - 1 when take > 1. Every pick of a block of rows is drawn in
+    one call; a row where a draw repeats, found by sorting each row, is then
+    walked pick by pick. Rows go in blocks of about BLOCK_FLOATS picks."""
     pops = np.asarray(pops, dtype=np.int64)
     takes = np.asarray(takes, dtype=np.int64)
     width = int(takes.max(initial=0))
     out = np.zeros((len(pops), width), dtype=np.int64)
-    if not width:
-        return out
-    tail = (pops > 10000) & (takes > pops // 50)
-    # A row's draws, in order: Floyd's pick k < take, bound pop - take + 1 + k,
-    # then the shuffle's draw k < take - 1, bound take - k. A tail row draws
-    # for positions pop - 1 - k down to max(pop - take, 1), bound pop - k.
-    n_tail = pops - np.maximum(pops - takes, 1)
     col = np.arange(width)
-    rows = max(1, BLOCK_FLOATS // (2 * width))
+    rows = max(1, BLOCK_FLOATS // max(width, 1))
     for lo in range(0, len(pops), rows):
-        hi = min(lo + rows, len(pops))
-        p, t = pops[lo:hi, None], takes[lo:hi, None]
-        draws = np.empty((hi - lo, 2 * width - 1), dtype=np.int64)
-        np.add(p - t + 1, col, out=draws[:, :width])
-        np.subtract(t, col[:-1], out=draws[:, width:])
-        shuffled = np.flatnonzero(tail[lo:hi])
-        if (t == width).all() and not len(shuffled):
-            draws = _integers(rng, draws.ravel()).reshape(draws.shape)
-        else:
-            live = np.hstack([col < t, col[:-1] < t - 1])
-            draws[shuffled, :width] = p[shuffled] - col
-            live[shuffled] = np.hstack([col < n_tail[lo + shuffled, None],
-                                        np.zeros((len(shuffled), width - 1), dtype=bool)])
-            draws[live] = _integers(rng, draws[live])
-        floyd = np.flatnonzero(~tail[lo:hi] & (takes[lo:hi] > 0))
-        if len(floyd):
-            out[lo + floyd] = _floyd(draws[floyd], p[floyd, 0], t[floyd, 0], ordered)
-        if len(shuffled):
-            out[lo + shuffled] = _tail_shuffle(draws[shuffled, :width], p[shuffled, 0],
-                                               t[shuffled, 0], n_tail[lo + shuffled])
-    return out
-
-
-def _floyd(draws, pops, takes, ordered):
-    """Floyd's picks from each row's draws (see `_choice`), then, if
-    `ordered`, numpy's shuffle of them. Pick k is draw k unless an earlier
-    pick took that value, and is then pop - take + k."""
-    width = (draws.shape[1] + 1) // 2
-    col = np.arange(width)
-    live = col < takes[:, None]
-    picks = draws[:, :width].copy()
-    # picks repeat in few rows; find them by sorting, padding filled with the
-    # first pick so that a row with padding is walked too
-    probe = np.where(live, picks, picks[:, :1]).astype(np.uint32)
-    probe.sort(axis=1)
-    rep = np.flatnonzero((probe[:, 1:] == probe[:, :-1]).any(axis=1))
-    if len(rep):
-        # walk those rows pick by pick, as numpy's hash set does
-        sub, p, t = picks[rep], pops[rep], takes[rep]
+        top = pops[lo:lo + rows, None] - takes[lo:lo + rows, None] + col
+        picks = rng.integers(0, top + 1)
+        live = col < takes[lo:lo + rows, None]
+        # padding gets distinct negative values, so only true repeats match
+        probe = np.where(live, picks, -1 - col)
+        probe.sort(axis=1)
+        rep = np.flatnonzero((probe[:, 1:] == probe[:, :-1]).any(axis=1))
+        sub = picks[rep]
         for k in range(1, width):
-            taken = (sub[:, :k] == sub[:, k:k + 1]).any(axis=1) & (k < t)
-            sub[taken, k] = p[taken] - t[taken] + k
+            taken = (sub[:, :k] == sub[:, k:k + 1]).any(axis=1)
+            sub[taken, k] = top[rep[taken], k]
         picks[rep] = sub
-    if ordered:
-        # the shuffle's draw k swaps position take - 1 - k with the one drawn
-        for k in range(width - 1):
-            act = np.flatnonzero(k < takes - 1)
-            i = takes[act] - 1 - k
-            j = draws[act, width + k]
-            picks[act, i], picks[act, j] = picks[act, j], picks[act, i]
-    picks[~live] = 0
-    return picks
-
-
-def _tail_shuffle(draws, pops, takes, n_draws):
-    """numpy's tail shuffle of arange(pop), rows at a time in blocks of
-    about BLOCK_FLOATS entries: position pop - 1 - k swaps with draw k, in
-    0..pop - 1 - k; a row's picks are its last `take` positions."""
-    width = draws.shape[1]
-    out = np.zeros((len(pops), width), dtype=np.int64)
-    col = np.arange(width)
-    rows = max(1, BLOCK_FLOATS // int(pops.max()))
-    for lo in range(0, len(pops), rows):
-        p, t, c = pops[lo:lo + rows], takes[lo:lo + rows], n_draws[lo:lo + rows]
-        data = np.tile(np.arange(int(p.max())), (len(p), 1))
-        for k in range(int(c.max())):
-            act = np.flatnonzero(k < c)
-            i = p[act] - 1 - k
-            j = draws[lo + act, k]
-            data[act, i], data[act, j] = data[act, j], data[act, i]
-        live = col < t[:, None]
-        at = np.where(live, p[:, None] - t[:, None] + col, 0)
-        out[lo:lo + rows] = np.where(live, np.take_along_axis(data, at, axis=1), 0)
+        out[lo:lo + rows] = np.where(live, picks, 0)
     return out
 
 
@@ -330,6 +208,8 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
     counts, and a tier with no positives, which has no AP of its own and is
     left out of `map_by_tier`, warns too; the report counts what was drawn.
     """
+    if pairs_per_tier < 1:
+        raise ConfigError(f"pairs_per_tier must be >= 1, got {pairs_per_tier}")
     x = as_matrix(dset.descriptors, "descriptors")
     classes, label_codes, counts = np.unique(
         dset.labels, return_inverse=True, return_counts=True)
@@ -400,35 +280,20 @@ def _sample_pairs(tier_rows, tier_slots, tier_labels, eligible, rng, want, posit
     i and of j: i is drawn from `tier_rows`, j from the other rows of
     `eligible` (the rows no noisier than i's tier) with i's label if
     `positive`, else with another label. An attempt whose i has no such j
-    draws nothing more.
+    is rejected.
 
-    An attempt is `t = rng.integers(len(tier_rows))`, then
-    `r = rng.integers(size)` over i's candidates when there are any, until
-    `want` pairs or max(50 * want, 1000) attempts. The draws are decoded from
-    one batch of generator words (see `_lemire`): every word as a possible
-    t, and the word after it as that t's r, so the attempts walk over plain
-    lists. The batch is drawn generously, then the generator is reset and
-    advanced by exactly the words used, so it ends where the per-call loop
-    ends.
+    All max(50 * want, 1000) attempts draw their tier row t in one call;
+    the first `want` whose row has a candidate j are kept, and each then
+    draws its candidate r, uniform over that row's candidates, in a second
+    call.
     """
     if positive:
         sizes = eligible.count[tier_labels] - 1
     else:
         sizes = len(eligible.rows) - eligible.count[tier_labels]
-    state = rng.bit_generator.state
-    words = rng.integers(0, 1 << 32, size=4 * want + 64, dtype=np.uint32)
-    while True:
-        try:
-            t, r, used = _walk_attempts(words, sizes, want)
-            break
-        except IndexError:  # the attempts need more words than were drawn
-            more = rng.integers(0, 1 << 32, size=len(words), dtype=np.uint32)
-            words = np.concatenate([words, more])
-    rng.bit_generator.state = state
-    rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
-
-    t = np.asarray(t, dtype=np.int64)
-    r = np.asarray(r, dtype=np.int64)
+    t = rng.integers(len(tier_rows), size=max(50 * want, 1000))
+    t = t[sizes[t] > 0][:want]
+    r = rng.integers(0, sizes[t])
     label = tier_labels[t]
     if positive:
         # skip i itself among its label's rows
@@ -437,46 +302,6 @@ def _sample_pairs(tier_rows, tier_slots, tier_labels, eligible, rng, want, posit
     else:
         j = eligible.outside(label, r)
     return tier_rows[t], j
-
-
-def _walk_attempts(words, sizes, want):
-    """The attempts of `_sample_pairs` over `words`: the drawn t and r of
-    each pair and the number of words used. Raises IndexError when the
-    attempts run past the last word."""
-    n = len(sizes)
-    t_val, t_ok = _lemire(words, n)
-    # word p as the r of a t drawn from word p - 1; with one tier row, t
-    # takes no word and every r is that row's
-    prev = np.zeros(len(words), dtype=np.int64) if n == 1 else np.r_[0, t_val[:-1]]
-    r_val, r_ok = _lemire(words, np.maximum(sizes[prev], 1))
-    t_val, t_ok, r_val, r_ok = t_val.tolist(), t_ok.tolist(), r_val.tolist(), r_ok.tolist()
-    sizes = sizes.tolist()
-    ts, rs = [], []
-    pos = attempts = 0
-    max_attempts = max(50 * want, 1000)
-    while len(ts) < want and attempts < max_attempts:
-        attempts += 1
-        t = 0
-        if n > 1:
-            while not t_ok[pos]:
-                pos += 1
-            t = t_val[pos]
-            pos += 1
-        size = sizes[t]
-        if not size:
-            continue
-        r = 0
-        if size > 1:
-            if r_ok[pos]:
-                r = r_val[pos]
-                pos += 1
-            else:  # rare: the word is rejected; r takes the next accepted one
-                v, ok = _lemire(words[pos:], size)
-                at = int(np.flatnonzero(ok)[0])  # IndexError if none is left
-                r, pos = int(v[at]), pos + at + 1
-        ts.append(t)
-        rs.append(r)
-    return ts, rs, pos
 
 
 def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
@@ -591,12 +416,15 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
                    seed: int = 0) -> EvalReport:
     """Rank same-label patches against sampled distractors, per query patch.
 
-    Each query's distractors are `rng.choice(n_other, take, replace=False)`
-    over its n_other rows of other labels, in row order, the queries drawing
-    in turn. Those draws depend only on n_other and take, so all of them are
-    made first, by `_choice` in batches, bit for bit those of one call per
-    query, and the rows are located afterwards.
+    Each query's pool is its label-mates plus a uniform subset of
+    `distractors_per_query` of its n_other rows of other labels, or all of
+    them when there are fewer. The subsets depend only on n_other and the
+    take, so all of them are drawn first, by `_distinct` over the queries in
+    row order, and the rows are located afterwards.
     """
+    if distractors_per_query < 0:
+        raise ConfigError(
+            f"distractors_per_query must be >= 0, got {distractors_per_query}")
     x = as_matrix(dset.descriptors, "descriptors")
     classes, codes, counts = np.unique(dset.labels, return_inverse=True,
                                        return_counts=True)
@@ -612,7 +440,7 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
     n_other = n - n_same - 1
     take = np.minimum(distractors_per_query, n_other)
     # the order of a query's distractors is not used: ties break by row
-    picks = _choice(rng, n_other, take, ordered=False)
+    picks = _distinct(rng, n_other, take)
 
     aps = np.empty(len(queries))
     # queries with equal (same-label count, distractor count) share a pool shape

@@ -24,7 +24,6 @@ from . import losses, nn
 from .cluster import KMeansModel, kmeans_fit
 from .data import DescriptorSet
 from .errors import ConfigError, NumericError, ShapeError
-from .eval import _choice
 from .nn import AdamState, MlpModel, adam_step, backward, build_encoder, build_mlp, \
     forward, project
 
@@ -336,9 +335,11 @@ def _sample_triplet_batch(x: np.ndarray, class_rows: dict, chosen_classes,
     """(2B, D) rows: anchors first, then positives; row i and row B + i share
     the label of chosen class i."""
     rows = [class_rows[c] for c in chosen_classes]
-    # one batch of the draws that rng.choice(rows, size=2, replace=False)
-    # per class would make, in class order
-    picks = _choice(rng, [len(r) for r in rows], np.full(len(rows), 2)).tolist()
-    anchors = [r[a] for r, (a, _) in zip(rows, picks)]
-    positives = [r[b] for r, (_, b) in zip(rows, picks)]
+    # a uniform ordered pair of distinct rows per class: b skips a's slot
+    sizes = np.array([len(r) for r in rows])
+    a = rng.integers(0, sizes)
+    b = rng.integers(0, sizes - 1)
+    b += b >= a
+    anchors = [r[i] for r, i in zip(rows, a)]
+    positives = [r[i] for r, i in zip(rows, b)]
     return x[np.asarray(anchors + positives, dtype=np.int64)]

@@ -174,6 +174,20 @@ class TestTrain:
         assert run(from_file[0], []) == from_file[1]
         assert run(from_flag[0], from_flag[1]) == from_flag[2]
 
+    @pytest.mark.parametrize("bad", ["log", "model"])
+    def test_a_failed_write_leaves_neither_log_nor_model(self, tmp_path, descriptor_file,
+                                                         bad, capsys):
+        missing = tmp_path / "missing"
+        model = (missing if bad == "model" else tmp_path) / "m.dnn"
+        log = (missing if bad == "log" else tmp_path) / "train.log"
+        before = set(tmp_path.iterdir())
+        assert main(["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",
+                     "--hidden", "16", "--epochs", "1", "--batch-size", "2",
+                     "--log", str(log), "-o", str(model),
+                     "-m", str(tmp_path / "m.manifest")]) == EXIT_FORMAT
+        assert set(tmp_path.iterdir()) == before
+        assert not model.exists() and not log.exists()
+
 
 class TestEval:
     @pytest.mark.parametrize("task", ["verification", "matching", "retrieval"])
@@ -191,11 +205,51 @@ class TestEval:
         assert set(tmp_path.iterdir()) == before
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task,flag,value,name", [
+        ("verification", "--pairs-per-tier", "0", "pairs_per_tier"),
+        ("verification", "--pairs-per-tier", "-2", "pairs_per_tier"),
+        ("retrieval", "--distractors", "-3", "distractors_per_query"),
+    ])
+    def test_a_bad_count_exits_4_and_writes_nothing(self, tmp_path, descriptor_file, task,
+                                                    flag, value, name, capsys):
+        before = set(tmp_path.iterdir())
+        assert main(["eval", str(descriptor_file), "--task", task, flag, value,
+                     "-o", str(tmp_path / "r.txt"),
+                     "-m", str(tmp_path / "e.manifest")]) == EXIT_CONFIG
+        assert set(tmp_path.iterdir()) == before
+        captured = capsys.readouterr()
+        assert f"{name} must be >= " in captured.err
+        assert captured.out == ""
+
     def test_an_unknown_flag_exits_1(self, descriptor_file, capsys):
         with pytest.raises(SystemExit) as stop:
             main(["eval", str(descriptor_file), "--task", "matching", "--no-such-flag"])
         assert stop.value.code == EXIT_USAGE
         assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
+class TestSweep:
+    @pytest.mark.parametrize("flag,value", [("--layers", "x"), ("--sizes", "16,abc"),
+                                            ("--layers", "")])
+    def test_a_malformed_list_exits_1(self, tmp_path, descriptor_file, flag, value,
+                                      capsys):
+        before = set(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as stop:
+            main(["sweep", str(descriptor_file), str(descriptor_file), flag, value,
+                  "-o", str(tmp_path / "s.txt")])
+        assert stop.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: desclite sweep")
+        assert f"argument {flag}: invalid" in err
+        assert set(tmp_path.iterdir()) == before
+
+    def test_lists_set_the_grid(self, tmp_path, descriptor_file, capsys):
+        out = tmp_path / "s.txt"
+        assert main(["sweep", str(descriptor_file), str(descriptor_file), "--dim", "8",
+                     "--layers", "0,1", "--sizes", "16", "--epochs", "1",
+                     "--batch-size", "2", "-o", str(out)]) == 0
+        assert [line.split()[:2] for line in out.read_text().splitlines()] == \
+            [["layers", "size"], ["0", "16"], ["1", "16"]]
 
 
 class TestBench:

@@ -296,7 +296,9 @@ class TestInvariances:
 
 # Reference oracles: the per-query loops the tasks were first written as.
 # Each scans every row per query or attempt and builds whole distance
-# matrices, so they serve small sets only. Matching's config leaves out the
+# matrices, so they serve small sets only. They draw through the same
+# `integers` calls and `_distinct` as the tasks, so they check everything
+# but the draw stream. Matching's config leaves out the
 # seed, which matching never used.
 
 def _reference_tier_of(dset, row):
@@ -308,15 +310,13 @@ def _reference_ranked(distances, relevant, tie_index):
 
 
 def _reference_sample_pairs(dset, tier_rows, code, codes, rng, want, positive, multi):
-    pairs = []
-    if not len(tier_rows):
-        return pairs
+    # the attempts' rows in one call, then the kept attempts' partners in one
     labels = dset.labels
-    attempts = 0
-    max_attempts = max(50 * want, 1000)
-    while len(pairs) < want and attempts < max_attempts:
-        attempts += 1
-        i = int(tier_rows[rng.integers(len(tier_rows))])
+    kept, cands = [], []
+    for t in rng.integers(len(tier_rows), size=max(50 * want, 1000)):
+        if len(kept) == want:
+            break
+        i = int(tier_rows[t])
         if positive:
             if labels[i] not in multi:
                 continue
@@ -324,11 +324,11 @@ def _reference_sample_pairs(dset, tier_rows, code, codes, rng, want, positive, m
         else:
             cand = np.flatnonzero((labels != labels[i]) & (codes <= code))
         cand = cand[cand != i]
-        if not len(cand):
-            continue
-        j = int(cand[rng.integers(len(cand))])
-        pairs.append((i, j))
-    return pairs
+        if len(cand):
+            kept.append(i)
+            cands.append(cand)
+    r = rng.integers(0, np.array([len(c) for c in cands], dtype=np.int64))
+    return [(i, int(c[k])) for i, c, k in zip(kept, cands, r)]
 
 
 def _reference_verification(dset, pairs_per_tier, seed):
@@ -404,23 +404,22 @@ def _reference_matching(dset):
 def _reference_retrieval(dset, distractors_per_query, seed):
     labels = dset.labels
     classes, counts = np.unique(labels, return_counts=True)
-    rng = np.random.default_rng(seed)
     count_of = dict(zip(classes.tolist(), counts.tolist()))
-    aps, tiers_of_queries, skipped = [], [], 0
-    for q in range(len(dset)):
-        if count_of[int(labels[q])] < 2:
-            skipped += 1
-            continue
+    queries = [q for q in range(len(dset)) if count_of[int(labels[q])] >= 2]
+    n_other = [int(np.sum(labels != labels[q])) for q in queries]
+    takes = [min(distractors_per_query, n) for n in n_other]
+    picks = ev._distinct(np.random.default_rng(seed), n_other, takes)
+    aps, tiers_of_queries = [], []
+    for q, pick, take in zip(queries, picks, takes):
         same = np.flatnonzero(labels == labels[q])
         same = same[same != q]
-        other = np.flatnonzero(labels != labels[q])
-        take = min(distractors_per_query, len(other))
-        distractors = rng.choice(other, size=take, replace=False) if take else other[:0]
+        distractors = np.flatnonzero(labels != labels[q])[pick[:take]]
         pool = np.concatenate([same, distractors])
         dist = np.linalg.norm(dset.descriptors[pool] - dset.descriptors[q], axis=1)
         rel = np.concatenate([np.ones(len(same)), np.zeros(len(distractors))])
         aps.append(average_precision(_reference_ranked(dist, rel, pool)))
         tiers_of_queries.append(_reference_tier_of(dset, q))
+    skipped = len(dset) - len(queries)
     by_tier = {}
     for name, ap in zip(tiers_of_queries, aps):
         by_tier.setdefault(name, []).append(ap)
@@ -538,18 +537,6 @@ def test_verification_warns_on_a_short_tier():
     assert report == _reference_verification(dset, 10, 5)
 
 
-@pytest.mark.parametrize("seed", [391016, 30827])
-def test_verification_draws_past_rejected_words(seed):
-    # 3,000 rows in two labels: an attempt draws a row below 3000, then a
-    # positive partner below 1499. Lemire's method rejects one of the first
-    # words of these seeds: a row draw's at seed 391016, a partner draw's at
-    # seed 30827 (found by search), so the draw moves on to the next word.
-    x = np.random.default_rng(0).standard_normal((3000, 4))
-    dset = make_set(x, np.repeat([0, 1], 1500))
-    assert eval_verification(dset, pairs_per_tier=10, seed=seed) == \
-        _reference_verification(dset, 10, seed)
-
-
 def test_verification_reports_pairs_per_tier():
     labels = np.array([0, 0, 1, 1, 2, 3])
     tiers = np.array([0, 0, 0, 0, 2, 2], dtype=np.uint8)
@@ -641,76 +628,46 @@ def test_matching_memory_stays_below_the_dense_matrix():
     assert peak < 8 * n * n / 4
 
 
-# The batched draws against numpy's own per-call draws: the values, and
-# where the generator stands after them.
+# Floyd's subsets: distinct, in range, zero-padded and uniform.
 
-def _per_call_choice(rng, pops, takes):
-    width = max(takes, default=0)
-    out = np.zeros((len(pops), width), dtype=np.int64)
-    for q, (pop, take) in enumerate(zip(pops, takes)):
-        out[q, :take] = rng.choice(pop, take, replace=False)
-    return out
-
-
-class TestBatchedDraws:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_integers_equal_per_call_draws(self, seed):
-        bounds = np.random.default_rng(40 + seed).integers(1, 6, size=300)
-        bounds[::7] = 1  # bound 1 takes no word
-        bounds = np.concatenate([bounds, [1, 2**32, 2**32 - 1, 2**31 + 12345, 1, 29950]])
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert ev._integers(a, bounds).tolist() == [int(b.integers(n)) for n in bounds]
-        assert a.bit_generator.state == b.bit_generator.state
-
-    def test_integers_with_half_the_words_rejected(self):
-        # (2**32 - b) % b is just under 2**31 here: about half the words fail
-        bounds = np.full(500, 2**31 + 12345)
-        a, b = np.random.default_rng(3), np.random.default_rng(3)
-        assert ev._integers(a, bounds).tolist() == [int(b.integers(n)) for n in bounds]
-        assert a.bit_generator.state == b.bit_generator.state
-
-    def test_only_bound_one_draws_nothing(self):
-        a = np.random.default_rng(4)
-        before = a.bit_generator.state
-        assert ev._integers(a, [1, 1, 1]).tolist() == [0, 0, 0]
-        assert a.bit_generator.state == before
-
-    @pytest.mark.parametrize("pop,take", [
-        (7, 7),                # take == pop: Floyd's first step has bound 1
-        (1, 1),
-        (30, 1),
-        (29950, 50),           # retrieval on 30k rows
-        (10000, 300),          # pop not over 10,000: Floyd
-        (10001, 200),          # take not over pop // 50: Floyd
-        (10001, 201),          # numpy's tail shuffle from here on
-        (11000, 5000),
-        (12000, 241),
-        (12000, 12000),
-        (2**31 + 12345, 40),   # about half the words are rejected
-    ])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_choice_equals_per_call_draws(self, pop, take, seed):
-        rows = 3
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = ev._choice(a, [pop] * rows, [take] * rows)
-        assert np.array_equal(got, _per_call_choice(b, [pop] * rows, [take] * rows))
-        assert a.bit_generator.state == b.bit_generator.state
-
+class TestDistinct:
     @pytest.mark.parametrize("block", [ev.BLOCK_FLOATS, 40])
-    def test_choice_over_mixed_rows(self, block, monkeypatch):
-        # uneven takes (0 among them), repeats in Floyd's picks and tail rows
-        # in one call; a small block splits the rows over many blocks
+    def test_rows_are_distinct_in_range_and_zero_padded(self, block, monkeypatch):
+        # uneven takes, take 0, take == pop, pop 1 and rows whose draws
+        # repeat; a small block splits the rows over many blocks
         monkeypatch.setattr(ev, "BLOCK_FLOATS", block)
         rng = np.random.default_rng(6)
         pops = rng.integers(1, 60, size=300)
         takes = np.minimum(rng.integers(0, 12, size=300), pops)
-        pops[::37], takes[::37] = 10500, 300
-        a, b = np.random.default_rng(7), np.random.default_rng(7)
-        got = ev._choice(a, pops, takes)
-        assert np.array_equal(got, _per_call_choice(b, pops.tolist(), takes.tolist()))
-        assert a.bit_generator.state == b.bit_generator.state
-        # unordered rows hold the same picks and leave the generator alike
-        c = np.random.default_rng(7)
-        loose = ev._choice(c, pops, takes, ordered=False)
-        assert np.array_equal(np.sort(loose, axis=1), np.sort(got, axis=1))
-        assert c.bit_generator.state == a.bit_generator.state
+        pops[:6] = [60, 60, 1, 7, 5, 60]
+        takes[:6] = [12, 0, 1, 7, 0, 60]
+        got = ev._distinct(np.random.default_rng(7), pops, takes)
+        assert got.shape == (300, 60)
+        for row, pop, take in zip(got, pops, takes):
+            assert len(set(row[:take].tolist())) == take
+            assert ((row[:take] >= 0) & (row[:take] < pop)).all()
+            assert not row[take:].any()
+
+    def test_no_rows_and_no_takes(self):
+        assert ev._distinct(np.random.default_rng(0), [], []).shape == (0, 0)
+        assert ev._distinct(np.random.default_rng(0), [3, 1], [0, 0]).shape == (2, 0)
+
+    def test_subsets_are_uniform(self):
+        n = 100000
+        got = ev._distinct(np.random.default_rng(11), np.full(n, 5), np.full(n, 3))
+        got.sort(axis=1)
+        subsets, counts = np.unique(got, axis=0, return_counts=True)
+        assert len(subsets) == 10
+        assert np.abs(counts / n - 0.1).max() <= 0.005
+
+
+class TestBadCounts:
+    def test_verification_needs_a_pair_per_tier(self):
+        dset = _uneven_set(0, tiered=True)
+        for pairs in (0, -5):
+            with pytest.raises(ConfigError, match="pairs_per_tier"):
+                eval_verification(dset, pairs_per_tier=pairs)
+
+    def test_retrieval_rejects_negative_distractors(self):
+        with pytest.raises(ConfigError, match="distractors_per_query"):
+            eval_retrieval(_uneven_set(0, tiered=True), distractors_per_query=-3)

@@ -6,9 +6,12 @@ import pytest
 
 from desclite import nn
 from desclite.cluster import kmeans_fit
-from desclite.data import DescriptorSet
+from desclite.data import DescriptorSet, extract_descriptors, generate_synthetic, \
+    split_dataset
+from desclite.eval import eval_matching, eval_retrieval, eval_verification
 from desclite.errors import ConfigError, StateError
 from desclite.nn import BN_EPS, BN_MOMENTUM, save_model
+from desclite.pca import fit_pca, pca_transform
 from desclite.train import TrainConfig, reduce, train
 
 train_module = importlib.import_module("desclite.train")
@@ -250,19 +253,47 @@ class TestUnusedClasses:
         assert events[0]["steps_per_epoch"] == classes // batch
 
 
-def test_triplet_batch_equals_per_class_choice():
-    # classes of 2 to 12 rows; the rows of a class are not contiguous
-    rng = np.random.default_rng(12)
-    labels = rng.permutation(np.repeat(np.arange(40), rng.integers(2, 13, size=40)))
-    x = rng.standard_normal((len(labels), 6))
-    class_rows = train_module._rows_by_class(labels)
-    chosen = rng.permutation(40)[:25].tolist()
-    a, b = np.random.default_rng(13), np.random.default_rng(13)
-    for _ in range(3):
-        got = train_module._sample_triplet_batch(x, class_rows, chosen, a)
-        want = np.empty_like(got)
-        for i, c in enumerate(chosen):
-            pick = b.choice(class_rows[c], size=2, replace=False)
-            want[i], want[len(chosen) + i] = x[pick[0]], x[pick[1]]
-        assert np.array_equal(got, want)
-        assert a.bit_generator.state == b.bit_generator.state
+class TestTripletPairs:
+    def test_each_pair_is_two_distinct_rows_of_its_class(self):
+        # classes of 2 to 12 rows; the rows of a class are not contiguous
+        rng = np.random.default_rng(12)
+        labels = rng.permutation(np.repeat(np.arange(40), rng.integers(2, 13, size=40)))
+        x = np.arange(len(labels), dtype=np.float64)[:, None]  # a row holds its index
+        class_rows = train_module._rows_by_class(labels)
+        chosen = rng.permutation(40)[:25].tolist()
+        for _ in range(20):
+            got = train_module._sample_triplet_batch(x, class_rows, chosen, rng)
+            anchors, positives = got[:25, 0].astype(int), got[25:, 0].astype(int)
+            assert (anchors != positives).all()
+            assert (labels[anchors] == chosen).all()
+            assert (labels[positives] == chosen).all()
+
+    def test_ordered_pairs_of_a_three_row_class_are_uniform(self):
+        # Floyd's picks would never put the class's last row first
+        class_rows = {7: np.array([2, 5, 9])}
+        x = np.arange(10, dtype=np.float64)[:, None]
+        n = 60000
+        got = train_module._sample_triplet_batch(x, class_rows, [7] * n,
+                                                 np.random.default_rng(8))
+        pairs = Counter(zip(got[:n, 0].astype(int).tolist(), got[n:, 0].astype(int).tolist()))
+        assert sorted(pairs) == [(a, b) for a in (2, 5, 9) for b in (2, 5, 9) if a != b]
+        for count in pairs.values():
+            assert abs(count / n - 1 / 6) <= 0.01
+
+
+def test_sv_32_beats_pca_32_on_every_task():
+    """The paper's claim at desk scale: `sv`-32 (batch 64, hidden (512,),
+    30 epochs) beats PCA-32 on verification, matching and retrieval.
+
+    Data seed 314 (generation and the 0.7/0.1/0.2 class split), train seed
+    27; both were fixed before the first run and lie outside the seeds used
+    while developing (1-7, 11, 41-43, 101, 202). Eval runs at its defaults."""
+    dset = extract_descriptors(generate_synthetic(500, 6, seed=314))
+    train_set, _, test_set = split_dataset(dset, (0.7, 0.1, 0.2), seed=314)
+    encoder = train(train_set, TrainConfig(scheme="sv", target_dim=32, hidden_sizes=(512,),
+                                           epochs=30, batch_size=64, seed=27))
+    tasks = (eval_verification, eval_matching, eval_retrieval)
+    sv = [task(reduce(encoder, test_set)).map_overall for task in tasks]
+    pca = [task(pca_transform(fit_pca(train_set, 32), test_set)).map_overall
+           for task in tasks]
+    assert all(a > b for a, b in zip(sv, pca)), (sv, pca)
