@@ -4,8 +4,10 @@ Subcommands: synth, describe, fit-pca, train, reduce, eval, sweep, bench.
 
 Exit codes: 1 usage, 2 file-format or dimension errors, 3 numeric errors,
 4 configuration errors. Output files are written to a temp file and renamed
-into place, so failures leave no partial artifacts. All randomness flows
-from --seed; subsystem seeds are derived from it by fixed offsets.
+into place, so failures leave no partial artifacts. The manifest (-m) is
+written last, before anything is printed; if that write fails, the
+command's other outputs are removed and nothing is printed. All randomness
+flows from --seed; subsystem seeds are derived from it by fixed offsets.
 
 Optional per-command config files are flat `key=value` lines (`#` comments);
 explicit flags win over config-file values.
@@ -48,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Manifest:
-    """Phase timings plus key=value facts, printed at the end of a command."""
+    """Phase timings plus key=value facts, written and printed at the end of
+    a command."""
 
     def __init__(self, command: str, seed):
         self.items = [("tool", f"desclite {__version__}"), ("command", command)]
@@ -62,12 +65,21 @@ class _Manifest:
     def phase(self, name: str):
         return _Phase(self, name)
 
-    def emit(self, path=None):
+    def emit(self, path=None, outputs=(), report: str = ""):
+        """Write the manifest file, then print `report` and the manifest. If
+        the file cannot be written, remove `outputs`, the files the command
+        wrote, print nothing and raise."""
         self.items.append(("wall_clock_s", f"{time.perf_counter() - self._t0:.3f}"))
         text = "\n".join(f"{k}={v}" for k, v in self.items) + "\n"
-        sys.stdout.write(text)
         if path:
-            write_atomic(path, text.encode())
+            try:
+                write_atomic(path, text.encode())
+            except BaseException:
+                for output in outputs:
+                    if output:
+                        os.unlink(output)
+                raise
+        sys.stdout.write(report + text)
 
 
 class _Phase:
@@ -150,7 +162,7 @@ def _cmd_synth(args) -> int:
     manifest.add("output", args.output)
     manifest.add("patches", len(dataset))
     manifest.add("classes", args.classes)
-    manifest.emit(args.manifest)
+    manifest.emit(args.manifest, [args.output])
     return 0
 
 
@@ -170,7 +182,7 @@ def _cmd_describe(args) -> int:
     manifest.add("dim", dset.dim)
     if len(dset):
         manifest.add("describe_us_per_patch", f"{elapsed / len(dset) * 1e6:.3f}")
-    manifest.emit(args.manifest)
+    manifest.emit(args.manifest, [args.output])
     return 0
 
 
@@ -186,7 +198,7 @@ def _cmd_fit_pca(args) -> int:
     manifest.add("output", args.output)
     manifest.add("input_dim", model.input_dim)
     manifest.add("output_dim", model.output_dim)
-    manifest.emit(args.manifest)
+    manifest.emit(args.manifest, [args.output])
     return 0
 
 
@@ -263,7 +275,7 @@ def _cmd_train(args) -> int:
     for key in ("steps_per_epoch", "total_steps", "unused_classes_per_epoch"):
         if key in last_epoch:  # unused classes: sv only
             manifest.add(key, last_epoch[key])
-    manifest.emit(args.manifest)
+    manifest.emit(args.manifest, [args.output, args.log])
     return 0
 
 
@@ -302,7 +314,7 @@ def _cmd_reduce(args) -> int:
     if len(dset):
         manifest.add("projection_us_per_descriptor",
                      f"{elapsed / len(dset) * 1e6:.3f}")
-    manifest.emit(args.manifest)
+    manifest.emit(args.manifest, [args.output])
     return 0
 
 
@@ -320,14 +332,13 @@ def _cmd_eval(args) -> int:
             report = eval_retrieval(dset, distractors_per_query=args.distractors,
                                     seed=args.seed)
     text = "\n".join(report.lines()) + "\n"
-    sys.stdout.write(text)
     if args.output:
         write_atomic(args.output, text.encode())
         manifest.add("output", args.output)
     manifest.add("input", args.input)
     manifest.add("task", args.task)
     manifest.add("map_overall", f"{report.map_overall:.6f}")
-    manifest.emit(args.manifest)
+    manifest.emit(args.manifest, [args.output], report=text)
     return 0
 
 
@@ -342,7 +353,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     with manifest.phase("sweep"):
         for layers in layer_counts:
-            for size in sizes:
+            # without hidden layers the size sets nothing: one cell, size "-"
+            for size in sizes if layers else ("-",):
                 cfg = TrainConfig(
                     scheme=args.scheme,
                     target_dim=args.dim,
@@ -358,12 +370,11 @@ def _cmd_sweep(args) -> int:
     lines = ["layers size matching_map"]
     lines += [f"{layers} {size} {value:.6f}" for layers, size, value in rows]
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if args.output:
         write_atomic(args.output, text.encode())
         manifest.add("output", args.output)
     manifest.add("cells", len(rows))
-    manifest.emit(args.manifest)
+    manifest.emit(args.manifest, [args.output], report=text)
     return 0
 
 

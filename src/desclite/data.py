@@ -24,15 +24,6 @@ DESCRIPTOR_DIM = 128
 
 TIER_NAMES = ("easy", "hard", "tough")
 
-# Per-tier jitter applied by the synthetic generator: rotation (deg),
-# relative scale, shear, translation (px), brightness shift, relative
-# contrast, additive pixel noise sigma.
-_TIER_JITTER = {
-    0: dict(rot=10.0, scale=0.10, shear=0.06, trans=2.0, bright=10.0, contrast=0.10, noise=4.0),
-    1: dict(rot=25.0, scale=0.22, shear=0.14, trans=4.5, bright=22.0, contrast=0.22, noise=10.0),
-    2: dict(rot=45.0, scale=0.38, shear=0.25, trans=7.0, bright=40.0, contrast=0.35, noise=18.0),
-}
-
 
 def tier_code(name: str) -> int:
     try:
@@ -292,10 +283,14 @@ def _describe_chunk(patches: np.ndarray, bin_base: np.ndarray,
     img = np.asarray(patches, dtype=np.float64)
     gy, gx = np.gradient(img, axis=(1, 2))
     mag = np.hypot(gx, gy).reshape(n, -1) * _GAUSS_WEIGHT
-    ori_bin = (np.arctan2(gy, gx).reshape(n, -1) / (2.0 * np.pi / _ORI_BINS)) % _ORI_BINS
+    # The angle in bins lies in [-4, 4], where `% _ORI_BINS` is fmod (which
+    # leaves it as is) plus 8 below 0: adding 8 below 0 gives the same bits
+    # without the libm calls. o0 is then 0..8, so `& 7` wraps it.
+    ori_bin = np.arctan2(gy, gx).reshape(n, -1) / (2.0 * np.pi / _ORI_BINS)
+    ori_bin = np.where(ori_bin < 0, ori_bin + _ORI_BINS, ori_bin)
     o0 = np.floor(ori_bin).astype(np.int64)
     fo = ori_bin - o0
-    orientations = ((o0 % _ORI_BINS, 1.0 - fo), ((o0 + 1) % _ORI_BINS, fo))
+    orientations = ((o0 & (_ORI_BINS - 1), 1.0 - fo), ((o0 + 1) & (_ORI_BINS - 1), fo))
 
     # Votes in (corner, do) x patch x pixel order: each bin then receives its
     # votes in the order of the per-patch loop's np.add.at calls, so the
@@ -358,11 +353,11 @@ def extract_descriptors(dataset: PatchDataset) -> DescriptorSet:
 
     Patches are described in chunks of DESCRIBE_CHUNK: per chunk, one
     gradient pass and one `np.bincount` over its 8 x 1024 votes per patch,
-    so the cost is linear in N with no per-patch Python work: about 0.23 ms
-    per patch (1,800 patches in 0.42 s with one BLAS thread on a 2-vCPU
-    x86-64 VM, numpy 2.4), where the per-patch loop took 0.55. Every bin adds
-    its votes in the order of the per-patch reference loop (eight `np.add.at`
-    calls, `tests/test_data.py`) and row norms are the same BLAS dot
+    so the cost is linear in N with no per-patch Python work: about 0.15 ms
+    per patch (3,000 patches in ≈0.45 s with one BLAS thread on a 2-vCPU
+    x86-64 VM, numpy 2.4), where the per-patch loop took 0.55 ms. Every
+    bin adds its votes in the order of the per-patch reference loop (eight
+    `np.add.at` calls, `tests/test_data.py`) and row norms are the same BLAS dot
     products, so each row is bit for bit that loop's descriptor, whatever
     the chunk size.
     """
@@ -381,49 +376,116 @@ def extract_descriptors(dataset: PatchDataset) -> DescriptorSet:
 
 _N_TEXTURE_COMPONENTS = 3
 
+# The draws of one texture component, in order, as (low, high): centre x
+# and y (px), orientation, sigma along and across the stroke, carrier
+# frequency (rad/px) and phase, amplitude magnitude, and a sign draw that
+# makes the amplitude positive below 0.5.
+_COMPONENT_RANGES = np.array([
+    (-8.0, 8.0), (-8.0, 8.0), (0.0, np.pi), (6.0, 12.0), (2.5, 5.0),
+    (0.2, 0.5), (0.0, 2.0 * np.pi), (0.5, 1.0), (0.0, 1.0),
+])
+_TEXTURE_LOW, _TEXTURE_HIGH = np.tile(_COMPONENT_RANGES, (_N_TEXTURE_COMPONENTS, 1)).T
 
-def _texture_params(rng: np.random.Generator):
-    """Random oriented blob/edge components defining one class texture."""
-    comps = []
-    for _ in range(_N_TEXTURE_COMPONENTS):
-        comps.append((
-            rng.uniform(-8.0, 8.0),            # center x
-            rng.uniform(-8.0, 8.0),            # center y
-            rng.uniform(0.0, np.pi),           # orientation
-            rng.uniform(6.0, 12.0),            # sigma along the stroke
-            rng.uniform(2.5, 5.0),             # sigma across the stroke
-            rng.uniform(0.2, 0.5),             # carrier frequency (rad/px)
-            rng.uniform(0.0, 2.0 * np.pi),     # carrier phase
-            rng.uniform(0.5, 1.0) * (1.0 if rng.random() < 0.5 else -1.0),  # amplitude
-        ))
-    return comps
+# Per-tier jitter of a non-canonical view: the bounds of its uniform draws,
+# in draw order (rotation in degrees, x and y relative scale, shear, x and y
+# translation in px, brightness shift, relative contrast), and the sigma of
+# its additive pixel noise.
+_TIER_JITTER = np.array([
+    # rot  sx    sy    shear tx   ty   bright contrast
+    [10.0, 0.10, 0.10, 0.06, 2.0, 2.0, 10.0, 0.10],
+    [25.0, 0.22, 0.22, 0.14, 4.5, 4.5, 22.0, 0.22],
+    [45.0, 0.38, 0.38, 0.25, 7.0, 7.0, 40.0, 0.35],
+])
+_TIER_NOISE = (4.0, 10.0, 18.0)
 
+# Patches rendered per chunk, in seven (chunk, 1024) float64 work buffers
+# and one of noise: 1 MiB at 16. The heap keeps these pages resident after
+# a call, so the chunk bounds what a call leaves behind: the benchmark's
+# paper-3k peak RSS rose ≈0.16 MB at 32 and ≈0.06 MB at 16, while chunks
+# of 8 to 128 ran within ≈12% of each other (one BLAS thread, 2-vCPU
+# x86-64 VM).
+RENDER_CHUNK = 16
 
-_GRID_X, _GRID_Y = np.meshgrid(
+_GRID_X, _GRID_Y = (g.ravel() for g in np.meshgrid(
     np.arange(PATCH_SIZE) - (PATCH_SIZE - 1) / 2.0,
     np.arange(PATCH_SIZE) - (PATCH_SIZE - 1) / 2.0,
     indexing="xy",
-)
+))
 
 
-def _render(comps, affine: np.ndarray, trans: np.ndarray,
-            bright: float, contrast: float, noise_sigma: float,
-            rng: np.random.Generator) -> np.ndarray:
-    xs = affine[0, 0] * _GRID_X + affine[0, 1] * _GRID_Y + trans[0]
-    ys = affine[1, 0] * _GRID_X + affine[1, 1] * _GRID_Y + trans[1]
-    val = np.zeros_like(xs)
-    for cx, cy, angle, sig_l, sig_s, freq, phase, amp in comps:
-        dx = xs - cx
-        dy = ys - cy
-        ca, sa = np.cos(angle), np.sin(angle)
-        u = ca * dx + sa * dy
-        w = -sa * dx + ca * dy
-        env = np.exp(-0.5 * ((u / sig_l) ** 2 + (w / sig_s) ** 2))
-        val += amp * env * np.cos(freq * w + phase)
-    img = (128.0 + 110.0 * val) * (1.0 + contrast) + bright
-    if noise_sigma > 0.0:
-        img = img + rng.normal(0.0, noise_sigma, img.shape)
-    return np.clip(img, 0.0, 255.0).astype(np.uint8)
+def _class_components(classes: int, seed: int) -> np.ndarray:
+    """(classes, components, 9) texture parameters: centre x, centre y, cos
+    and sin of the orientation, the two sigmas, frequency, phase, signed
+    amplitude."""
+    draws = np.array([np.random.default_rng((seed, ci)).uniform(_TEXTURE_LOW, _TEXTURE_HIGH)
+                      for ci in range(classes)]).reshape(classes, _N_TEXTURE_COMPONENTS, 9)
+    cx, cy, angle, sig_l, sig_s, freq, phase, mag, sign = np.moveaxis(draws, 2, 0)
+    return np.stack([cx, cy, np.cos(angle), np.sin(angle), sig_l, sig_s, freq, phase,
+                     np.where(sign < 0.5, mag, -mag)], axis=2)
+
+
+def _affines(jitter: np.ndarray, canonical: np.ndarray) -> np.ndarray:
+    """(m, 2, 2) maps: rotation times scale-and-shear, in one stacked
+    product (the 2 x 2 product's bits are those of a single `@`); the
+    identity for canonical views."""
+    theta = np.deg2rad(jitter[:, 0])
+    cos, sin = np.cos(theta), np.sin(theta)
+    sx, sy = 1.0 + jitter[:, 1], 1.0 + jitter[:, 2]
+    rot = np.stack([cos, -sin, sin, cos], axis=1).reshape(-1, 2, 2)
+    shape = np.stack([sx, jitter[:, 3] * sx, np.zeros_like(sx), sy], axis=1).reshape(-1, 2, 2)
+    affine = rot @ shape
+    affine[canonical] = np.eye(2)
+    return affine
+
+
+def _render_chunk(comps: np.ndarray, affine: np.ndarray, jitter: np.ndarray,
+                  noise: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Pixels, clipped to [0, 255], of m patches as an (m, 1024) view of
+    `work[0]`. Per patch: its (components, 9) texture, its 2 x 2 map, its
+    eight jitter draws (shift, brightness and contrast are read) and its
+    additive noise; `work` holds seven (>= m, 1024) buffers. Each element
+    takes the per-patch formula's operations in its order: map the grid;
+    per component, rotate into the stroke frame and add amplitude times
+    Gaussian envelope times carrier cosine; then contrast, brightness and
+    noise."""
+    m = len(comps)
+    val, xs, ys, dx, dy, u, w = work[:, :m]
+    a00, a01, a10, a11 = affine.reshape(m, 4).T[:, :, None]
+    shift_x, shift_y, bright, contrast = jitter[:, 4:8].T[:, :, None]
+    np.multiply(a00, _GRID_X, out=xs)
+    xs += np.multiply(a01, _GRID_Y, out=dx)
+    xs += shift_x
+    np.multiply(a10, _GRID_X, out=ys)
+    ys += np.multiply(a11, _GRID_Y, out=dx)
+    ys += shift_y
+    val.fill(0.0)
+    for cx, cy, ca, sa, sig_l, sig_s, freq, phase, amp in comps.transpose(1, 2, 0)[..., None]:
+        np.subtract(xs, cx, out=dx)
+        np.subtract(ys, cy, out=dy)
+        np.multiply(ca, dx, out=u)
+        u += np.multiply(sa, dy, out=w)
+        np.multiply(-sa, dx, out=w)
+        dy *= ca
+        w += dy
+        u /= sig_l
+        u *= u
+        np.divide(w, sig_s, out=dx)
+        dx *= dx
+        u += dx
+        u *= -0.5
+        np.exp(u, out=u)
+        u *= amp
+        w *= freq
+        w += phase
+        np.cos(w, out=w)
+        u *= w
+        val += u
+    val *= 110.0
+    val += 128.0
+    val *= 1.0 + contrast
+    val += bright
+    val += noise
+    return np.clip(val, 0.0, 255.0, out=val)
 
 
 def generate_synthetic(classes: int, patches_per_class: int,
@@ -435,49 +497,66 @@ def generate_synthetic(classes: int, patches_per_class: int,
     `noise_tiers` and gets tier-scaled affine jitter, brightness/contrast
     shift and additive noise. Sequence id equals the patch index within the
     class, so sequence 0 forms the reference view for the matching task.
+
+    Draws. Class ci's texture is one `uniform(low, high)` call of 27 doubles
+    on `default_rng((seed, ci))`, 9 per component: centre x, centre y,
+    orientation, sigma along, sigma across, frequency, phase, amplitude
+    magnitude, then a sign draw (positive below 0.5). Patch j >= 1 of class
+    ci takes, on `default_rng((seed, ci, j))`, one `uniform(-hi, hi)` call
+    of 8 doubles (rotation, x scale, y scale, shear, x shift, y shift,
+    brightness, contrast; hi from its tier), then 1024 standard normals
+    times its tier's noise sigma, the values `normal(0, sigma, 1024)`
+    returns. Patch 0 draws nothing and builds no generator: identity map,
+    no shift, no noise.
+
+    Cost. Patches are rendered RENDER_CHUNK at a time in reused (chunk,
+    1024) buffers, with no per-patch pixel work in Python and each pixel's
+    arithmetic in a fixed order, so every patch's bytes are the same at any
+    chunk size. Per patch that leaves a generator and two draw calls (≈60
+    µs) and ≈60 numpy passes over its 1024 pixels: 500 x 6 take ≈0.5 s,
+    about 0.17 ms per patch, with one BLAS thread on a 2-vCPU x86-64 VM
+    (numpy 2.4). Half of that is the 9.2M carrier cosines: numpy's float64
+    `cos` takes ≈25 ns a value there, its `exp` ≈1.3.
     """
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
     if patches_per_class < 2:
         raise ConfigError(f"need at least 2 patches per class, got {patches_per_class}")
-    tier_codes = [tier_code(t) for t in noise_tiers]
-    if not tier_codes:
+    tier_codes = np.array([tier_code(t) for t in noise_tiers], dtype=np.uint8)
+    if not len(tier_codes):
         raise ConfigError("noise_tiers must not be empty")
 
     n = classes * patches_per_class
-    patches = np.empty((n, PATCH_SIZE, PATCH_SIZE), dtype=np.uint8)
+    pixels = PATCH_SIZE * PATCH_SIZE
+    patches = np.empty((n, pixels), dtype=np.uint8)
     labels = np.repeat(np.arange(classes, dtype=np.int64), patches_per_class)
     seq = np.tile(np.arange(patches_per_class, dtype=np.int64), classes)
-    tiers = np.zeros(n, dtype=np.uint8)
+    tiers = np.where(seq == 0, 0, tier_codes[(seq - 1) % len(tier_codes)]).astype(np.uint8)
+    comps = _class_components(classes, seed)
 
-    row = 0
-    for ci in range(classes):
-        comps = _texture_params(np.random.default_rng((seed, ci)))
-        for j in range(patches_per_class):
-            prng = np.random.default_rng((seed, ci, j))
+    chunk = min(n, RENDER_CHUNK)
+    jitter = np.empty((chunk, _TIER_JITTER.shape[1]))
+    noise = np.empty((chunk, pixels))
+    work = np.empty((7, chunk, pixels))
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        for r, row in enumerate(range(start, stop)):
+            ci, j = divmod(row, patches_per_class)
             if j == 0:
-                code = 0
-                patches[row] = _render(comps, np.eye(2), np.zeros(2), 0.0, 0.0, 0.0, prng)
-            else:
-                code = tier_codes[(j - 1) % len(tier_codes)]
-                jit = _TIER_JITTER[code]
-                theta = np.deg2rad(prng.uniform(-jit["rot"], jit["rot"]))
-                sx = 1.0 + prng.uniform(-jit["scale"], jit["scale"])
-                sy = 1.0 + prng.uniform(-jit["scale"], jit["scale"])
-                shear = prng.uniform(-jit["shear"], jit["shear"])
-                rot = np.array([[np.cos(theta), -np.sin(theta)],
-                                [np.sin(theta), np.cos(theta)]])
-                affine = rot @ np.array([[sx, shear * sx], [0.0, sy]])
-                trans = prng.uniform(-jit["trans"], jit["trans"], size=2)
-                patches[row] = _render(
-                    comps, affine, trans,
-                    bright=prng.uniform(-jit["bright"], jit["bright"]),
-                    contrast=prng.uniform(-jit["contrast"], jit["contrast"]),
-                    noise_sigma=jit["noise"], rng=prng,
-                )
-            tiers[row] = code
-            row += 1
-    return PatchDataset(patches=patches, labels=labels, sequence_ids=seq, tiers=tiers)
+                jitter[r] = 0.0
+                noise[r] = 0.0
+                continue
+            prng = np.random.default_rng((seed, ci, j))
+            hi = _TIER_JITTER[tiers[row]]
+            jitter[r] = prng.uniform(-hi, hi)
+            prng.standard_normal(out=noise[r])
+            noise[r] *= _TIER_NOISE[tiers[row]]
+        m = stop - start
+        affine = _affines(jitter[:m], seq[start:stop] == 0)
+        patches[start:stop] = _render_chunk(comps[labels[start:stop]], affine, jitter[:m],
+                                            noise[:m], work)
+    return PatchDataset(patches=patches.reshape(n, PATCH_SIZE, PATCH_SIZE),
+                        labels=labels, sequence_ids=seq, tiers=tiers)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from desclite import cli
 from desclite.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_USAGE, main
 from desclite.data import (
     DescriptorSet,
@@ -34,6 +35,32 @@ def descriptor_file(tmp_path, patch_file, capsys):
 
 def _facts(manifest):
     return dict(line.split("=", 1) for line in manifest.read_text().splitlines())
+
+
+class TestFailedManifestWrite:
+    """A manifest that cannot be written leaves no output and prints nothing."""
+
+    @pytest.fixture(params=["synth", "describe", "train"])
+    def command(self, request, tmp_path, descriptor_file, patch_file):
+        out = tmp_path / "out.bin"
+        return out, {
+            "synth": ["synth", "--classes", "4", "--per-class", "2", "-o", str(out)],
+            "describe": ["describe", str(patch_file), "-o", str(out)],
+            "train": ["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",
+                      "--hidden", "16", "--epochs", "1", "--batch-size", "2",
+                      "--log", str(tmp_path / "train.log"), "-o", str(out)],
+        }[request.param]
+
+    def test_exits_2_and_leaves_no_output(self, tmp_path, command, capsys):
+        out, argv = command
+        capsys.readouterr()
+        before = set(tmp_path.iterdir())
+        assert main(argv + ["-m", str(tmp_path / "missing" / "m.manifest")]) == EXIT_FORMAT
+        assert set(tmp_path.iterdir()) == before
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "desclite:" in captured.err
 
 
 class TestDescribe:
@@ -249,7 +276,26 @@ class TestSweep:
                      "--layers", "0,1", "--sizes", "16", "--epochs", "1",
                      "--batch-size", "2", "-o", str(out)]) == 0
         assert [line.split()[:2] for line in out.read_text().splitlines()] == \
-            [["layers", "size"], ["0", "16"], ["1", "16"]]
+            [["layers", "size"], ["0", "-"], ["1", "16"]]
+
+    def test_trains_the_0_layer_model_once(self, tmp_path, descriptor_file, monkeypatch,
+                                           capsys):
+        hidden = []
+
+        def counting_train(dset, cfg, **kwargs):
+            hidden.append(cfg.hidden_sizes)
+            return train_model(dset, cfg, **kwargs)
+
+        train_model = cli.train_model
+        monkeypatch.setattr(cli, "train_model", counting_train)
+        manifest = tmp_path / "s.manifest"
+        assert main(["sweep", str(descriptor_file), str(descriptor_file), "--dim", "8",
+                     "--layers", "0,1", "--sizes", "16,32", "--epochs", "1",
+                     "--batch-size", "2", "-m", str(manifest)]) == 0
+        assert hidden == [(), (16,), (32,)]
+        rows = capsys.readouterr().out.splitlines()[1:4]
+        assert [row.split()[:2] for row in rows] == [["0", "-"], ["1", "16"], ["1", "32"]]
+        assert _facts(manifest)["cells"] == "3"
 
 
 class TestBench:

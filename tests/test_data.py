@@ -69,6 +69,91 @@ def _reference_sift_like_descriptor(patch) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
+# Per-tier jitter of the per-patch generator the chunked one replaced.
+_REFERENCE_JITTER = {
+    0: dict(rot=10.0, scale=0.10, shear=0.06, trans=2.0, bright=10.0, contrast=0.10, noise=4.0),
+    1: dict(rot=25.0, scale=0.22, shear=0.14, trans=4.5, bright=22.0, contrast=0.22, noise=10.0),
+    2: dict(rot=45.0, scale=0.38, shear=0.25, trans=7.0, bright=40.0, contrast=0.35, noise=18.0),
+}
+
+_REFERENCE_GRID_X, _REFERENCE_GRID_Y = np.meshgrid(
+    np.arange(32) - (32 - 1) / 2.0, np.arange(32) - (32 - 1) / 2.0, indexing="xy")
+
+
+def _reference_texture_params(rng):
+    comps = []
+    for _ in range(3):
+        comps.append((
+            rng.uniform(-8.0, 8.0),
+            rng.uniform(-8.0, 8.0),
+            rng.uniform(0.0, np.pi),
+            rng.uniform(6.0, 12.0),
+            rng.uniform(2.5, 5.0),
+            rng.uniform(0.2, 0.5),
+            rng.uniform(0.0, 2.0 * np.pi),
+            rng.uniform(0.5, 1.0) * (1.0 if rng.random() < 0.5 else -1.0),
+        ))
+    return comps
+
+
+def _reference_render(comps, affine, trans, bright, contrast, noise_sigma, rng):
+    xs = affine[0, 0] * _REFERENCE_GRID_X + affine[0, 1] * _REFERENCE_GRID_Y + trans[0]
+    ys = affine[1, 0] * _REFERENCE_GRID_X + affine[1, 1] * _REFERENCE_GRID_Y + trans[1]
+    val = np.zeros_like(xs)
+    for cx, cy, angle, sig_l, sig_s, freq, phase, amp in comps:
+        dx = xs - cx
+        dy = ys - cy
+        ca, sa = np.cos(angle), np.sin(angle)
+        u = ca * dx + sa * dy
+        w = -sa * dx + ca * dy
+        env = np.exp(-0.5 * ((u / sig_l) ** 2 + (w / sig_s) ** 2))
+        val += amp * env * np.cos(freq * w + phase)
+    img = (128.0 + 110.0 * val) * (1.0 + contrast) + bright
+    if noise_sigma > 0.0:
+        img = img + rng.normal(0.0, noise_sigma, img.shape)
+    return np.clip(img, 0.0, 255.0).astype(np.uint8)
+
+
+def _reference_generate_synthetic(classes, patches_per_class,
+                                  noise_tiers=("easy", "hard", "tough"), seed=0):
+    """The per-patch generator the chunked one replaced, kept as its oracle."""
+    tier_codes = [("easy", "hard", "tough").index(t) for t in noise_tiers]
+    n = classes * patches_per_class
+    patches = np.empty((n, 32, 32), dtype=np.uint8)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), patches_per_class)
+    seq = np.tile(np.arange(patches_per_class, dtype=np.int64), classes)
+    tiers = np.zeros(n, dtype=np.uint8)
+    row = 0
+    for ci in range(classes):
+        comps = _reference_texture_params(np.random.default_rng((seed, ci)))
+        for j in range(patches_per_class):
+            prng = np.random.default_rng((seed, ci, j))
+            if j == 0:
+                code = 0
+                patches[row] = _reference_render(comps, np.eye(2), np.zeros(2), 0.0, 0.0,
+                                                 0.0, prng)
+            else:
+                code = tier_codes[(j - 1) % len(tier_codes)]
+                jit = _REFERENCE_JITTER[code]
+                theta = np.deg2rad(prng.uniform(-jit["rot"], jit["rot"]))
+                sx = 1.0 + prng.uniform(-jit["scale"], jit["scale"])
+                sy = 1.0 + prng.uniform(-jit["scale"], jit["scale"])
+                shear = prng.uniform(-jit["shear"], jit["shear"])
+                rot = np.array([[np.cos(theta), -np.sin(theta)],
+                                [np.sin(theta), np.cos(theta)]])
+                affine = rot @ np.array([[sx, shear * sx], [0.0, sy]])
+                trans = prng.uniform(-jit["trans"], jit["trans"], size=2)
+                patches[row] = _reference_render(
+                    comps, affine, trans,
+                    bright=prng.uniform(-jit["bright"], jit["bright"]),
+                    contrast=prng.uniform(-jit["contrast"], jit["contrast"]),
+                    noise_sigma=jit["noise"], rng=prng,
+                )
+            tiers[row] = code
+            row += 1
+    return PatchDataset(patches=patches, labels=labels, sequence_ids=seq, tiers=tiers)
+
+
 def _patch_set(patches):
     n = len(patches)
     return PatchDataset(patches, np.arange(n), np.zeros(n, int), np.zeros(n, int))
@@ -159,12 +244,62 @@ class TestMatchesPerPatchLoop:
         ds = generate_synthetic(4, 5, seed=3)
         _assert_matches_reference(ds.patches)
 
+    def test_angles_at_the_bin_wrap(self):
+        # Float patches whose middle row has gx != 0 over gy = -0.0 (arctan2
+        # gives -pi or -0.0), gy = +0.0 (+pi or +0.0) and gy = -1e-300 (a
+        # negative angle so small that adding 8 bins rounds to 8.0).
+        ramp = np.linspace(-50.0, 50.0, 32)
+        patches = []
+        for above, below in ((0.0, -0.0), (-0.0, 0.0), (0.0, -2e-300)):
+            for sign in (1.0, -1.0):
+                patch = np.zeros((32, 32))
+                patch[10], patch[11], patch[12] = above, sign * ramp, below
+                patches.append(patch)
+        angles = []
+        for patch in patches:
+            gy, gx = np.gradient(patch)
+            angles.append(np.arctan2(gy, gx)[11, 1:-1])
+        angles = np.concatenate(angles)
+        assert np.any(angles == -np.pi) and np.any(angles == np.pi)
+        assert np.any((angles == 0.0) & np.signbit(angles))
+        tiny = (angles < 0) & (angles / (np.pi / 4) + 8.0 == 8.0)
+        assert np.any(tiny)
+        for patch in patches:
+            assert np.array_equal(sift_like_descriptor(patch),
+                                  _reference_sift_like_descriptor(patch))
+
     def test_single_patch_entry_point_on_a_strided_view(self):
         rng = np.random.default_rng(9)
         patch = np.rot90(rng.integers(0, 256, (32, 32), dtype=np.uint8))
         assert not patch.flags.c_contiguous
         assert np.array_equal(sift_like_descriptor(patch),
                               _reference_sift_like_descriptor(patch))
+
+
+def _assert_same_dataset(got, want):
+    for name in ("patches", "labels", "sequence_ids", "tiers"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+class TestMatchesPerPatchGenerator:
+    """`generate_synthetic` is byte for byte the per-patch reference loop."""
+
+    @pytest.mark.parametrize("classes,per_class,tiers", [
+        (500, 6, ("easy", "hard", "tough")),
+        (40, 7, ("tough", "easy")),
+        (2, 2, ("hard",)),
+    ])
+    def test_patches_labels_and_tiers(self, classes, per_class, tiers):
+        _assert_same_dataset(generate_synthetic(classes, per_class, tiers, seed=4),
+                             _reference_generate_synthetic(classes, per_class, tiers, seed=4))
+
+    @pytest.mark.parametrize("chunk", [1, 7])  # 165 patches: 7 leaves a last chunk of 4
+    def test_partial_last_chunk(self, monkeypatch, chunk):
+        monkeypatch.setattr(data, "RENDER_CHUNK", chunk)
+        _assert_same_dataset(generate_synthetic(33, 5, seed=8),
+                             _reference_generate_synthetic(33, 5, seed=8))
 
 
 class TestGenerateSynthetic:
