@@ -15,9 +15,11 @@ Protocol notes (simplified HPatches analogue, desk scale):
       tier; only pairs that share no labels are skipped.
   retrieval — every patch whose label has >= 2 rows queries a pool of all
       other same-label rows plus sampled distractors; mAP over queries.
-All score ties break by stable index order, so reports are deterministic
-per (set, seed) for a fixed BLAS library and thread count; the thread count
-can change the last bits of a distance and so the order of near-ties.
+All score ties break by stable index order, and every distance a report
+ranks or matches by is taken pair by pair (matching's float32 matrix
+products only narrow the candidates, within a proven bound), so reports are
+deterministic per (set, seed) for a fixed numpy and BLAS library, whatever
+the BLAS thread count.
 
 Each task checks once, on entry, that every descriptor is finite, and
 raises NumericError if one is not.
@@ -26,17 +28,17 @@ Cost, for N rows of D dimensions:
   verification — O(N log N) per tier to index its rows by label; the
       attempts are drawn in one call and filtered in O(attempts), and each
       drawn pair's row is found in O(log N); all pair distances in one call.
-  matching — O(R * T * D) for R reference rows against T target rows. The
-      target's squared row norms are taken once per target sequence; the
-      reference rows then go through `pairwise_distance_matrix(...,
+  matching — O(R * T * D) for R reference rows against T target rows, in
+      float32: the reference rows go through `pairwise_distance_matrix(...,
       squared=True)` in blocks of about BLOCK_FLOATS / T rows, each
-      O(rows * T * D), so each block of squared distances holds about
-      BLOCK_FLOATS float64 entries (2 MiB) and never R x T; every block
-      reuses one product buffer and one distance buffer. Only each row's
-      smallest entry is rooted, one sqrt per reference row; the row's match
-      is the first entry whose root equals it (`_nearest_in_rows`), which is
-      the argmin of the rooted row, ties made by the root's rounding and
-      several clamped zeros included.
+      O(rows * T * D), so a block of squared distances holds about
+      BLOCK_FLOATS float32 entries (1 MiB) and never R x T; every block
+      reuses one product buffer and one distance buffer. This search only
+      keeps candidates: each row's targets within an error bound of its
+      float32 minimum (`_nearest` derives the bound), about one per row on
+      eval sets. The kept pairs are scored again in float64, O(D) each, and
+      the row's match is the candidate at the smallest float64 distance,
+      ties to the lower target row.
   retrieval — O(N log N) to index rows by label; K draws per query for K
       distractors, made in blocks of about BLOCK_FLOATS draws; then
       O(P * D) per query for a pool of P rows, in blocks of queries whose
@@ -63,16 +65,11 @@ from .data import DescriptorSet, tier_name
 from .errors import ConfigError
 from .numerics import as_matrix, pairwise_distance_matrix
 
-# Entries in the largest float64 array one block of matching or retrieval
-# works on: 2 MiB, so a block's arrays stay in cache between passes (at
-# 5,000 target rows, matching blocks hold 48 reference rows).
+# Entries in the largest array one block of matching or retrieval works on:
+# 2 MiB of float64 (1 MiB for matching's float32 blocks), so a block's arrays
+# stay in cache between passes (at 5,000 target rows, matching blocks hold 52
+# reference rows).
 BLOCK_FLOATS = 1 << 18
-# Matching blocks hold a multiple of this many reference rows, and never a
-# lone trailing row unless that is the whole query set. Checked with
-# single-threaded OpenBLAS 0.3.31 on x86-64, such blocks give bit for bit the
-# distances of one call over all rows; other sizes can round the last bit
-# differently, and numpy sends a one-row product to gemv.
-_MATCH_ROW_STEP = 12
 
 
 @dataclass
@@ -248,10 +245,7 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
                 f"verification: tier {name} has no positive pairs; left out of map_by_tier",
                 RuntimeWarning, stacklevel=2)
 
-    diff = x[np.concatenate(first)] - x[np.concatenate(second)]
-    # One BLAS dot per row, as np.linalg.norm computes a single vector's
-    # norm, so every distance has the bits of a per-pair norm.
-    dist = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    dist = _pair_distances(x[np.concatenate(first)] - x[np.concatenate(second)])
     rel = np.concatenate(pair_rel)
     tier_arr = np.concatenate(pair_tier)
     idx = np.arange(len(dist))
@@ -316,6 +310,13 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
     `num_skipped` counts only the pairs that share no labels with the
     reference; each one warns.
 
+    The nearest target row is the one at the smallest per-pair float64
+    distance, the distance verification uses; ties go to the lower target
+    row. A float32 search over all targets keeps the candidates, every row
+    within a proven bound of the float32 minimum, and only those are scored
+    in float64 (see `_nearest`), so the match is the float64 one whatever
+    the float32 rounding.
+
     Matching draws nothing: it is deterministic and ignores `seed`, which it
     accepts so that every task takes the same keywords.
     """
@@ -366,50 +367,74 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
 
 
 def _nearest(queries: np.ndarray, targets: np.ndarray):
-    """Index of and distance to each query row's nearest target row,
-    computed in blocks of query rows (see BLOCK_FLOATS). `targets` must be
-    finite; its squared row norms are taken once for all blocks. Every block
-    writes its product and its distances into the same two buffers, so no
-    block maps fresh memory."""
-    targets_sq = (targets * targets).sum(axis=1)
-    step = max(1, BLOCK_FLOATS // (len(targets) * _MATCH_ROW_STEP)) * _MATCH_ROW_STEP
+    """Index of and distance to each query row's nearest target row: the
+    smallest per-pair float64 distance (`_pair_distances`), ties to the lower
+    target row. Both arrays must be finite float64.
+
+    Rows are first scaled by one power of two, 2^-e with e from `np.frexp`
+    of the largest entry, so every entry lies below 1 in magnitude and no
+    float32 cast or square overflows. A float32 search then finds the
+    candidates: query rows go in blocks of about BLOCK_FLOATS / T through
+    `pairwise_distance_matrix(..., squared=True)` in float32, every block
+    writing into the same two buffers, and a row keeps each target whose
+    float32 value F lies within 2E of the row's smallest F. The kept
+    candidates are scored again with the per-pair float64 norm of the scaled
+    rows; undoing the scale afterwards is exact, so a distance has the bits
+    of `np.linalg.norm` of the raw difference unless some square under- or
+    overflows float64.
+
+    The bound. With u = 2^-24, d the row length, a the scaled query row and
+    S = |a|^2 + max_j |b_j|^2 over the scaled target rows b_j, every F of
+    the row is within E = 2(d + 5) u / (1 - (d + 5) u) S + 16(d + 1) 2^-126
+    of the exact |a - b_j|^2: rounding the rows to float32 moves it by at
+    most 4u S; the float32 norms and the d-term dot, in any summation order
+    and with or without FMA, by at most (2d + 3) u S to first order (the
+    denominator covers the higher orders); and the second term covers
+    products, casts and sums that underflow float32, even when flushed to
+    zero. The F of the exact nearest row then lies within 2E of the row's
+    smallest F. So does the F of every row whose float64 distance ties with
+    or undercuts the exact nearest row's, since a float64 distance, from a
+    difference, a d-term dot and a root, is within (4d + 20) 2^-53 S of the
+    exact one, far less than the 3u S that E holds beyond the sum of its
+    float32 terms. The float64 answer never rests on the float32 bits.
+    """
+    d = queries.shape[1]
+    top = max(np.abs(queries).max(initial=0.0), np.abs(targets).max(initial=0.0))
+    shift = -int(np.frexp(top)[1])
+    queries, targets = np.ldexp(queries, shift), np.ldexp(targets, shift)
+    queries32, targets32 = queries.astype(np.float32), targets.astype(np.float32)
+    targets32_sq = (targets32 * targets32).sum(axis=1)
+    c = (d + 5) * 2.0 ** -24
+    slack = 2 * (2 * c / (1 - c) * ((queries * queries).sum(axis=1)
+                                    + (targets * targets).sum(axis=1).max())
+                 + 16 * (d + 1) * 2.0 ** -126)
+    rows = max(1, BLOCK_FLOATS // len(targets))
     nn = np.empty(len(queries), dtype=np.int64)
     nn_dist = np.empty(len(queries))
-    size = min(len(queries), step + 1) * len(targets)  # the last block may hold step + 1
-    work = (np.empty(size), np.empty(size))
-    start = 0
-    while start < len(queries):
-        stop = len(queries) if len(queries) - start <= step + 1 else start + step
-        sq = pairwise_distance_matrix(queries[start:stop], targets, b_sq=targets_sq,
+    size = min(len(queries), rows) * len(targets)
+    work = (np.empty(size, np.float32), np.empty(size, np.float32))
+    for lo in range(0, len(queries), rows):
+        hi = min(lo + rows, len(queries))
+        sq = pairwise_distance_matrix(queries32[lo:hi], targets32, b_sq=targets32_sq,
                                       squared=True, work=work)
-        nn[start:stop], nn_dist[start:stop] = _nearest_in_rows(sq)
-        start = stop
-    return nn, nn_dist
+        # the row's float32 minimum plus 2E, rounded up into float32
+        limit = (sq.min(axis=1) + slack[lo:hi]).astype(np.float32)
+        limit = np.nextafter(limit, np.float32(np.inf))
+        row, col = np.divmod(np.flatnonzero(sq <= limit[:, None]), len(targets))
+        dist = _pair_distances(queries[lo + row] - targets[col])
+        # candidates come row by row; each row keeps at least its minimum
+        first = np.searchsorted(row, np.arange(hi - lo))
+        pick = np.lexsort((col, dist, row))[first]
+        nn[lo:hi] = col[pick]
+        nn_dist[lo:hi] = dist[pick]
+    return nn, np.ldexp(nn_dist, -shift)
 
 
-def _nearest_in_rows(sq: np.ndarray):
-    """`np.sqrt(sq).argmin(axis=1)` and the root at each row's argmin, bit
-    for bit, from squared distances `sq` with one root per row.
-
-    The root is monotone but rounds neighbouring doubles to one value, so the
-    rooted row can tie where `sq` does not: every entry up to `top`, the
-    largest double whose root is still the row's smallest distance, ties
-    with the minimum, and the first of them is the rooted row's argmin.
-    `top` is at most a few `np.nextafter` steps above the minimum. A row
-    holding a NaN, which only squared norms that overflowed give, keeps
-    argmin's first NaN."""
-    first = sq.argmin(axis=1)
-    low = sq[np.arange(len(sq)), first]
-    dist = np.sqrt(low)
-    top = low
-    while True:
-        up = np.nextafter(top, np.inf)
-        step = (np.sqrt(up) == dist) & (up != top)  # an inf minimum stays put
-        if not step.any():
-            break
-        top = np.where(step, up, top)
-    nn = (sq <= top[:, None]).argmax(axis=1)
-    return np.where(np.isnan(dist), first, nn), dist
+def _pair_distances(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of `diff`. One BLAS dot per row, as
+    np.linalg.norm computes a single vector's norm, so every value has the
+    bits of that row's np.linalg.norm."""
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
 def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,

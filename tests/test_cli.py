@@ -111,6 +111,19 @@ class TestDescribe:
         assert capsys.readouterr().out == manifest.read_text()
 
 
+class TestFitPca:
+    @pytest.mark.parametrize("dim", ["0", "200"])
+    def test_a_dim_outside_the_input_exits_4_and_writes_nothing(self, tmp_path,
+                                                                descriptor_file, dim,
+                                                                capsys):
+        before = set(tmp_path.iterdir())
+        assert main(["fit-pca", str(descriptor_file), "--dim", dim,
+                     "-o", str(tmp_path / "pca.dpc"),
+                     "-m", str(tmp_path / "f.manifest")]) == EXIT_CONFIG
+        assert set(tmp_path.iterdir()) == before
+        assert capsys.readouterr().out == ""
+
+
 class TestTrain:
     @pytest.mark.parametrize("scheme", ["us", "ss", "sv"])
     def test_batch_of_one_exits_4_and_writes_nothing(self, tmp_path, descriptor_file,
@@ -216,6 +229,33 @@ class TestTrain:
         assert not model.exists() and not log.exists()
 
 
+class TestReduce:
+    def test_a_pca_model_of_another_input_dim_exits_2(self, tmp_path, descriptor_file,
+                                                      capsys):
+        model, reduced = tmp_path / "pca.dpc", tmp_path / "r8.ddr"
+        assert main(["fit-pca", str(descriptor_file), "--dim", "8", "-o", str(model)]) == 0
+        assert main(["reduce", str(descriptor_file), "--model", str(model),
+                     "-o", str(reduced)]) == 0
+        capsys.readouterr()
+        before = set(tmp_path.iterdir())
+        # the model takes the 128-D rows, the reduced file holds 8-D rows
+        assert main(["reduce", str(reduced), "--model", str(model),
+                     "-o", str(tmp_path / "out.ddr"),
+                     "-m", str(tmp_path / "r.manifest")]) == EXIT_FORMAT
+        assert set(tmp_path.iterdir()) == before
+        assert "desclite:" in capsys.readouterr().err
+
+    def test_an_unknown_model_magic_exits_2(self, tmp_path, descriptor_file, capsys):
+        model = tmp_path / "m.bin"
+        model.write_bytes(b"XYZ1" + bytes(60))
+        before = set(tmp_path.iterdir())
+        assert main(["reduce", str(descriptor_file), "--model", str(model),
+                     "-o", str(tmp_path / "out.ddr"),
+                     "-m", str(tmp_path / "r.manifest")]) == EXIT_FORMAT
+        assert set(tmp_path.iterdir()) == before
+        assert "unknown model magic" in capsys.readouterr().err
+
+
 class TestEval:
     @pytest.mark.parametrize("task", ["verification", "matching", "retrieval"])
     def test_a_nan_row_exits_3_and_writes_nothing(self, tmp_path, descriptor_file, task,
@@ -269,6 +309,23 @@ class TestSweep:
         assert err.startswith("usage: desclite sweep")
         assert f"argument {flag}: invalid" in err
         assert set(tmp_path.iterdir()) == before
+
+    def test_a_nan_row_in_the_eval_file_exits_3_and_writes_nothing(self, tmp_path,
+                                                                   descriptor_file,
+                                                                   capsys):
+        dset = load_descriptors(str(descriptor_file))
+        x = dset.descriptors.copy()
+        x[5] = np.nan
+        bad = tmp_path / "nan.ddr"
+        save_descriptors(DescriptorSet(x, dset.labels, dset.sequence_ids, dset.tiers),
+                         str(bad))
+        before = set(tmp_path.iterdir())
+        assert main(["sweep", str(descriptor_file), str(bad), "--dim", "8",
+                     "--layers", "0", "--epochs", "1", "--batch-size", "2",
+                     "-o", str(tmp_path / "s.txt"),
+                     "-m", str(tmp_path / "s.manifest")]) == EXIT_NUMERIC
+        assert set(tmp_path.iterdir()) == before
+        assert "non-finite" in capsys.readouterr().err
 
     def test_lists_set_the_grid(self, tmp_path, descriptor_file, capsys):
         out = tmp_path / "s.txt"

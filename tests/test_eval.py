@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from desclite import eval as ev
-from desclite.data import DescriptorSet, tier_name
+from desclite.data import DescriptorSet, save_descriptors, tier_name
 from desclite.errors import ConfigError, NumericError
 from desclite.eval import (
     EvalReport,
@@ -295,10 +298,10 @@ class TestInvariances:
 
 
 # Reference oracles: the per-query loops the tasks were first written as.
-# Each scans every row per query or attempt and builds whole distance
-# matrices, so they serve small sets only. They draw through the same
-# `integers` calls and `_distinct` as the tasks, so they check everything
-# but the draw stream. Matching's config leaves out the
+# Each scans every row per query or attempt, so they serve small sets only,
+# and every distance is the single-vector norm of one pair. They draw
+# through the same `integers` calls and `_distinct` as the tasks, so they
+# check everything but the draw stream. Matching's config leaves out the
 # seed, which matching never used.
 
 def _reference_tier_of(dset, row):
@@ -368,6 +371,17 @@ def _reference_verification(dset, pairs_per_tier, seed):
     )
 
 
+def _reference_norms(diff):
+    # np.linalg.norm of each row on its own, one vector at a time, in one call
+    return np.sqrt(np.vecdot(diff, diff))
+
+
+def _reference_nearest(queries, targets):
+    # per query: every target's distance, then the first smallest
+    nn = np.array([_reference_norms(q - targets).argmin() for q in queries], dtype=np.int64)
+    return nn, _reference_norms(queries - targets[nn])
+
+
 def _reference_matching(dset):
     seqs = np.unique(dset.sequence_ids)
     ref_id = int(seqs.min())
@@ -380,9 +394,8 @@ def _reference_matching(dset):
             skipped += 1
             continue
         use_ref = ref_rows[np.isin(dset.labels[ref_rows], shared)]
-        dist = pairwise_distance_matrix(dset.descriptors[use_ref], dset.descriptors[tgt_rows])
-        nn = dist.argmin(axis=1)
-        nn_dist = dist[np.arange(len(use_ref)), nn]
+        nn, nn_dist = _reference_nearest(dset.descriptors[use_ref],
+                                         dset.descriptors[tgt_rows])
         correct = (dset.labels[tgt_rows][nn] == dset.labels[use_ref]).astype(np.float64)
         ranked = _reference_ranked(nn_dist, correct, np.arange(len(use_ref)))
         aps.append(average_precision(ranked) if correct.any() else 0.0)
@@ -557,59 +570,145 @@ def test_verification_reports_pairs_per_tier():
     assert "tier.easy.pairs_positive=10" in lines
 
 
-class TestNearestInRows:
-    """Matching's row selection from squared distances against the argmin of
-    the rooted block, which the selection must equal, ties and all."""
+def test_reference_norms_are_single_vector_norms():
+    rng = np.random.default_rng(12)
+    for d in (1, 3, 8, 31, 32, 128, 300):
+        diff = rng.standard_normal((40, d)) * 10.0 ** rng.integers(-6, 6, size=(40, 1))
+        want = np.array([np.linalg.norm(v) for v in diff])
+        assert np.array_equal(_reference_norms(diff), want)
+        assert np.array_equal(ev._pair_distances(diff), want)
+
+
+class TestNearest:
+    """Matching's nearest rows against a brute-force search over every
+    target's per-pair norm, compared with `==`: same rows, same bits."""
 
     @staticmethod
-    def _rooted(sq):
-        root = np.sqrt(sq)
-        nn = root.argmin(axis=1)
-        return nn, root[np.arange(len(sq)), nn]
-
-    def test_entries_of_equal_roots_tie_to_the_first(self):
-        m = 1.0
-        above = np.nextafter(m, np.inf)
-        assert np.sqrt(above) == np.sqrt(m)  # the root rounds both to 1.0
-        nn, dist = ev._nearest_in_rows(np.array([[above, m]]))
-        assert nn.tolist() == [0] and dist.tolist() == [1.0]
-
-    def test_first_of_several_clamped_zeros(self):
-        nn, dist = ev._nearest_in_rows(np.array([[3.0, 0.0, 0.0, 1.0, 0.0]]))
-        assert nn.tolist() == [1] and dist.tolist() == [0.0]
-
-    def test_minimum_in_the_last_column(self):
-        nn, dist = ev._nearest_in_rows(np.array([[4.0, 9.0, 2.25, 1.0]]))
-        assert nn.tolist() == [3] and dist.tolist() == [1.0]
-
-    def test_overflowed_rows(self):
-        # inf and NaN come only from squared norms that overflowed
-        sq = np.array([[np.inf, np.inf, np.inf], [2.0, np.inf, 1.0],
-                       [1.0, np.nan, 0.5], [np.inf, np.inf, np.nan]])
-        nn, dist = ev._nearest_in_rows(sq)
-        want_nn, want_dist = self._rooted(sq)
-        assert nn.tolist() == want_nn.tolist() == [0, 2, 1, 2]
-        assert np.array_equal(dist, want_dist, equal_nan=True)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_planted_near_ties_match_the_rooted_argmin(self, seed):
-        rng = np.random.default_rng(seed)
-        sq = rng.random((200, 37)) * 10.0 ** rng.integers(-3, 4, size=(200, 1))
-        low = sq.argmin(axis=1)
-        for r in range(len(sq)):
-            # 1 to 3 entries 1 to 3 ulps above the minimum, anywhere in the row
-            m = sq[r, low[r]]
-            for col in rng.choice(37, size=rng.integers(1, 4), replace=False):
-                if col != low[r]:
-                    up = m
-                    for _ in range(rng.integers(1, 4)):
-                        up = np.nextafter(up, np.inf)
-                    sq[r, col] = up
-        want_nn, want_dist = self._rooted(sq)
-        assert (want_nn != sq.argmin(axis=1)).sum() > 10  # ties the root made
-        nn, dist = ev._nearest_in_rows(sq)
+    def _check(queries, targets):
+        nn, dist = ev._nearest(queries, targets)
+        want_nn, want_dist = _reference_nearest(queries, targets)
         assert np.array_equal(nn, want_nn)
         assert np.array_equal(dist, want_dist)
+        return nn, dist
+
+    @staticmethod
+    def _near_ties(seed):
+        """Every query has 2 to 4 targets along one displacement, stretched
+        by 0 (the same point), 2^-52, 2^-50, 1e-12, 1e-9 or 1e-6, among
+        random targets; the rows are shuffled."""
+        rng = np.random.default_rng(seed)
+        d = (8, 32, 128)[seed % 3]
+        queries = rng.standard_normal((60, d))
+        planted = []
+        for q in queries:
+            v = 0.3 * rng.standard_normal(d)
+            for stretch in rng.choice([0.0, 2.0 ** -52, 2.0 ** -50, 1e-12, 1e-9, 1e-6],
+                                      size=rng.integers(2, 5)):
+                planted.append(q + v * (1.0 + stretch))
+        targets = np.vstack([np.vstack(planted), rng.standard_normal((100, d))])
+        return queries, targets[rng.permutation(len(targets))]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_near_ties(self, seed):
+        queries, targets = self._near_ties(seed)
+        nn, dist = self._check(queries, targets)
+        # the float32 search alone picks another row for some queries
+        sq32 = pairwise_distance_matrix(queries.astype(np.float32),
+                                        targets.astype(np.float32), squared=True)
+        assert (sq32.argmin(axis=1) != nn).sum() >= 5
+        # and some rows have a runner-up within one float64 step, or a tie
+        norms = _reference_norms(queries[:, None, :] - targets[None, :, :])
+        runner_up = np.sort(norms, axis=1)[:, 1]
+        assert ((runner_up - dist) <= np.spacing(dist)).sum() >= 5
+
+    @pytest.mark.parametrize("rows", [1, 7, 25])
+    def test_tiny_blocks(self, rows, monkeypatch):
+        # blocks of 1, 7 and 25 of the 60 query rows; the last block is short
+        queries, targets = self._near_ties(3)
+        monkeypatch.setattr(ev, "BLOCK_FLOATS", rows * len(targets))
+        self._check(queries, targets)
+
+    def test_exact_duplicates_go_to_the_first_column(self):
+        rng = np.random.default_rng(4)
+        targets = rng.standard_normal((30, 16))
+        targets[[4, 11, 25]] = targets[17]
+        targets[[2, 9]] = targets[28]
+        queries = targets[[25, 17, 28, 9, 0]]
+        nn, dist = self._check(queries, targets)
+        assert nn.tolist() == [4, 4, 2, 2, 0]
+        assert not dist.any()
+
+    @pytest.mark.parametrize("power", [500, -500])
+    def test_scaled_by_a_power_of_two(self, power):
+        # at 2^-500 some squares fall below the smallest normal double, so
+        # the brute-force norms of the scaled rows lose bits: the scaled
+        # search must give the unscaled answer, scaled exactly
+        queries, targets = self._near_ties(1)
+        nn, dist = self._check(queries, targets)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            scaled_nn, scaled_dist = ev._nearest(np.ldexp(queries, power),
+                                                 np.ldexp(targets, power))
+        assert np.array_equal(scaled_nn, nn)
+        assert np.array_equal(scaled_dist, np.ldexp(dist, power))
+
+    def test_every_target_equidistant(self):
+        # each target is its query moved by 3 along one axis, either way;
+        # small integers keep every difference exact
+        rng = np.random.default_rng(5)
+        query = rng.integers(-4, 5, size=(1, 6)).astype(np.float64)
+        targets = np.vstack([query + 3.0 * np.eye(6), query - 3.0 * np.eye(6)])
+        nn, dist = self._check(query, targets)
+        assert nn.tolist() == [0] and dist.tolist() == [3.0]
+        # the origin against sign flips of one row: every norm has one bit pattern
+        signs = rng.choice([-1.0, 1.0], size=(20, 9))
+        flips = signs * rng.standard_normal(9)
+        nn, dist = self._check(np.zeros((3, 9)), flips)
+        assert nn.tolist() == [0, 0, 0]
+
+    def test_minimum_in_the_last_column(self):
+        targets = np.array([[2.0, 0.0], [3.0, 0.0], [1.5, 0.0], [1.0, 0.0]])
+        nn, dist = self._check(np.zeros((1, 2)), targets)
+        assert nn.tolist() == [3] and dist.tolist() == [1.0]
+
+    def test_one_row_and_one_column(self):
+        rng = np.random.default_rng(6)
+        queries, targets = rng.standard_normal((5, 4)), rng.standard_normal((7, 4))
+        self._check(queries[:1], targets)
+        nn, _ = self._check(queries, targets[:1])
+        assert not nn.any()
+        self._check(queries[:1], targets[:1])
+        self._check(queries[:1, :1], targets[:, :1])
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 1,000 reference rows against 999 target rows, 32-D: matching's float32
+    # products are large enough for OpenBLAS to run them on two threads
+    rng = np.random.default_rng(13)
+    base = rng.standard_normal((1000, 32))
+    moved = base[:999] + 0.5 * rng.standard_normal((999, 32))
+    labels = np.concatenate([np.arange(1000), np.arange(999)])
+    path = tmp_path / "pair.ddr"
+    save_descriptors(make_set(np.vstack([base, moved]), labels,
+                              np.repeat([0, 1], [1000, 999])), str(path))
+    child = ("import sys\n"
+             "from desclite.data import load_descriptors\n"
+             "from desclite.eval import eval_matching, eval_retrieval, eval_verification\n"
+             "dset = load_descriptors(sys.argv[1])\n"
+             "for task in (eval_verification, eval_matching, eval_retrieval):\n"
+             "    print('\\n'.join(task(dset, seed=3).lines()))\n")
+    src = os.path.dirname(os.path.dirname(ev.__file__))
+    out = {}
+    for threads in ("2", "1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        out[threads] = run.stdout.splitlines()
+    assert [line for line in out["1"] if line.startswith("task=")] == \
+        ["task=verification", "task=matching", "task=retrieval"]
+    assert out["2"] == out["1"]
 
 
 def test_matching_memory_stays_below_the_dense_matrix():
