@@ -18,6 +18,7 @@ import numpy as np
 
 from ._binio import ByteReader, check_u32, read_file, u32_bytes, write_atomic
 from .errors import ConfigError, FormatError, ShapeError
+from .numerics import row_norms
 
 PATCH_SIZE = 32
 DESCRIPTOR_DIM = 128
@@ -232,10 +233,13 @@ _CLAMP = 0.2
 _ROW_BINS = DESCRIPTOR_DIM + _ORI_BINS
 
 # Patches described per chunk. Each patch casts 8 x 1024 votes, a bin index
-# and a float64 weight each: 32 MiB of vote buffers at 256 patches. 512 ran
-# slower than 128 or 256, and one chunk for all patches would need the
-# buffers for all of them (about 390 MB at 3,000 patches).
-DESCRIBE_CHUNK = 256
+# and a float64 weight each: 128 KiB of vote buffers per patch, 4 MiB at 32
+# patches. Describing 3,000 patches took 0.27-0.31 s at 16, 32 or 64, 0.34-0.43
+# s at 128 and 0.43-0.50 s at 256 (best and median of five runs, one BLAS
+# thread, 2-vCPU x86-64 VM with 2 MiB of L2 per core), with equal descriptors
+# at every size; one chunk for all patches would need the buffers for all of
+# them (about 390 MB at 3,000 patches).
+DESCRIBE_CHUNK = 32
 
 
 def _cell_grid():
@@ -265,13 +269,6 @@ def _cell_grid():
 
 
 _GAUSS_WEIGHT, _CORNER_OFFSET, _CORNER_WY, _CORNER_WX = _cell_grid()
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """L2 norm of each row, bit for bit `np.linalg.norm(row)`: a stacked
-    1 x D by D x 1 `matmul` takes the same BLAS dot product per row, where
-    `np.linalg.norm(x, axis=1)` sums in another order."""
-    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]).ravel())
 
 
 def _describe_chunk(patches: np.ndarray, bin_base: np.ndarray,
@@ -308,11 +305,11 @@ def _describe_chunk(patches: np.ndarray, bin_base: np.ndarray,
     hist = hist.reshape(n, _ROW_BINS)[:, :DESCRIPTOR_DIM]
 
     out = np.zeros((n, DESCRIPTOR_DIM))
-    norm = _row_norms(hist)
+    norm = row_norms(hist)
     keep = norm >= 1e-12
     vec = hist[keep] / norm[keep, None]
     np.minimum(vec, _CLAMP, out=vec)
-    out[keep] = vec / _row_norms(vec)[:, None]
+    out[keep] = vec / row_norms(vec)[:, None]
     return out
 
 
@@ -353,8 +350,8 @@ def extract_descriptors(dataset: PatchDataset) -> DescriptorSet:
 
     Patches are described in chunks of DESCRIBE_CHUNK: per chunk, one
     gradient pass and one `np.bincount` over its 8 x 1024 votes per patch,
-    so the cost is linear in N with no per-patch Python work: about 0.15 ms
-    per patch (3,000 patches in ≈0.45 s with one BLAS thread on a 2-vCPU
+    so the cost is linear in N with no per-patch Python work: about 0.1 ms
+    per patch (3,000 patches in ≈0.3 s with one BLAS thread on a 2-vCPU
     x86-64 VM, numpy 2.4), where the per-patch loop took 0.55 ms. Every
     bin adds its votes in the order of the per-patch reference loop (eight
     `np.add.at` calls, `tests/test_data.py`) and row norms are the same BLAS dot

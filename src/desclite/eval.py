@@ -27,32 +27,42 @@ raises NumericError if one is not.
 Cost, for N rows of D dimensions:
   verification — O(N log N) per tier to index its rows by label; the
       attempts are drawn in one call and filtered in O(attempts), and each
-      drawn pair's row is found in O(log N); all pair distances in one call.
+      drawn pair's row is found in O(1); all pair distances in one call.
   matching — O(R * T * D) for R reference rows against T target rows, in
       float32: the reference rows go through `pairwise_distance_matrix(...,
       squared=True)` in blocks of about BLOCK_FLOATS / T rows, each
       O(rows * T * D), so a block of squared distances holds about
       BLOCK_FLOATS float32 entries (1 MiB) and never R x T; every block
-      reuses one product buffer and one distance buffer. This search only
-      keeps candidates: each row's targets within an error bound of its
-      float32 minimum (`_nearest` derives the bound), about one per row on
-      eval sets. The kept pairs are scored again in float64, O(D) each, and
-      the row's match is the candidate at the smallest float64 distance,
-      ties to the lower target row.
+      reuses one product buffer and one distance buffer. The float32 target
+      copy is kept in column-major order, so the sgemm reads its transpose
+      contiguously, and a block takes the sgemm (the -2 folded into the
+      operand with fewer rows), three elementwise passes and the candidate
+      filter. This search only keeps candidates: each row's targets within
+      an error bound of its float32 minimum (`_nearest` derives the bound),
+      about one per row on eval sets. The kept pairs are scored again in
+      float64, O(D) each, and the row's match is the candidate at the
+      smallest float64 distance, ties to the lower target row.
   retrieval — O(N log N) to index rows by label; K draws per query for K
-      distractors, made in blocks of about BLOCK_FLOATS draws; then
-      O(P * D) per query for a pool of P rows, in blocks of queries whose
-      gathered rows, and whose label-mate against pool comparisons, hold at
-      most BLOCK_FLOATS entries; the blocks of one pool shape share one
-      buffer. Ranking is O(S * P) per query for its S label-mates, with no
-      sort: a mate's rank counts the pool entries ahead of it.
+      distractors, made in blocks of about BLOCK_FLOATS draws, each mapped
+      to its row in O(1); then O(P * D) per query for a pool of P rows, in
+      blocks of queries whose gathered rows, and whose label-mate against
+      pool comparisons, hold at most BLOCK_FLOATS entries; the blocks of one
+      pool shape share one buffer of rows and one of distances. A block
+      gathers its pool rows, subtracts the query and takes one dot per pair,
+      the distance verification and matching use. Ranking is O(S * P) per
+      query for its S label-mates, with no sort: a mate's rank counts the
+      pool entries ahead of it.
 
 Random draws. Every draw is a public `Generator.integers` call over a whole
 array, never one call per attempt or query: verification draws all of a
 tier's attempts at once and then their partners, and retrieval draws each
 query's distractors as a uniform subset by Floyd's algorithm (`_distinct`).
-The same seed gives the same draws and reports; they are not those of
-per-item `rng.choice` calls.
+A drawn index p below a row's n_other rows of other labels is the p-th of
+them in cyclic label order: the rows of the labels above the row's own,
+then those of the labels below it, each label's rows ascending
+(`_LabelIndex.outside`). This is a bijection, so uniform indices give
+uniform rows. The same seed gives the same draws and reports; they are not
+those of per-item `rng.choice` calls.
 """
 from __future__ import annotations
 
@@ -63,7 +73,7 @@ import numpy as np
 
 from .data import DescriptorSet, tier_name
 from .errors import ConfigError
-from .numerics import as_matrix, pairwise_distance_matrix
+from .numerics import as_matrix, pairwise_distance_matrix, row_norms
 
 # Entries in the largest array one block of matching or retrieval works on:
 # 2 MiB of float64 (1 MiB for matching's float32 blocks), so a block's arrays
@@ -169,30 +179,25 @@ class _LabelIndex:
 
     Label c's rows, ascending, are `rows[start[c]:start[c] + count[c]]`, and
     `slot[k]` is where the row at input position k landed in `rows`.
-    `outside` finds the p-th row, in ascending order, whose label is not c by
-    binary search instead of a scan.
+    `outside` lists the rows whose label is not c in cyclic label order:
+    the rows of labels above c, then those of labels below it, so the p-th
+    of them is one lookup.
     """
 
     def __init__(self, rows: np.ndarray, codes: np.ndarray, n_codes: int):
         order = np.argsort(codes, kind="stable")
-        self.input_rows = rows
         self.rows = rows[order]
         self.count = np.bincount(codes, minlength=n_codes)
         self.start = np.cumsum(self.count) - self.count
         self.slot = np.empty(len(rows), dtype=np.int64)
         self.slot[order] = np.arange(len(rows))
-        # Label c's j-th row sits at input position order[start[c] + j]. The
-        # p-th position outside c is p + #{j : order[start[c] + j] - j <= p};
-        # offsetting each label's keys by c * span keeps all keys sorted.
-        sorted_codes = codes[order]
-        self._span = len(rows) + 1
-        self._key = (sorted_codes * self._span + order
-                     - (np.arange(len(rows)) - self.start[sorted_codes]))
 
     def outside(self, code, p):
-        """The p-th rows (0-based, ascending) whose label is not `code`."""
-        below = np.searchsorted(self._key, code * self._span + p, side="right")
-        return self.input_rows[p + below - self.start[code]]
+        """The p-th rows (0-based) whose label is not `code`, counting from
+        the first row after label `code`'s and wrapping round to row 0: a
+        bijection from 0..n_other - 1 onto those rows, so a uniform index is a
+        uniform row."""
+        return self.rows[(self.start[code] + self.count[code] + p) % len(self.rows)]
 
 
 def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
@@ -245,7 +250,7 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
                 f"verification: tier {name} has no positive pairs; left out of map_by_tier",
                 RuntimeWarning, stacklevel=2)
 
-    dist = _pair_distances(x[np.concatenate(first)] - x[np.concatenate(second)])
+    dist = row_norms(x[np.concatenate(first)] - x[np.concatenate(second)])
     rel = np.concatenate(pair_rel)
     tier_arr = np.concatenate(pair_tier)
     idx = np.arange(len(dist))
@@ -368,7 +373,7 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
 
 def _nearest(queries: np.ndarray, targets: np.ndarray):
     """Index of and distance to each query row's nearest target row: the
-    smallest per-pair float64 distance (`_pair_distances`), ties to the lower
+    smallest per-pair float64 distance (`row_norms`), ties to the lower
     target row. Both arrays must be finite float64.
 
     Rows are first scaled by one power of two, 2^-e with e from `np.frexp`
@@ -402,7 +407,9 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
     top = max(np.abs(queries).max(initial=0.0), np.abs(targets).max(initial=0.0))
     shift = -int(np.frexp(top)[1])
     queries, targets = np.ldexp(queries, shift), np.ldexp(targets, shift)
-    queries32, targets32 = queries.astype(np.float32), targets.astype(np.float32)
+    # F order makes targets32.T C-contiguous, so the sgemm packs no transpose
+    queries32 = queries.astype(np.float32)
+    targets32 = targets.astype(np.float32, order="F")
     targets32_sq = (targets32 * targets32).sum(axis=1)
     c = (d + 5) * 2.0 ** -24
     slack = 2 * (2 * c / (1 - c) * ((queries * queries).sum(axis=1)
@@ -420,21 +427,16 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
         # the row's float32 minimum plus 2E, rounded up into float32
         limit = (sq.min(axis=1) + slack[lo:hi]).astype(np.float32)
         limit = np.nextafter(limit, np.float32(np.inf))
+        # np.nonzero of the 2-D mask gives the same (row, col) order but took
+        # 15x as long on a 52 x 5,000 block (numpy 2.4)
         row, col = np.divmod(np.flatnonzero(sq <= limit[:, None]), len(targets))
-        dist = _pair_distances(queries[lo + row] - targets[col])
+        dist = row_norms(queries[lo + row] - targets[col])
         # candidates come row by row; each row keeps at least its minimum
         first = np.searchsorted(row, np.arange(hi - lo))
         pick = np.lexsort((col, dist, row))[first]
         nn[lo:hi] = col[pick]
         nn_dist[lo:hi] = dist[pick]
     return nn, np.ldexp(nn_dist, -shift)
-
-
-def _pair_distances(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of `diff`. One BLAS dot per row, as
-    np.linalg.norm computes a single vector's norm, so every value has the
-    bits of that row's np.linalg.norm."""
-    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
 def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
@@ -495,9 +497,8 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
             pool = np.hstack([mates, distractors])
             diff = np.take(x, pool, axis=0, out=work[:len(part)], mode="clip")
             diff -= x[q][:, None, :]
-            diff *= diff
-            dist = np.add.reduce(diff, axis=-1, out=work_dist[:len(part)])
-            np.sqrt(dist, out=dist)
+            dist = work_dist[:len(part)]
+            row_norms(diff.reshape(-1, dset.dim), out=dist.reshape(-1))
             # ties break by row index; label-mates fill the first `same` columns.
             # A mate's 0-based rank counts the pool entries ahead of it: nearer,
             # or as near with a smaller row index.

@@ -1,9 +1,9 @@
 """Dense matrix helpers and a symmetric eigensolver (LAPACK `eigh`).
 
-Matrices are plain 2-D numpy arrays (row-major), float32 or float64: a
-float32 array stays float32, anything else becomes float64, and results have
-the input's dtype. Everything here is pure: inputs are never mutated and
-results depend only on the arguments.
+Matrices are plain 2-D numpy arrays in either memory order, float32 or
+float64: a float32 array stays float32, anything else becomes float64, and
+results have the input's dtype. Everything here is pure: inputs are never
+mutated and results depend only on the arguments.
 """
 from __future__ import annotations
 
@@ -84,17 +84,39 @@ def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False, work=None) -> np
 
 def _sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
                   b_sq: np.ndarray, work=None) -> np.ndarray:
-    """Squared distances (|a|^2 + |b|^2) - 2ab^T between rows, clamped at 0,
-    from the squared row norms `a_sq` and `b_sq`, written into the two flat
-    arrays `work` if given (see `pairwise_distance_matrix`); no input is
-    checked."""
+    """Squared distances (|a|^2 + |b|^2) + (-2ab^T) between rows, clamped at
+    0, from the squared row norms `a_sq` and `b_sq`, written into the two
+    flat arrays `work` if given (see `pairwise_distance_matrix`); no input is
+    checked.
+
+    The -2 goes into the operand with fewer rows before the product, `a` when
+    the row counts tie, which saves a pass over the product and gives the
+    same bits, since scaling by a power of two is exact. When `a is b` numpy
+    takes a @ a.T by syrk, and a scaled copy of one side would switch it to
+    gemm and change the bits, so that product is scaled afterwards."""
     ab, sq = (None, None) if work is None else (
         w[:len(a) * len(b)].reshape(len(a), len(b)) for w in work)
-    ab = np.matmul(a, b.T, out=ab)
-    ab *= 2.0
+    if a is b:
+        ab = np.matmul(a, a.T, out=ab)
+        ab *= -2.0
+    elif len(a) <= len(b):
+        ab = np.matmul(-2.0 * a, b.T, out=ab)
+    else:
+        ab = np.matmul(a, (-2.0 * b).T, out=ab)
     sq = np.add(a_sq[:, None], b_sq[None, :], out=sq)
-    sq -= ab
+    sq += ab
     return np.maximum(sq, 0.0, out=sq)
+
+
+def row_norms(x: np.ndarray, out=None) -> np.ndarray:
+    """Euclidean norm of each row of the 2-D `x`, written into the 1-D `out`
+    if given. A stacked 1 x D by D x 1 `matmul` takes one BLAS dot per row,
+    as `np.linalg.norm` does for a single vector, so every value has the bits
+    of that row's `np.linalg.norm`; `np.linalg.norm(x, axis=1)` sums in
+    another order."""
+    sq = np.matmul(x[:, None, :], x[:, :, None],
+                   out=None if out is None else out[:, None, None])
+    return np.sqrt(sq[:, 0, 0], out=out)
 
 
 def sym_eigen(a) -> EigenDecomposition:

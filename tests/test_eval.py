@@ -18,7 +18,7 @@ from desclite.eval import (
     eval_retrieval,
     eval_verification,
 )
-from desclite.numerics import pairwise_distance_matrix
+from desclite.numerics import pairwise_distance_matrix, row_norms
 
 
 def hand_average_precision(rel):
@@ -301,8 +301,9 @@ class TestInvariances:
 # Each scans every row per query or attempt, so they serve small sets only,
 # and every distance is the single-vector norm of one pair. They draw
 # through the same `integers` calls and `_distinct` as the tasks, so they
-# check everything but the draw stream. Matching's config leaves out the
-# seed, which matching never used.
+# check everything but the draw stream. A drawn index picks among a row's
+# other-label rows in cyclic label order (`_reference_other_labels`).
+# Matching's config leaves out the seed, which matching never used.
 
 def _reference_tier_of(dset, row):
     return "all" if dset.tiers is None else tier_name(int(dset.tiers[row]))
@@ -310,6 +311,13 @@ def _reference_tier_of(dset, row):
 
 def _reference_ranked(distances, relevant, tie_index):
     return relevant[np.lexsort((tie_index, distances))]
+
+
+def _reference_other_labels(labels, rows, label):
+    # `rows` whose label is not `label`: the labels above it, then those below
+    # it, each label's rows ascending
+    other = rows[labels[rows] != label]
+    return other[np.lexsort((other, labels[other], labels[other] < label))]
 
 
 def _reference_sample_pairs(dset, tier_rows, code, codes, rng, want, positive, multi):
@@ -325,7 +333,7 @@ def _reference_sample_pairs(dset, tier_rows, code, codes, rng, want, positive, m
                 continue
             cand = np.flatnonzero((labels == labels[i]) & (codes <= code))
         else:
-            cand = np.flatnonzero((labels != labels[i]) & (codes <= code))
+            cand = _reference_other_labels(labels, np.flatnonzero(codes <= code), labels[i])
         cand = cand[cand != i]
         if len(cand):
             kept.append(i)
@@ -426,9 +434,9 @@ def _reference_retrieval(dset, distractors_per_query, seed):
     for q, pick, take in zip(queries, picks, takes):
         same = np.flatnonzero(labels == labels[q])
         same = same[same != q]
-        distractors = np.flatnonzero(labels != labels[q])[pick[:take]]
+        distractors = _reference_other_labels(labels, np.arange(len(dset)), labels[q])[pick[:take]]
         pool = np.concatenate([same, distractors])
-        dist = np.linalg.norm(dset.descriptors[pool] - dset.descriptors[q], axis=1)
+        dist = np.array([np.linalg.norm(dset.descriptors[k] - dset.descriptors[q]) for k in pool])
         rel = np.concatenate([np.ones(len(same)), np.zeros(len(distractors))])
         aps.append(average_precision(_reference_ranked(dist, rel, pool)))
         tiers_of_queries.append(_reference_tier_of(dset, q))
@@ -576,7 +584,10 @@ def test_reference_norms_are_single_vector_norms():
         diff = rng.standard_normal((40, d)) * 10.0 ** rng.integers(-6, 6, size=(40, 1))
         want = np.array([np.linalg.norm(v) for v in diff])
         assert np.array_equal(_reference_norms(diff), want)
-        assert np.array_equal(ev._pair_distances(diff), want)
+        assert np.array_equal(row_norms(diff), want)
+        out = np.full(len(diff), np.nan)
+        assert row_norms(diff, out=out) is out
+        assert np.array_equal(out, want)
 
 
 class TestNearest:
@@ -758,6 +769,41 @@ class TestDistinct:
         subsets, counts = np.unique(got, axis=0, return_counts=True)
         assert len(subsets) == 10
         assert np.abs(counts / n - 0.1).max() <= 0.005
+
+
+# The label index: a drawn index 0..n_other - 1 must reach every other-label
+# row exactly once, or uniform draws would not give uniform rows.
+
+class TestLabelIndex:
+    @staticmethod
+    def _check(rows, codes, n_codes):
+        # `codes[k]` is row k's label code; the index holds only `rows`
+        index = ev._LabelIndex(rows, codes[rows], n_codes)
+        assert np.array_equal(index.rows[index.slot], rows)
+        for c in np.unique(codes[rows]):
+            others = rows[codes[rows] != c]
+            got = index.outside(c, np.arange(len(others)))
+            assert np.array_equal(np.sort(got), others)
+            assert np.array_equal(got, _reference_other_labels(codes, rows, c))
+            assert np.array_equal(index.rows[index.start[c]:][:index.count[c]],
+                                  rows[codes[rows] == c])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_outside_lists_every_other_row_once(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 8, size=rng.integers(2, 15))
+        codes = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        self._check(np.arange(len(codes)), codes, len(sizes))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_outside_on_a_tier_filtered_subset(self, seed):
+        # as verification builds it: the rows no noisier than a tier, with
+        # label codes of the whole set, so some labels have no row here
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 8, size=12)
+        codes = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        tiers = rng.integers(0, 3, size=len(codes))
+        self._check(np.flatnonzero(tiers <= 1), codes, len(sizes))
 
 
 class TestBadCounts:

@@ -158,6 +158,25 @@ class TestPairwiseDistanceMatrix:
             assert np.array_equal(np.sqrt(sq), want)
         assert np.shares_memory(sq, work[1])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("na, nb, d", [(1, 40, 32), (24, 500, 32), (48, 37, 128),
+                                           (205, 61, 7)])
+    def test_f_ordered_b_equals_the_reference_bit_for_bit(self, na, nb, d, dtype):
+        # matching keeps its float32 targets in F order; the -2 goes into `a`
+        # or into `b` as the row counts decide, and keeps `b`'s layout
+        rng = np.random.default_rng(na * nb + d)
+        a = rng.standard_normal((na, d)).astype(dtype)
+        b = np.asfortranarray(rng.standard_normal((nb, d)).astype(dtype))
+        b[0] = a[0]
+        want = _reference_pairwise_distance_matrix(a, b)
+        assert want.dtype == dtype
+        b_sq = (b * b).sum(axis=1)
+        work = (np.full(na * nb, np.nan, dtype), np.full(na * nb, np.nan, dtype))
+        for kw in ({}, {"b_sq": b_sq}, {"b_sq": b_sq, "work": work}):
+            assert np.array_equal(pairwise_distance_matrix(a, b, **kw), want)
+            sq = pairwise_distance_matrix(a, b, squared=True, **kw)
+            assert np.array_equal(np.sqrt(sq), want)
+
     @pytest.mark.parametrize("n", [1, 12, 13, 96])
     def test_same_array_equals_the_reference(self, n):
         a = np.random.default_rng(n).standard_normal((n, 16))
