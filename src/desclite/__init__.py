@@ -16,8 +16,7 @@ from .eval import EvalReport, average_precision, eval_matching, \
     eval_retrieval, eval_verification
 from .nn import MlpModel, build_encoder, load_model, save_model
 from .pca import PcaModel, fit_pca, load_pca, pca_transform, save_pca
-from .train import TrainConfig, reduce, train, train_selfsupervised, \
-    train_supervised, train_unsupervised
+from .train import TrainConfig, reduce, train
 
 __all__ = [
     "__version__",
@@ -30,6 +29,5 @@ __all__ = [
     "eval_verification",
     "MlpModel", "build_encoder", "load_model", "save_model",
     "PcaModel", "fit_pca", "load_pca", "pca_transform", "save_pca",
-    "TrainConfig", "reduce", "train", "train_selfsupervised",
-    "train_supervised", "train_unsupervised",
+    "TrainConfig", "reduce", "train",
 ]

@@ -10,12 +10,15 @@ command's other outputs are removed and nothing is printed. All randomness
 flows from --seed; subsystem seeds are derived from it by fixed offsets.
 
 Optional per-command config files are flat `key=value` lines (`#` comments);
-explicit flags win over config-file values.
+explicit flags win over config-file values, and a key the command does not
+take is a configuration error.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -62,8 +65,12 @@ class _Manifest:
     def add(self, key, value):
         self.items.append((key, value))
 
+    @contextlib.contextmanager
     def phase(self, name: str):
-        return _Phase(self, name)
+        """Time the block and record it as `phase.<name>_s`."""
+        t0 = time.perf_counter()
+        yield
+        self.add(f"phase.{name}_s", f"{time.perf_counter() - t0:.3f}")
 
     def emit(self, path=None, outputs=(), report: str = ""):
         """Write the manifest file, then print `report` and the manifest. If
@@ -82,21 +89,6 @@ class _Manifest:
         sys.stdout.write(report + text)
 
 
-class _Phase:
-    def __init__(self, manifest: _Manifest, name: str):
-        self.manifest = manifest
-        self.name = name
-
-    def __enter__(self):
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.manifest.add(f"phase.{self.name}_s",
-                          f"{time.perf_counter() - self._t0:.3f}")
-        return False
-
-
 def _load_config_file(path: str) -> dict:
     values = {}
     try:
@@ -112,20 +104,6 @@ def _load_config_file(path: str) -> dict:
     except OSError as exc:
         raise FormatError(f"cannot read config file {path}: {exc}") from exc
     return values
-
-
-def _merge(args, key: str, file_cfg: dict, default, convert):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        raw = file_cfg[key]
-        try:
-            return convert(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}={raw!r}: {exc}") from exc
-    return default
 
 
 def _parse_bool(raw: str) -> bool:
@@ -202,33 +180,47 @@ def _cmd_fit_pca(args) -> int:
     return 0
 
 
-# (flag and config-file key, TrainConfig field, config-file parser, default)
+# (flag and config-file key, TrainConfig field, config-file parser)
 _TRAIN_KEYS = (
-    ("scheme", "scheme", str, "sv"),
-    ("dim", "target_dim", int, 64),
-    ("hidden", "hidden_sizes", _parse_hidden, (512, 512)),
-    ("epochs", "epochs", int, None),
-    ("batch-size", "batch_size", int, None),
-    ("lr", "learning_rate", float, 0.001),
-    ("lr-schedule", "lr_schedule", str, None),
-    ("margin", "margin", float, 1.0),
-    ("alpha", "alpha", float, 0.1),
-    ("beta", "beta", float, 3.0),
-    ("use-distance-loss", "use_distance_loss", _parse_bool, False),
-    ("distance-loss-on-positives", "distance_loss_on_positives", _parse_bool, False),
-    ("k", "k", int, None),
-    ("recluster-period", "recluster_period", int, 10),
+    ("scheme", "scheme", str),
+    ("dim", "target_dim", int),
+    ("hidden", "hidden_sizes", _parse_hidden),
+    ("epochs", "epochs", int),
+    ("batch-size", "batch_size", int),
+    ("lr", "learning_rate", float),
+    ("lr-schedule", "lr_schedule", str),
+    ("margin", "margin", float),
+    ("alpha", "alpha", float),
+    ("beta", "beta", float),
+    ("use-distance-loss", "use_distance_loss", _parse_bool),
+    ("distance-loss-on-positives", "distance_loss_on_positives", _parse_bool),
+    ("k", "k", int),
+    ("recluster-period", "recluster_period", int),
 )
+# the fields TrainConfig has no default for; every other default is its own
+_TRAIN_DEFAULTS = {"scheme": "sv", "target_dim": 64}
 
 
 def _train_config(args) -> TrainConfig:
     """The resolved config: each key from its flag, else the config file,
-    else its default, then the scheme's defaults for what is still unset."""
+    else its default, then the scheme's defaults for what is still unset.
+    A config-file key that is not a train key is a ConfigError."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    return TrainConfig(seed=args.seed, **{
-        field: _merge(args, key, file_cfg, default, parse)
-        for key, field, parse, default in _TRAIN_KEYS
-    }).resolved()
+    unknown = sorted(set(file_cfg) - {key for key, _, _ in _TRAIN_KEYS})
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown train keys {', '.join(unknown)}")
+    given = dict(_TRAIN_DEFAULTS)
+    for key, field, parse in _TRAIN_KEYS:
+        flag = getattr(args, key.replace("-", "_"))
+        if flag is not None:
+            given[field] = flag
+        elif key in file_cfg:
+            raw = file_cfg[key]
+            try:
+                given[field] = parse(raw)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key}={raw!r}: {exc}") from exc
+    return TrainConfig(seed=args.seed, **given).resolved()
 
 
 def _format_log_event(event: dict) -> str:
@@ -269,7 +261,7 @@ def _cmd_train(args) -> int:
         manifest.add("log", args.log)
     if cfg.scheme == "ss":  # the cluster count training used, default or not
         cfg = replace(cfg, k=next(e["k"] for e in events if e["event"] == "recluster"))
-    for key, field, _, _ in _TRAIN_KEYS:
+    for key, field, _ in _TRAIN_KEYS:
         manifest.add(f"config.{key}", getattr(cfg, field))
     last_epoch = [e for e in events if e["event"] == "epoch"][-1]
     for key in ("steps_per_epoch", "total_steps", "unused_classes_per_epoch"):
@@ -400,9 +392,7 @@ def _cmd_bench(args) -> int:
             t0 = time.perf_counter()
             project(model, x)
             times.append(time.perf_counter() - t0)
-    times.sort()
-    median = times[len(times) // 2] if reps % 2 else 0.5 * (
-        times[reps // 2 - 1] + times[reps // 2])
+    median = statistics.median(times)
     per_desc_us = median / len(x) * 1e6
     manifest.add("model", args.model)
     manifest.add("descriptors", args.descriptors)
@@ -505,7 +495,7 @@ def build_parser() -> _Parser:
     p.add_argument("-m", "--manifest")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("bench", help="time eval-mode projection; report memory ratio")
+    p = sub.add_parser("bench", help="time projection; report memory ratio")
     p.add_argument("--model", required=True)
     p.add_argument("--descriptors", required=True)
     p.add_argument("--reps", type=int, default=10)

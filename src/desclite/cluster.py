@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .numerics import _sq_distances, as_matrix
 
 DEFAULT_MAX_ITERS = 50
@@ -162,13 +162,3 @@ def _repair_empty(x: np.ndarray, assign: np.ndarray, sq: np.ndarray, k: int) -> 
         refilled += 1
     return refilled
 
-
-def assign(model: KMeansModel, points) -> np.ndarray:
-    """Nearest-centroid index per row; distance ties go to the smaller index."""
-    x = as_matrix(points, "points")
-    if x.shape[1] != model.centroids.shape[1]:
-        raise ShapeError(
-            f"points have dim {x.shape[1]}, centroids have dim {model.centroids.shape[1]}"
-        )
-    c = model.centroids
-    return _sq_distances(x, (x * x).sum(axis=1), c, (c * c).sum(axis=1)).argmin(axis=1)

@@ -2,9 +2,11 @@
 
 Layer stack convention for encoders (hidden count H in {0, 1, 2}):
     [linear -> relu -> batchnorm] * H -> linear(output_dim) -> l2norm
-ReLU precedes batch normalization deliberately. Eval mode has one path,
-`project`: it folds each batchnorm affine into the following linear layer,
-which is exact. The layers' own `forward`s are the train-mode path only.
+ReLU precedes batch normalization deliberately. `forward` is the training
+pass: it runs the layers' own `forward`s, caching what `backward` needs and
+updating batchnorm running statistics. `project` is the one way a model maps
+rows: it folds each batchnorm affine into the following linear layer, which
+is exact.
 
 Training and projection run in one dtype, the module constant DTYPE
 (float32): parameters, gradients, batchnorm running statistics, Adam moments,
@@ -128,7 +130,7 @@ class BatchNorm(_Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         n = len(x)
         if n < 2:
-            raise ConfigError("batchnorm in train mode requires batch size >= 2")
+            raise ConfigError("batchnorm forward requires batch size >= 2")
         # the mean and variance by np.var's own steps: sum / n, then the
         # centred rows squared, summed and divided by n
         mean = x.sum(axis=0) / n
@@ -197,18 +199,17 @@ def _l2_rows(x: np.ndarray):
 
 
 class MlpModel:
-    """Ordered layer stack with a train/eval mode switch.
+    """Ordered layer stack.
 
     The constructor copies every parameter, in `parameters()` order, into the
     flat buffer `params` and every gradient into the flat buffer `grads`, and
     rebinds the layer attributes to reshaped views of them.
     """
 
-    def __init__(self, layers, input_dim: int, output_dim: int, mode: str = "train"):
+    def __init__(self, layers, input_dim: int, output_dim: int):
         self.layers = list(layers)
         self.input_dim = input_dim
         self.output_dim = output_dim
-        self.mode = mode
         bound = [(layer, name) for layer in self.layers for name in layer.PARAMS]
         sizes = [getattr(layer, name).size for layer, name in bound]
         self.params = np.empty(sum(sizes), dtype=DTYPE)
@@ -223,14 +224,6 @@ class MlpModel:
                 setattr(layer, attr, view)
                 self._views.append((layer, attr, view))
             start += size
-
-    def set_mode(self, mode: str) -> "MlpModel":
-        if mode not in ("train", "eval"):
-            raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-        self.mode = mode
-        for layer in self.layers:
-            layer._cache = None
-        return self
 
     def parameters(self):
         for i, layer in enumerate(self.layers):
@@ -268,10 +261,8 @@ def build_mlp(input_dim: int, output_dim: int, hidden_sizes, seed: int = 0,
 
 
 def forward(model: MlpModel, batch) -> np.ndarray:
-    """Run the stack. Train mode runs it layer by layer and caches what
-    backward() needs; eval mode is the folded `project` plan."""
-    if model.mode == "eval":
-        return project(model, batch)
+    """The training pass: run the stack layer by layer, caching what
+    `backward` needs and updating each batchnorm's running statistics."""
     x = _checked_batch(model, batch).astype(DTYPE, copy=False)
     for layer in model.layers:
         x = layer.forward(x)
@@ -291,8 +282,6 @@ def backward(model: MlpModel, upstream_grad) -> np.ndarray:
     """Backpropagate, filling per-layer parameter gradients; returns the
     gradient with respect to the forward input."""
     g = as_matrix(upstream_grad, "upstream_grad").astype(DTYPE, copy=False)
-    if model.mode != "train":
-        raise StateError("backward requires the model in train mode")
     for layer in reversed(model.layers):
         g = layer.backward(g)
     return g
@@ -448,23 +437,24 @@ def load_model(path: str, expect_input_dim: int | None = None) -> MlpModel:
         raise ShapeError(
             f"{path}: stack ends at width {prev}, header says {output_dim}"
         )
-    return MlpModel(layers, input_dim, output_dim, mode="eval")
+    return MlpModel(layers, input_dim, output_dim)
 
 
 # ---------------------------------------------------------------------------
-# Eval-mode projection
+# Projection
 # ---------------------------------------------------------------------------
 
 def project(model: MlpModel, batch) -> np.ndarray:
-    """The eval-mode forward: the one path by which a trained model maps rows.
+    """The one path by which a model maps rows, with batchnorm applying its
+    running statistics. It reads the parameters and writes no layer state.
 
     Works in chunks of PROJECT_CHUNK rows with preallocated per-chunk DTYPE
     buffers, and folds each batchnorm's running-statistics affine into the
     next linear layer (algebraically exact). Each chunk of the input is cast
     into its own buffer, so a float64 set is never copied whole. The output
     is float64: the final l2norm divides the widened rows, so they are unit
-    rows to float64 precision. Eval-mode `forward`, descriptor reduction,
-    `ss` reclustering and the timing command all run it.
+    rows to float64 precision. Descriptor reduction, `ss` reclustering and
+    the timing command all run it.
     """
     x = _checked_batch(model, batch)
     chunk_size = PROJECT_CHUNK

@@ -1,10 +1,11 @@
 """The three training schemes: unsupervised autoencoder (us), self-supervised
 k-means pseudo-labels (ss), and supervised triplet learning (sv).
 
-Every scheme consumes a DescriptorSet and a TrainConfig and returns the
-trained encoder (eval mode). An optional `log_fn` receives one dict per
-logged event (epoch summaries, recluster events); the CLI turns these into
-the line-oriented training log and tests use them as instrumentation hooks.
+`train` is the one entry point: it resolves a TrainConfig and runs its
+scheme on a DescriptorSet, returning the trained encoder. An optional
+`log_fn` receives one dict per logged event (epoch summaries, recluster
+events); the CLI turns these into the line-oriented training log and tests
+use them as instrumentation hooks.
 Every epoch event carries `steps_per_epoch` and `total_steps`, the Adam steps
 of one epoch and of the whole run; `sv` epoch events also carry
 `unused_classes_per_epoch`, the eligible classes that no batch of an epoch
@@ -12,7 +13,7 @@ draws (each epoch makes whole batches of distinct classes).
 
 Training runs in `nn.DTYPE` (float32): each scheme casts the training
 descriptors once, and the models it returns hold DTYPE parameters. Their
-eval-mode projections, and so reduced sets, are float64.
+projections, and so reduced sets, are float64.
 """
 from __future__ import annotations
 
@@ -115,14 +116,10 @@ def _batch_indices(n: int, batch_size: int, rng: np.random.Generator):
         yield order[start:start + batch_size]
 
 
-def train_unsupervised(train_set: DescriptorSet, config: TrainConfig,
-                       log_fn=None) -> MlpModel:
+def _train_us(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
     """Autoencoder scheme: symmetric encoder/decoder minimizing the mean
     reconstruction distance, optionally plus alpha x the distance loss
     between input batch and encoder embeddings; returns the encoder."""
-    cfg = config.resolved()
-    if cfg.scheme != "us":
-        raise ConfigError(f"train_unsupervised needs scheme 'us', got {cfg.scheme!r}")
     x = train_set.descriptors.astype(nn.DTYPE)
     if len(x) < 2:
         raise ConfigError(f"need at least 2 training rows, got {len(x)}")
@@ -167,17 +164,13 @@ def train_unsupervised(train_set: DescriptorSet, config: TrainConfig,
               loss=sums[0] / count, reconstruction=sums[1] / count,
               distance=sums[2] / count, lr=adam_enc.effective_lr(adam_enc.t),
               steps_per_epoch=steps_per_epoch, total_steps=total_steps)
-    return encoder.set_mode("eval")
+    return encoder
 
 
-def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
-                         log_fn=None) -> MlpModel:
+def _train_ss(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
     """Cluster pseudo-label scheme: epoch 1 clusters the original
     descriptors; every `recluster_period` epochs the current embeddings are
     re-clustered and the classification head re-initialized."""
-    cfg = config.resolved()
-    if cfg.scheme != "ss":
-        raise ConfigError(f"train_selfsupervised needs scheme 'ss', got {cfg.scheme!r}")
     x = train_set.descriptors  # float64, clustered at epoch 1
     x_train = x.astype(nn.DTYPE)
     n = len(x)
@@ -225,18 +218,14 @@ def train_selfsupervised(train_set: DescriptorSet, config: TrainConfig,
               loss=loss_sum / count, cross_entropy=loss_sum / count,
               lr=adam_enc.effective_lr(adam_enc.t), head_width=head.output_dim,
               steps_per_epoch=steps_per_epoch, total_steps=total_steps)
-    return encoder.set_mode("eval")
+    return encoder
 
 
-def train_supervised(train_set: DescriptorSet, config: TrainConfig,
-                     log_fn=None) -> MlpModel:
+def _train_sv(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
     """Triplet scheme: per step, one (anchor, positive) pair from each of
     `batch_size` distinct classes, embedded by the same encoder, with
     hardest-within-batch mining; optionally plus beta x the distance loss on
     the anchor embeddings."""
-    cfg = config.resolved()
-    if cfg.scheme != "sv":
-        raise ConfigError(f"train_supervised needs scheme 'sv', got {cfg.scheme!r}")
     x = train_set.descriptors.astype(nn.DTYPE)
     class_rows = _rows_by_class(train_set.labels)
     eligible = [c for c, rows in class_rows.items() if len(rows) >= 2]
@@ -289,25 +278,20 @@ def train_supervised(train_set: DescriptorSet, config: TrainConfig,
               lr=adam_enc.effective_lr(adam_enc.t),
               steps_per_epoch=steps_per_epoch, total_steps=total_steps,
               unused_classes_per_epoch=unused_classes)
-    return encoder.set_mode("eval")
+    return encoder
+
+
+_SCHEME_BODIES = {"us": _train_us, "ss": _train_ss, "sv": _train_sv}
 
 
 def train(train_set: DescriptorSet, config: TrainConfig, log_fn=None) -> MlpModel:
-    """Dispatch on config.scheme."""
-    scheme = config.scheme
-    if scheme == "us":
-        return train_unsupervised(train_set, config, log_fn)
-    if scheme == "ss":
-        return train_selfsupervised(train_set, config, log_fn)
-    if scheme == "sv":
-        return train_supervised(train_set, config, log_fn)
-    raise ConfigError(f"unknown scheme {scheme!r}")
+    """Train an encoder by the scheme of the resolved `config`."""
+    cfg = config.resolved()
+    return _SCHEME_BODIES[cfg.scheme](train_set, cfg, log_fn)
 
 
 def reduce(encoder: MlpModel, dset: DescriptorSet) -> DescriptorSet:
-    """Project a descriptor set through an eval-mode encoder."""
-    if encoder.mode != "eval":
-        raise ConfigError("reduce requires the encoder in eval mode")
+    """Project a descriptor set through an encoder."""
     if dset.dim != encoder.input_dim:
         raise ShapeError(
             f"descriptor dim {dset.dim} does not match encoder input dim "

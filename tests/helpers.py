@@ -44,7 +44,6 @@ def check_model_gradients(model, loss_fn, batch, h=1e-5, rel_tol=1e-4,
     w.r.t. that output. With sample_per_tensor set, only a random subset of
     entries per parameter tensor is probed.
     """
-    model.set_mode("train")
     out = forward(model, batch)
     loss = loss_fn(out)
     backward(model, loss.grad)

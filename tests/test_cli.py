@@ -1,4 +1,6 @@
 """End-to-end tests of the `desclite` command line, run through `cli.main`."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from desclite.data import (
 )
 from desclite.eval import eval_matching, eval_retrieval, eval_verification
 from desclite.nn import load_model
-from desclite.train import reduce
+from desclite.train import TrainConfig, reduce
 
 
 @pytest.fixture
@@ -63,6 +65,22 @@ class TestFailedManifestWrite:
         assert "desclite:" in captured.err
 
 
+class TestSynth:
+    @pytest.mark.parametrize("classes,tiers,message", [
+        ("3", "easy,bogus", "unknown noise tier 'bogus'"),
+        ("1", "easy", "need at least 2 classes"),
+    ])
+    def test_a_bad_argument_exits_4_and_writes_nothing(self, tmp_path, classes, tiers,
+                                                       message, capsys):
+        assert main(["synth", "--classes", classes, "--per-class", "2", "--tiers", tiers,
+                     "-o", str(tmp_path / "p.dpt"),
+                     "-m", str(tmp_path / "p.manifest")]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+
 class TestDescribe:
     def test_writes_the_descriptors_of_the_patch_file(self, tmp_path, patch_file, capsys):
         out = tmp_path / "d.ddr"
@@ -97,6 +115,14 @@ class TestDescribe:
                      "-m", str(manifest)]) == EXIT_FORMAT
         assert set(tmp_path.iterdir()) == before
         assert "desclite:" in capsys.readouterr().err
+
+    def test_a_descriptor_file_exits_2_and_writes_nothing(self, tmp_path, descriptor_file,
+                                                         capsys):
+        before = set(tmp_path.iterdir())
+        assert main(["describe", str(descriptor_file), "-o", str(tmp_path / "again.ddr"),
+                     "-m", str(tmp_path / "d.manifest")]) == EXIT_FORMAT
+        assert set(tmp_path.iterdir()) == before
+        assert "bad magic b'DDR1'" in capsys.readouterr().err
 
     def test_manifest_counts_and_per_patch_time(self, tmp_path, patch_file, capsys):
         out = tmp_path / "d.ddr"
@@ -213,6 +239,41 @@ class TestTrain:
         assert run(None, []) == default
         assert run(from_file[0], []) == from_file[1]
         assert run(from_flag[0], from_flag[1]) == from_flag[2]
+
+    def test_defaults_are_the_train_config_defaults(self, tmp_path, descriptor_file,
+                                                     monkeypatch, capsys):
+        # 24 rows cannot train the default config (sv at batch 1024), so the
+        # training runs a small one; the manifest records the command's config
+        real_train = cli.train_model
+
+        def small_train(dset, cfg, log_fn):
+            small = replace(cfg, target_dim=8, hidden_sizes=(16,), epochs=1, batch_size=2)
+            return real_train(dset, small, log_fn=log_fn)
+
+        monkeypatch.setattr(cli, "train_model", small_train)
+        manifest = tmp_path / "m.manifest"
+        assert main(["train", str(descriptor_file), "-o", str(tmp_path / "m.dnn"),
+                     "-m", str(manifest)]) == 0
+        want = TrainConfig(scheme="sv", target_dim=64).resolved()
+        facts = _facts(manifest)
+        assert len([k for k in facts if k.startswith("config.")]) == len(cli._TRAIN_KEYS)
+        for key, field, _ in cli._TRAIN_KEYS:
+            assert facts[f"config.{key}"] == str(getattr(want, field)), key
+
+    def test_an_unknown_config_key_exits_4_and_writes_nothing(self, tmp_path,
+                                                              descriptor_file, capsys):
+        # `seed` is a flag only: in a config file it is unknown too
+        config = tmp_path / "train.cfg"
+        config.write_text("epoch=1\nalhpa=5\nseed=9\n")
+        before = set(tmp_path.iterdir())
+        assert main(["train", str(descriptor_file), "--config", str(config),
+                     "--scheme", "us", "--dim", "8", "--hidden", "16",
+                     "-o", str(tmp_path / "m.dnn"),
+                     "-m", str(tmp_path / "m.manifest")]) == EXIT_CONFIG
+        assert set(tmp_path.iterdir()) == before
+        captured = capsys.readouterr()
+        assert "unknown train keys alhpa, epoch, seed" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("bad", ["log", "model"])
     def test_a_failed_write_leaves_neither_log_nor_model(self, tmp_path, descriptor_file,

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from desclite.cluster import KMeansModel, _plus_plus_init, assign, kmeans_fit
-from desclite.errors import ConfigError, ShapeError
+from desclite.cluster import KMeansModel, _plus_plus_init, kmeans_fit
+from desclite.errors import ConfigError
 
 
 def exhaustive_two_cluster_optimum(points):
@@ -82,7 +82,9 @@ class TestKmeansFit:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((30, 3))
         model = kmeans_fit(x, 4, seed=8)
-        assert np.array_equal(model.assignments, assign(model, x))
+        nearest = [int(np.argmin([np.linalg.norm(row - c) for c in model.centroids]))
+                   for row in x]
+        assert model.assignments.tolist() == nearest
 
     def test_duplicates_and_empty_cluster_repair(self):
         x = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5 + [[5.0, 5.0]])
@@ -101,43 +103,6 @@ class TestKmeansFit:
     def test_k_greater_than_n(self):
         with pytest.raises(ConfigError):
             kmeans_fit(np.zeros((3, 2)), 4, seed=0)
-
-
-class TestAssign:
-    def test_centroid_maps_to_itself(self):
-        model = KMeansModel(
-            centroids=np.array([[0.0, 0.0], [2.0, 2.0]]),
-            assignments=np.zeros(1, dtype=np.int64),
-            objective=0.0,
-            iterations_run=0,
-        )
-        assert assign(model, np.array([[2.0, 2.0]]))[0] == 1
-
-    def test_tie_goes_to_smallest_index(self):
-        model = KMeansModel(
-            centroids=np.array([[0.0], [2.0]]),
-            assignments=np.zeros(1, dtype=np.int64),
-            objective=0.0,
-            iterations_run=0,
-        )
-        assert assign(model, np.array([[1.0]]))[0] == 0
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(7)
-        cents = rng.standard_normal((5, 4))
-        pts = rng.standard_normal((20, 4))
-        model = KMeansModel(centroids=cents, assignments=np.zeros(1, np.int64),
-                            objective=0.0, iterations_run=0)
-        got = assign(model, pts)
-        for i in range(20):
-            dists = [np.linalg.norm(pts[i] - c) for c in cents]
-            assert got[i] == int(np.argmin(dists))
-
-    def test_dim_mismatch(self):
-        model = KMeansModel(centroids=np.zeros((2, 3)), assignments=np.zeros(1, np.int64),
-                            objective=0.0, iterations_run=0)
-        with pytest.raises(ShapeError):
-            assign(model, np.zeros((4, 2)))
 
 
 # Reference oracle: k-means as first written, before the Lloyd loop reused

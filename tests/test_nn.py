@@ -69,8 +69,8 @@ class TestForward:
     def test_identity_linear_plus_l2norm(self):
         layer = Linear(2, 2)
         layer.weight = np.eye(2)
-        model = MlpModel([layer, L2Normalize()], 2, 2, mode="eval")
-        out = forward(model, [[3.0, 4.0]])
+        model = MlpModel([layer, L2Normalize()], 2, 2)
+        out = project(model, [[3.0, 4.0]])
         assert np.allclose(out, [[0.6, 0.8]], atol=1e-12)
 
     def test_relu(self):
@@ -99,14 +99,12 @@ class TestForward:
 
     def test_batch_of_one_rejected_in_train_mode(self):
         model = build_encoder(4, 2, [8])
-        model.set_mode("train")
         with pytest.raises(ConfigError):
             forward(model, np.ones((1, 4)))
 
     def test_unit_norm_outputs(self):
         rng = np.random.default_rng(0)
         model = build_encoder(6, 3, [10], seed=1)
-        model.set_mode("train")
         out = forward(model, rng.standard_normal((8, 6)))
         norms = np.linalg.norm(out, axis=1)
         assert np.all(np.abs(norms - 1.0) <= 1e-6)
@@ -114,14 +112,19 @@ class TestForward:
     def test_zero_row_passthrough(self):
         model = build_encoder(4, 3, [], seed=0)
         model.layers[0].weight[...] = 0.0
-        out = forward(model.set_mode("eval"), np.ones((2, 4)))
+        out = project(model, np.ones((2, 4)))
         assert np.array_equal(out, np.zeros((2, 3)))
 
     def test_eval_forward_pure(self):
+        # `project` changes no parameter or running statistic
         rng = np.random.default_rng(1)
-        model = build_encoder(5, 3, [7], seed=2).set_mode("eval")
-        x = rng.standard_normal((4, 5))
-        assert np.array_equal(forward(model, x), forward(model, x))
+        model = build_encoder(5, 3, [7], seed=2)
+        forward(model, rng.standard_normal((6, 5)))  # move running stats off their init
+        bn = model.layers[2]
+        before = (model.params.copy(), bn.running_mean.copy(), bn.running_var.copy())
+        project(model, rng.standard_normal((4, 5)))
+        after = (model.params, bn.running_mean, bn.running_var)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
 
     def test_wrong_width(self):
         model = build_encoder(5, 3, [])
@@ -131,7 +134,6 @@ class TestForward:
     def test_batchnorm_train_outputs_standardized(self, float64_layers):
         rng = np.random.default_rng(3)
         model = build_encoder(6, 4, [12], seed=4)
-        model.set_mode("train")
         forward(model, rng.standard_normal((32, 6)))
         from desclite.nn import BatchNorm
         bn = [l for l in model.layers if isinstance(l, BatchNorm)][0]
@@ -160,7 +162,6 @@ class TestBackward:
         def gradients(dtype):
             monkeypatch.setattr(nn, "DTYPE", dtype)
             model = build_encoder(6, 3, hidden, seed=18)
-            model.set_mode("train")
             out = forward(model, x)
             backward(model, reconstruction_loss(target.astype(dtype), out).grad)
             assert model.grads.dtype == dtype
@@ -174,7 +175,6 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(12)
         model = build_encoder(5, 3, [6], seed=13)
-        model.set_mode("train")
         forward(model, rng.standard_normal((4, 5)))
         backward(model, np.zeros((4, 3)))
         for _, _, grad in model.parameters():
@@ -193,22 +193,21 @@ class TestBackward:
 
     def test_stale_cache_raises(self):
         model = build_encoder(4, 2, [], seed=0)
-        model.set_mode("train")
         forward(model, np.ones((2, 4)))
         backward(model, np.ones((2, 2)))
         with pytest.raises(StateError):
             backward(model, np.ones((2, 2)))
 
     def test_backward_needs_train_mode(self):
-        model = build_encoder(4, 2, [], seed=0).set_mode("eval")
-        forward(model, np.ones((2, 4)))
+        # a backward needs a training forward's caches; `project` leaves none
+        model = build_encoder(4, 2, [], seed=0)
+        project(model, np.ones((2, 4)))
         with pytest.raises(StateError):
             backward(model, np.ones((2, 2)))
 
     def test_returns_input_gradient(self):
         rng = np.random.default_rng(15)
         model = build_encoder(3, 2, [], seed=16)
-        model.set_mode("train")
         x = rng.standard_normal((4, 3))
         out = forward(model, x)
         g_in = backward(model, np.ones_like(out))
@@ -276,24 +275,21 @@ class TestSerialization:
     def test_round_trip_bit_exact_forward(self, tmp_path):
         rng = np.random.default_rng(20)
         model = build_encoder(6, 3, [8, 5], seed=21)
-        model.set_mode("train")
         for _ in range(3):  # move running stats off their init
             forward(model, rng.standard_normal((16, 6)))
-        model.set_mode("eval")
         path = str(tmp_path / "m.dnn")
         save_model(model, path)
         back = load_model(path)
         x = rng.standard_normal((5, 6))
-        assert np.array_equal(forward(model, x), forward(back, x))
+        assert np.array_equal(project(model, x), project(back, x))
 
     def test_round_trip_keeps_every_float32_bit(self, tmp_path):
         rng = np.random.default_rng(22)
         model = build_encoder(6, 3, [8], seed=23)
-        model.set_mode("train")
         for _ in range(3):
             forward(model, rng.standard_normal((16, 6)))
         path = str(tmp_path / "m.dnn")
-        save_model(model.set_mode("eval"), path)
+        save_model(model, path)
         back = load_model(path)
         assert back.params.dtype == model.params.dtype == np.float32
         assert back.params.tobytes() == model.params.tobytes()
@@ -335,15 +331,9 @@ class TestSerialization:
         with pytest.raises(ShapeError):
             load_model(path, expect_input_dim=8)
 
-    def test_loads_in_eval_mode(self, tmp_path):
-        model = build_encoder(4, 2, [], seed=0)
-        path = str(tmp_path / "m.dnn")
-        save_model(model, path)
-        assert load_model(path).mode == "eval"
-
 
 def _reference_eval_forward(model, x):
-    """Layer-by-layer eval-mode arithmetic, with batchnorm applying its
+    """Layer-by-layer projection arithmetic, with batchnorm applying its
     running statistics unfolded: the oracle for the folded `project` plan."""
     for layer in model.layers:
         if layer.kind == "linear":
@@ -363,10 +353,9 @@ def _reference_eval_forward(model, x):
 
 def _trained_encoder(hidden, rng):
     model = build_encoder(12, 6, hidden, seed=31)
-    model.set_mode("train")
     for _ in range(2):  # move running stats off their init
         forward(model, rng.standard_normal((32, 12)))
-    return model.set_mode("eval")
+    return model
 
 
 class TestProject:
@@ -379,18 +368,10 @@ class TestProject:
         fast = project(model, x)
         assert np.abs(_reference_eval_forward(model, x) - fast).max() <= 1e-9
 
-    @pytest.mark.parametrize("hidden", [[], [16, 8]])
-    def test_eval_forward_is_project(self, hidden, monkeypatch):
-        monkeypatch.setattr(nn, "PROJECT_CHUNK", 17)
-        rng = np.random.default_rng(36)
-        model = _trained_encoder(hidden, rng)
-        x = rng.standard_normal((50, 12))
-        assert np.array_equal(forward(model, x), project(model, x))
-
     def test_does_not_mutate_input(self, monkeypatch):
         monkeypatch.setattr(nn, "PROJECT_CHUNK", 8)
         rng = np.random.default_rng(32)
-        model = build_encoder(5, 3, [7], seed=33).set_mode("eval")
+        model = build_encoder(5, 3, [7], seed=33)
         x = rng.standard_normal((40, 5))
         keep = x.copy()
         project(model, x)
@@ -398,7 +379,7 @@ class TestProject:
 
     def test_deterministic(self):
         rng = np.random.default_rng(34)
-        model = build_encoder(5, 3, [7], seed=35).set_mode("eval")
+        model = build_encoder(5, 3, [7], seed=35)
         x = rng.standard_normal((23, 5))
         assert np.array_equal(project(model, x), project(model, x))
 
