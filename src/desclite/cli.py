@@ -38,7 +38,7 @@ from .errors import ConfigError, FormatError, NumericError, ShapeError, StateErr
 from .eval import eval_matching, eval_retrieval, eval_verification
 from .nn import PROJECT_CHUNK, load_model, project, save_model
 from .pca import fit_pca, load_pca, pca_transform, save_pca
-from .train import TrainConfig, reduce as reduce_set, train as train_model
+from .train import SCHEMES, TrainConfig, reduce as reduce_set, train as train_model
 
 EXIT_USAGE = 1
 EXIT_FORMAT = 2
@@ -440,7 +440,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train an encoder (DDR1 -> DNN1)")
     p.add_argument("input")
     p.add_argument("--config", help="key=value config file; flags win")
-    p.add_argument("--scheme", choices=("us", "ss", "sv"))
+    p.add_argument("--scheme", choices=SCHEMES)
     p.add_argument("--dim", type=int)
     p.add_argument("--hidden", type=_parse_hidden)
     p.add_argument("--epochs", type=int)
@@ -484,7 +484,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="hidden-layer ablation grid (matching mAP)")
     p.add_argument("train_file")
     p.add_argument("eval_file")
-    p.add_argument("--scheme", choices=("us", "ss", "sv"), default="sv")
+    p.add_argument("--scheme", choices=SCHEMES, default="sv")
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--layers", type=_parse_ints, default="0,1,2")
     p.add_argument("--sizes", type=_parse_ints, default="96,128,256,512,1024")

@@ -30,16 +30,18 @@ Cost, for N rows of D dimensions:
       drawn pair's row is found in O(1); all pair distances in one call.
   matching — O(R * T * D) for R reference rows against T target rows, in
       float32: the reference rows go through `pairwise_distance_matrix(...,
-      squared=True)` in blocks of about BLOCK_FLOATS / T rows, each
-      O(rows * T * D), so a block of squared distances holds about
-      BLOCK_FLOATS float32 entries (1 MiB) and never R x T; every block
-      reuses one product buffer and one distance buffer. The float32 target
-      copy is kept in column-major order, so the sgemm reads its transpose
-      contiguously, and a block takes the sgemm (the -2 folded into the
-      operand with fewer rows), three elementwise passes and the candidate
-      filter. This search only keeps candidates: each row's targets within
-      an error bound of its float32 minimum (`_nearest` derives the bound),
-      about one per row on eval sets. The kept pairs are scored again in
+      shifted=True)` in blocks of about BLOCK_FLOATS / T rows, each
+      O(rows * T * D), so a block holds about BLOCK_FLOATS float32 entries
+      (1 MiB) and never R x T, and every block reuses one buffer. A block's
+      values are |b|^2 - 2a.b, each row's squared distances less the row's
+      own |a|^2, which order a row's targets as its distances do. The
+      float32 target copy is kept in column-major order, so the sgemm reads
+      its transpose contiguously, and a block takes the sgemm (the -2 folded
+      into the operand with fewer rows), one elementwise pass that adds the
+      target norms, and the candidate filter. This search only keeps
+      candidates: each row's targets within an error bound of its float32
+      minimum (`_nearest` derives the bound), about one per row on eval
+      sets. The kept pairs are scored again in
       float64, O(D) each, and the row's match is the candidate at the
       smallest float64 distance, ties to the lower target row.
   retrieval — O(N log N) to index rows by label; K draws per query for K
@@ -380,30 +382,40 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
     of the largest entry, so every entry lies below 1 in magnitude and no
     float32 cast or square overflows. A float32 search then finds the
     candidates: query rows go in blocks of about BLOCK_FLOATS / T through
-    `pairwise_distance_matrix(..., squared=True)` in float32, every block
-    writing into the same two buffers, and a row keeps each target whose
-    float32 value F lies within 2E of the row's smallest F. The kept
-    candidates are scored again with the per-pair float64 norm of the scaled
-    rows; undoing the scale afterwards is exact, so a distance has the bits
-    of `np.linalg.norm` of the raw difference unless some square under- or
-    overflows float64.
+    `pairwise_distance_matrix(..., shifted=True)` in float32, every block
+    writing into the same buffer, which gives G, the float32 value of
+    |b_j|^2 - 2a.b_j for query row a and target row b_j. That is the
+    squared distance |a - b_j|^2 less the row's own |a|^2, so within a row
+    it orders the targets as the squared distances do, and a row keeps each
+    target whose G lies within 2E of the row's smallest G (E from
+    `_search_error`). The kept candidates are scored again with the
+    per-pair float64 norm of the scaled rows; undoing the scale afterwards
+    is exact, so a distance has the bits of `np.linalg.norm` of the raw
+    difference unless some square under- or overflows float64.
 
     The bound. With u = 2^-24, d the row length, a the scaled query row and
-    S = |a|^2 + max_j |b_j|^2 over the scaled target rows b_j, every F of
+    S = |a|^2 + max_j |b_j|^2 over the scaled target rows b_j, every G of
     the row is within E = 2(d + 5) u / (1 - (d + 5) u) S + 16(d + 1) 2^-126
-    of the exact |a - b_j|^2: rounding the rows to float32 moves it by at
-    most 4u S; the float32 norms and the d-term dot, in any summation order
-    and with or without FMA, by at most (2d + 3) u S to first order (the
-    denominator covers the higher orders); and the second term covers
-    products, casts and sums that underflow float32, even when flushed to
-    zero. The F of the exact nearest row then lies within 2E of the row's
-    smallest F. So does the F of every row whose float64 distance ties with
-    or undercuts the exact nearest row's, since a float64 distance, from a
+    of the exact |b_j|^2 - 2a.b_j. Rounding the rows to float32 moves that
+    value by at most (2u + u^2)(|a|^2 + 2|b_j|^2) <= (4u + 2u^2) S. The
+    float32 norm |b_j|^2 and the d-term dot, in any summation order and
+    with or without FMA, add at most g (1 + u)^2 (|a|^2 + 2|b_j|^2) with
+    g = du / (1 - du), so 2g(1 + u)^2 S, and the final add at most
+    2u(1 + g)(1 + u)^2 S: (2d + 6) u S to first order in all. For every d
+    with (d + 5) u < 1 the first term of E exceeds this exact sum by more
+    than 4u S (least at d = 1). The second term covers values that fall
+    below 2^-126, whether rounded gradually, flushed to zero or read as
+    zero: each costs less than 2^-126, and since every entry lies below 1,
+    the entries cost at most 6d, the products and sums of the norm and the
+    dot 4d - 2, the -2 scaling d and the final add 1 such units, 11d - 1 in
+    all. The G of the exact nearest row then lies within 2E of the row's
+    smallest G. So does the G of every row whose float64 distance ties with
+    or undercuts the exact nearest row's: a float64 distance, from a
     difference, a d-term dot and a root, is within (4d + 20) 2^-53 S of the
-    exact one, far less than the 3u S that E holds beyond the sum of its
-    float32 terms. The float64 answer never rests on the float32 bits.
+    exact one, plus d 2^-1074 for squares that underflow float64, far less
+    than the 4u S and the (5d + 17) 2^-126 that E holds beyond its float32
+    terms. The float64 answer never rests on the float32 bits.
     """
-    d = queries.shape[1]
     top = max(np.abs(queries).max(initial=0.0), np.abs(targets).max(initial=0.0))
     shift = -int(np.frexp(top)[1])
     queries, targets = np.ldexp(queries, shift), np.ldexp(targets, shift)
@@ -411,25 +423,21 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
     queries32 = queries.astype(np.float32)
     targets32 = targets.astype(np.float32, order="F")
     targets32_sq = (targets32 * targets32).sum(axis=1)
-    c = (d + 5) * 2.0 ** -24
-    slack = 2 * (2 * c / (1 - c) * ((queries * queries).sum(axis=1)
-                                    + (targets * targets).sum(axis=1).max())
-                 + 16 * (d + 1) * 2.0 ** -126)
+    slack = 2 * _search_error(queries, targets)
     rows = max(1, BLOCK_FLOATS // len(targets))
     nn = np.empty(len(queries), dtype=np.int64)
     nn_dist = np.empty(len(queries))
-    size = min(len(queries), rows) * len(targets)
-    work = (np.empty(size, np.float32), np.empty(size, np.float32))
+    work = (None, np.empty(min(len(queries), rows) * len(targets), np.float32))
     for lo in range(0, len(queries), rows):
         hi = min(lo + rows, len(queries))
-        sq = pairwise_distance_matrix(queries32[lo:hi], targets32, b_sq=targets32_sq,
-                                      squared=True, work=work)
+        g = pairwise_distance_matrix(queries32[lo:hi], targets32, b_sq=targets32_sq,
+                                     shifted=True, work=work)
         # the row's float32 minimum plus 2E, rounded up into float32
-        limit = (sq.min(axis=1) + slack[lo:hi]).astype(np.float32)
+        limit = (g.min(axis=1) + slack[lo:hi]).astype(np.float32)
         limit = np.nextafter(limit, np.float32(np.inf))
         # np.nonzero of the 2-D mask gives the same (row, col) order but took
         # 15x as long on a 52 x 5,000 block (numpy 2.4)
-        row, col = np.divmod(np.flatnonzero(sq <= limit[:, None]), len(targets))
+        row, col = np.divmod(np.flatnonzero(g <= limit[:, None]), len(targets))
         dist = row_norms(queries[lo + row] - targets[col])
         # candidates come row by row; each row keeps at least its minimum
         first = np.searchsorted(row, np.arange(hi - lo))
@@ -437,6 +445,17 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
         nn[lo:hi] = col[pick]
         nn_dist[lo:hi] = dist[pick]
     return nn, np.ldexp(nn_dist, -shift)
+
+
+def _search_error(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """E of `_nearest`'s bound for each row of `queries`, in float64: how far
+    each float32 value of the row's search may lie from its exact value.
+    Both arrays hold rows already scaled as `_nearest` scales them."""
+    d = queries.shape[1]
+    c = (d + 5) * 2.0 ** -24
+    return (2 * c / (1 - c) * ((queries * queries).sum(axis=1)
+                               + (targets * targets).sum(axis=1).max())
+            + 16 * (d + 1) * 2.0 ** -126)
 
 
 def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,

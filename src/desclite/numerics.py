@@ -39,7 +39,7 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False, work=None) -> np.ndarray:
+def pairwise_distance_matrix(a, b, *, b_sq=None, shifted=False, work=None) -> np.ndarray:
     """All-pairs Euclidean distances between rows of `a` and rows of `b`.
 
     Uses the expanded form |a|^2 + |b|^2 - 2ab^T; cancellation can push tiny
@@ -51,15 +51,18 @@ def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False, work=None) -> np
     finite 2-D array that `as_matrix` would return unchanged, and is neither
     checked nor measured again.
 
-    With `squared`, the clamped squared distances are returned without the
-    sqrt, for a caller that roots only the entries it reads; the sqrt of
-    that matrix is bit for bit the default result.
+    With `shifted`, the result is the block |b_j|^2 - 2a_i.b_j instead:
+    each row's squared distances less that row's |a_i|^2, unclamped and not
+    rooted, which orders a row's targets as its distances do, up to
+    rounding. It costs the product, the -2 folded into the operand with
+    fewer rows, and one in-place add of `b_sq`; no |a|^2 is formed.
 
     `work`, for a caller that measures many blocks in turn, is a pair of flat
     arrays of the result's dtype with at least len(a) * len(b) entries each;
     the product and the result are written into them instead of fresh
     arrays, so the result is a view of `work[1]` that the next call with the
-    same pair overwrites. The values do not depend on it.
+    same pair overwrites. A shifted block is its own product and uses only
+    `work[1]`, so `work[0]` may then be None. The values do not depend on it.
     """
     same = a is b
     a = as_matrix(a, "a")
@@ -71,15 +74,41 @@ def pairwise_distance_matrix(a, b, *, b_sq=None, squared=False, work=None) -> np
         raise ShapeError(
             f"pairwise_distance_matrix: column counts differ, {a.shape[1]} vs {b.shape[1]}"
         )
+    if b_sq is not None and len(b_sq) != len(b):
+        raise ShapeError(f"b_sq has {len(b_sq)} entries for {len(b)} rows of b")
+    if shifted:
+        out = None if work is None else _block(work[1], len(a), len(b))
+        block = _minus_2ab(a, b, out)
+        block += (b * b).sum(axis=1) if b_sq is None else b_sq
+        return block
     a_sq = (a * a).sum(axis=1)
     if b_sq is None:
         b_sq = a_sq if same else (b * b).sum(axis=1)
-    elif len(b_sq) != len(b):
-        raise ShapeError(f"b_sq has {len(b_sq)} entries for {len(b)} rows of b")
     sq = _sq_distances(a, a_sq, b, b_sq, work)
     if same:
         np.fill_diagonal(sq, 0.0)
-    return sq if squared else np.sqrt(sq, out=sq)
+    return np.sqrt(sq, out=sq)
+
+
+def _block(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    return flat[:rows * cols].reshape(rows, cols)
+
+
+def _minus_2ab(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """-2ab^T, written into `out` if given.
+
+    The -2 goes into the operand with fewer rows before the product, `a` when
+    the row counts tie, which saves a pass over the product and gives the
+    same bits, since scaling by a power of two is exact. When `a is b` numpy
+    takes a @ a.T by syrk, and a scaled copy of one side would switch it to
+    gemm and change the bits, so that product is scaled afterwards."""
+    if a is b:
+        ab = np.matmul(a, a.T, out=out)
+        ab *= -2.0
+        return ab
+    if len(a) <= len(b):
+        return np.matmul(-2.0 * a, b.T, out=out)
+    return np.matmul(a, (-2.0 * b).T, out=out)
 
 
 def _sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
@@ -87,22 +116,10 @@ def _sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
     """Squared distances (|a|^2 + |b|^2) + (-2ab^T) between rows, clamped at
     0, from the squared row norms `a_sq` and `b_sq`, written into the two
     flat arrays `work` if given (see `pairwise_distance_matrix`); no input is
-    checked.
-
-    The -2 goes into the operand with fewer rows before the product, `a` when
-    the row counts tie, which saves a pass over the product and gives the
-    same bits, since scaling by a power of two is exact. When `a is b` numpy
-    takes a @ a.T by syrk, and a scaled copy of one side would switch it to
-    gemm and change the bits, so that product is scaled afterwards."""
+    checked."""
     ab, sq = (None, None) if work is None else (
-        w[:len(a) * len(b)].reshape(len(a), len(b)) for w in work)
-    if a is b:
-        ab = np.matmul(a, a.T, out=ab)
-        ab *= -2.0
-    elif len(a) <= len(b):
-        ab = np.matmul(-2.0 * a, b.T, out=ab)
-    else:
-        ab = np.matmul(a, (-2.0 * b).T, out=ab)
+        _block(w, len(a), len(b)) for w in work)
+    ab = _minus_2ab(a, b, ab)
     sq = np.add(a_sq[:, None], b_sq[None, :], out=sq)
     sq += ab
     return np.maximum(sq, 0.0, out=sq)

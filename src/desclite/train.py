@@ -28,7 +28,6 @@ from .errors import ConfigError, NumericError, ShapeError
 from .nn import AdamState, MlpModel, adam_step, backward, build_encoder, build_mlp, \
     forward, project
 
-SCHEMES = ("us", "ss", "sv")
 TARGET_DIMS = (64, 32, 24, 16)
 
 # Paper-scale defaults per scheme: (epochs, batch_size, lr schedule)
@@ -282,6 +281,8 @@ def _train_sv(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
 
 
 _SCHEME_BODIES = {"us": _train_us, "ss": _train_ss, "sv": _train_sv}
+# the scheme names, declared once by the table above; the CLI reads them
+SCHEMES = tuple(_SCHEME_BODIES)
 
 
 def train(train_set: DescriptorSet, config: TrainConfig, log_fn=None) -> MlpModel:

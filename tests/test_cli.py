@@ -1,4 +1,5 @@
 """End-to-end tests of the `desclite` command line, run through `cli.main`."""
+import argparse
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from desclite.data import (
 )
 from desclite.eval import eval_matching, eval_retrieval, eval_verification
 from desclite.nn import load_model
-from desclite.train import TrainConfig, reduce
+from desclite.train import SCHEMES, TrainConfig, reduce
 
 
 @pytest.fixture
@@ -354,6 +355,14 @@ class TestEval:
             main(["eval", str(descriptor_file), "--task", "matching", "--no-such-flag"])
         assert stop.value.code == EXIT_USAGE
         assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_the_scheme_choices_are_the_train_schemes(command):
+    sub, = [a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    scheme, = [a for a in sub.choices[command]._actions if a.dest == "scheme"]
+    assert tuple(scheme.choices) == SCHEMES
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -624,13 +625,50 @@ class TestNearest:
         queries, targets = self._near_ties(seed)
         nn, dist = self._check(queries, targets)
         # the float32 search alone picks another row for some queries
-        sq32 = pairwise_distance_matrix(queries.astype(np.float32),
-                                        targets.astype(np.float32), squared=True)
-        assert (sq32.argmin(axis=1) != nn).sum() >= 5
+        g32 = pairwise_distance_matrix(queries.astype(np.float32),
+                                       targets.astype(np.float32), shifted=True)
+        assert (g32.argmin(axis=1) != nn).sum() >= 5
         # and some rows have a runner-up within one float64 step, or a tie
         norms = _reference_norms(queries[:, None, :] - targets[None, :, :])
         runner_up = np.sort(norms, axis=1)[:, 1]
         assert ((runner_up - dist) <= np.spacing(dist)).sum() >= 5
+
+    @pytest.mark.parametrize("d", [1, 8, 32, 128])
+    def test_float32_values_lie_within_the_bound(self, d):
+        # every float32 value of the search, computed as `_nearest` computes
+        # it, against the exact |b|^2 - 2a.b of the scaled float64 rows
+        rng = np.random.default_rng(d)
+
+        def rows(n, power):
+            return np.ldexp(rng.standard_normal((n, d)), power)
+
+        # one large query row sets the scale; the others and every target
+        # have squares and products below 2^-126, and some entries cast to
+        # float32 subnormals
+        tiny_q, tiny_t = rows(4, -66), rows(7, -66)
+        tiny_q[:, ::3] = rows(4, -140)[:, ::3]
+        tiny_t[:, 1::3] = rows(7, -135)[:, 1::3]
+        sets = [(rows(5, 0), rows(7, 0)),
+                (rows(5, 0), rows(7, -12)),   # |a| >> |b|
+                (rows(5, -12), rows(7, 0)),   # |a| << |b|
+                (np.vstack([rows(1, 0), tiny_q]), tiny_t)]
+        for queries, targets in sets:
+            # raw rows of any size; `_nearest` scales them below 1
+            queries, targets = np.ldexp(queries, 300), np.ldexp(targets, 300)
+            top = max(np.abs(queries).max(), np.abs(targets).max())
+            shift = -int(np.frexp(top)[1])
+            queries, targets = np.ldexp(queries, shift), np.ldexp(targets, shift)
+            targets32 = targets.astype(np.float32, order="F")
+            g = pairwise_distance_matrix(queries.astype(np.float32), targets32,
+                                         b_sq=(targets32 * targets32).sum(axis=1),
+                                         shifted=True)
+            bound = ev._search_error(queries, targets)
+            exact_b = [[Fraction(v) for v in row] for row in targets.tolist()]
+            for i, a in enumerate(queries.tolist()):
+                a = [Fraction(v) for v in a]
+                for j, b in enumerate(exact_b):
+                    exact = sum(y * y for y in b) - 2 * sum(x * y for x, y in zip(a, b))
+                    assert abs(Fraction(float(g[i, j])) - exact) <= Fraction(bound[i])
 
     @pytest.mark.parametrize("rows", [1, 7, 25])
     def test_tiny_blocks(self, rows, monkeypatch):

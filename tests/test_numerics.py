@@ -152,11 +152,9 @@ class TestPairwiseDistanceMatrix:
         # reused buffers, longer than one block needs and holding stale values
         work = (np.full(na * nb + 5, np.nan), np.full(na * nb + 5, np.nan))
         for kw in ({}, {"b_sq": b_sq}, {"b_sq": b_sq, "work": work}):
-            assert np.array_equal(pairwise_distance_matrix(a, b, **kw), want)
-            # the squared matrix is the default's before the root
-            sq = pairwise_distance_matrix(a, b, squared=True, **kw)
-            assert np.array_equal(np.sqrt(sq), want)
-        assert np.shares_memory(sq, work[1])
+            got = pairwise_distance_matrix(a, b, **kw)
+            assert np.array_equal(got, want)
+        assert np.shares_memory(got, work[1])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("na, nb, d", [(1, 40, 32), (24, 500, 32), (48, 37, 128),
@@ -174,8 +172,6 @@ class TestPairwiseDistanceMatrix:
         work = (np.full(na * nb, np.nan, dtype), np.full(na * nb, np.nan, dtype))
         for kw in ({}, {"b_sq": b_sq}, {"b_sq": b_sq, "work": work}):
             assert np.array_equal(pairwise_distance_matrix(a, b, **kw), want)
-            sq = pairwise_distance_matrix(a, b, squared=True, **kw)
-            assert np.array_equal(np.sqrt(sq), want)
 
     @pytest.mark.parametrize("n", [1, 12, 13, 96])
     def test_same_array_equals_the_reference(self, n):
@@ -183,14 +179,43 @@ class TestPairwiseDistanceMatrix:
         got = pairwise_distance_matrix(a, a)
         assert np.array_equal(got, _reference_pairwise_distance_matrix(a, a))
         assert np.array_equal(np.diag(got), np.zeros(n))
-        sq = pairwise_distance_matrix(a, a, squared=True)
-        assert np.array_equal(np.sqrt(sq), got)
-        assert np.array_equal(np.diag(sq), np.zeros(n))
 
     def test_precomputed_norms_must_fit_b(self):
         b = np.ones((3, 2))
         with pytest.raises(ShapeError):
             pairwise_distance_matrix(np.ones((2, 2)), b, b_sq=np.ones(4))
+        with pytest.raises(ShapeError):
+            pairwise_distance_matrix(np.ones((2, 2)), b, b_sq=np.ones(2), shifted=True)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("na, nb, d", [(1, 40, 32), (24, 500, 32), (37, 37, 9),
+                                           (48, 37, 128), (205, 61, 7)])
+    def test_shifted_block_equals_the_reference_bit_for_bit(self, na, nb, d, dtype, order):
+        # |b|^2 - 2ab^T, unclamped: the -2 goes into the operand with fewer
+        # rows, `a` on a tie, then one add of the target norms
+        rng = np.random.default_rng(na * nb + d)
+        a = rng.standard_normal((na, d)).astype(dtype)
+        b = np.asarray(rng.standard_normal((nb, d)).astype(dtype), order=order)
+        b[0] = a[0]
+        b_sq = (b * b).sum(axis=1)
+        product = np.matmul(-2.0 * a, b.T) if na <= nb else np.matmul(a, (-2.0 * b).T)
+        want = product + b_sq
+        assert want.dtype == dtype and (want < 0).any()
+        work = (None, np.full(na * nb + 3, np.nan, dtype))
+        for kw in ({}, {"b_sq": b_sq}, {"b_sq": b_sq, "work": work}):
+            got = pairwise_distance_matrix(a, b, shifted=True, **kw)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
+        assert np.shares_memory(got, work[1])
+
+    def test_shifted_block_of_one_array(self):
+        # a @ a.T goes by syrk, scaled afterwards, as the default path does
+        a = np.random.default_rng(3).standard_normal((13, 16))
+        ab = np.matmul(a, a.T)
+        ab *= -2.0
+        assert np.array_equal(pairwise_distance_matrix(a, a, shifted=True),
+                              ab + (a * a).sum(axis=1))
 
     def test_non_finite_rejected(self):
         a = np.ones((2, 2))

@@ -5,7 +5,7 @@ import pytest
 from desclite.data import DescriptorSet
 from desclite.errors import ConfigError
 from desclite.nn import load_model, save_model
-from desclite.train import TrainConfig, reduce, train
+from desclite.train import _SCHEME_DEFAULTS, SCHEMES, TrainConfig, reduce, train
 
 
 def _classed_set(classes=12, per_class=3, dim=16, seed=0):
@@ -24,6 +24,13 @@ def _config(scheme):
 def test_an_unknown_scheme_is_a_config_error():
     with pytest.raises(ConfigError, match="'xx'"):
         train(_classed_set(), TrainConfig(scheme="xx", target_dim=4))
+
+
+def test_every_scheme_has_defaults_and_the_error_names_them():
+    assert tuple(_SCHEME_DEFAULTS) == SCHEMES == ("us", "ss", "sv")
+    with pytest.raises(ConfigError) as err:
+        TrainConfig(scheme="xx", target_dim=4).resolved()
+    assert str(err.value) == "scheme must be one of ('us', 'ss', 'sv'), got 'xx'"
 
 
 @pytest.mark.parametrize("scheme", ["us", "ss", "sv"])
