@@ -130,6 +130,34 @@ class DescriptorSet:
         )
 
 
+class LabelIndex:
+    """Ascending `rows` grouped by label code, built once with a stable sort.
+
+    `codes` holds each row's label code, such as the inverse of `np.unique`
+    over the set's labels, and `n_codes` the number of codes. Label c's
+    rows, ascending, are `rows[start[c]:start[c] + count[c]]`, and `slot[k]`
+    is where the row at input position k landed in `rows`. `outside` lists
+    the rows whose label is not c in cyclic label order: the rows of labels
+    above c, then those of labels below it, so the p-th of them is one
+    lookup.
+    """
+
+    def __init__(self, rows: np.ndarray, codes: np.ndarray, n_codes: int):
+        order = np.argsort(codes, kind="stable")
+        self.rows = rows[order]
+        self.count = np.bincount(codes, minlength=n_codes)
+        self.start = np.cumsum(self.count) - self.count
+        self.slot = np.empty(len(rows), dtype=np.int64)
+        self.slot[order] = np.arange(len(rows))
+
+    def outside(self, code, p):
+        """The p-th rows (0-based) whose label is not `code`, counting from
+        the first row after label `code`'s and wrapping round to row 0: a
+        bijection from 0..n_other - 1 onto those rows, so a uniform index is a
+        uniform row."""
+        return self.rows[(self.start[code] + self.count[code] + p) % len(self.rows)]
+
+
 # ---------------------------------------------------------------------------
 # Patch file format (DPT1)
 # ---------------------------------------------------------------------------

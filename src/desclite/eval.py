@@ -62,7 +62,7 @@ query's distractors as a uniform subset by Floyd's algorithm (`_distinct`).
 A drawn index p below a row's n_other rows of other labels is the p-th of
 them in cyclic label order: the rows of the labels above the row's own,
 then those of the labels below it, each label's rows ascending
-(`_LabelIndex.outside`). This is a bijection, so uniform indices give
+(`data.LabelIndex.outside`). This is a bijection, so uniform indices give
 uniform rows. The same seed gives the same draws and reports; they are not
 those of per-item `rng.choice` calls.
 """
@@ -73,7 +73,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DescriptorSet, tier_name
+from .data import DescriptorSet, LabelIndex, tier_name
 from .errors import ConfigError
 from .numerics import as_matrix, pairwise_distance_matrix, row_norms
 
@@ -176,32 +176,6 @@ def _distinct(rng, pops, takes):
     return out
 
 
-class _LabelIndex:
-    """Ascending `rows` grouped by label code, built once with a stable sort.
-
-    Label c's rows, ascending, are `rows[start[c]:start[c] + count[c]]`, and
-    `slot[k]` is where the row at input position k landed in `rows`.
-    `outside` lists the rows whose label is not c in cyclic label order:
-    the rows of labels above c, then those of labels below it, so the p-th
-    of them is one lookup.
-    """
-
-    def __init__(self, rows: np.ndarray, codes: np.ndarray, n_codes: int):
-        order = np.argsort(codes, kind="stable")
-        self.rows = rows[order]
-        self.count = np.bincount(codes, minlength=n_codes)
-        self.start = np.cumsum(self.count) - self.count
-        self.slot = np.empty(len(rows), dtype=np.int64)
-        self.slot[order] = np.arange(len(rows))
-
-    def outside(self, code, p):
-        """The p-th rows (0-based) whose label is not `code`, counting from
-        the first row after label `code`'s and wrapping round to row 0: a
-        bijection from 0..n_other - 1 onto those rows, so a uniform index is a
-        uniform row."""
-        return self.rows[(self.start[code] + self.count[code] + p) % len(self.rows)]
-
-
 def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
                       seed: int = 0) -> EvalReport:
     """Ranked same/different-label pair classification by descriptor distance.
@@ -229,7 +203,7 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
         name = "all" if dset.tiers is None else tier_name(code)
         tier_rows = np.flatnonzero(codes == code)
         eligible_rows = np.flatnonzero(codes <= code)
-        eligible = _LabelIndex(eligible_rows, label_codes[eligible_rows], len(classes))
+        eligible = LabelIndex(eligible_rows, label_codes[eligible_rows], len(classes))
         tier_slots = eligible.slot[np.searchsorted(eligible_rows, tier_rows)]
         drawn = []
         for positive in (True, False):
@@ -427,11 +401,11 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
     rows = max(1, BLOCK_FLOATS // len(targets))
     nn = np.empty(len(queries), dtype=np.int64)
     nn_dist = np.empty(len(queries))
-    work = (None, np.empty(min(len(queries), rows) * len(targets), np.float32))
+    out = np.empty(min(len(queries), rows) * len(targets), np.float32)
     for lo in range(0, len(queries), rows):
         hi = min(lo + rows, len(queries))
         g = pairwise_distance_matrix(queries32[lo:hi], targets32, b_sq=targets32_sq,
-                                     shifted=True, work=work)
+                                     shifted=True, out=out)
         # the row's float32 minimum plus 2E, rounded up into float32
         limit = (g.min(axis=1) + slack[lo:hi]).astype(np.float32)
         limit = np.nextafter(limit, np.float32(np.inf))
@@ -478,7 +452,7 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
         raise ConfigError("retrieval needs >= 2 classes")
     rng = np.random.default_rng(seed)
     n = len(dset)
-    index = _LabelIndex(np.arange(n), codes, len(classes))
+    index = LabelIndex(np.arange(n), codes, len(classes))
     queries = np.flatnonzero(counts[codes] >= 2)
     if not len(queries):
         raise ConfigError("retrieval: every class has a single patch")

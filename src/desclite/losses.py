@@ -157,11 +157,3 @@ def softmax_cross_entropy(logits, targets) -> LossValue:
     grad[np.arange(n), t] -= 1.0
     return LossValue(value, grad / n)
 
-
-def combine(main: LossValue, aux: LossValue, weight: float) -> LossValue:
-    """Weighted sum of two losses sharing a differentiated input."""
-    if main.grad.shape != aux.grad.shape:
-        raise ShapeError(
-            f"combine: gradient shapes differ, {main.grad.shape} vs {aux.grad.shape}"
-        )
-    return LossValue(main.value + weight * aux.value, main.grad + weight * aux.grad)

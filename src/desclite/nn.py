@@ -38,9 +38,8 @@ import numpy as np
 
 from ._binio import read_file, u32_bytes, write_atomic
 from .errors import ConfigError, FormatError, ShapeError, StateError
-from .numerics import as_matrix
+from .numerics import NORM_EPS, as_matrix
 
-_NORM_EPS = 1e-12
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 MAX_HIDDEN_LAYERS = 2
@@ -191,7 +190,7 @@ class L2Normalize(_Layer):
 
 def _l2_rows(x: np.ndarray):
     norms = np.linalg.norm(x, axis=1)
-    zero = norms < _NORM_EPS
+    zero = norms < NORM_EPS
     safe = np.where(zero, 1.0, norms)
     out = x / safe[:, None]
     out[zero] = 0.0
@@ -482,7 +481,7 @@ def project(model: MlpModel, batch) -> np.ndarray:
             else:  # l2norm, in float64
                 h = h.astype(np.float64)
                 norms = np.sqrt(np.einsum("ij,ij->i", h, h))
-                zero = norms < _NORM_EPS
+                zero = norms < NORM_EPS
                 norms[zero] = 1.0
                 h /= norms[:, None]
                 h[zero] = 0.0

@@ -13,6 +13,10 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
+# A row whose L2 norm is below this is a zero row: L2 normalization leaves it
+# all-zero instead of dividing by its norm.
+NORM_EPS = 1e-12
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a finite 2-D array: float32 if it is
@@ -39,7 +43,7 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def pairwise_distance_matrix(a, b, *, b_sq=None, shifted=False, work=None) -> np.ndarray:
+def pairwise_distance_matrix(a, b, *, b_sq=None, shifted=False, out=None) -> np.ndarray:
     """All-pairs Euclidean distances between rows of `a` and rows of `b`.
 
     Uses the expanded form |a|^2 + |b|^2 - 2ab^T; cancellation can push tiny
@@ -57,12 +61,12 @@ def pairwise_distance_matrix(a, b, *, b_sq=None, shifted=False, work=None) -> np
     rounding. It costs the product, the -2 folded into the operand with
     fewer rows, and one in-place add of `b_sq`; no |a|^2 is formed.
 
-    `work`, for a caller that measures many blocks in turn, is a pair of flat
-    arrays of the result's dtype with at least len(a) * len(b) entries each;
-    the product and the result are written into them instead of fresh
-    arrays, so the result is a view of `work[1]` that the next call with the
-    same pair overwrites. A shifted block is its own product and uses only
-    `work[1]`, so `work[0]` may then be None. The values do not depend on it.
+    `out`, for a caller that measures many shifted blocks in turn, is a flat
+    array of the result's dtype with at least len(a) * len(b) entries; a
+    shifted block is its own product and is written into it instead of a
+    fresh array, so the result is a view of `out` that the next call with
+    the same array overwrites. The values do not depend on it. The default
+    path does not use `out`.
     """
     same = a is b
     a = as_matrix(a, "a")
@@ -77,21 +81,18 @@ def pairwise_distance_matrix(a, b, *, b_sq=None, shifted=False, work=None) -> np
     if b_sq is not None and len(b_sq) != len(b):
         raise ShapeError(f"b_sq has {len(b_sq)} entries for {len(b)} rows of b")
     if shifted:
-        out = None if work is None else _block(work[1], len(a), len(b))
+        if out is not None:
+            out = out[:len(a) * len(b)].reshape(len(a), len(b))
         block = _minus_2ab(a, b, out)
         block += (b * b).sum(axis=1) if b_sq is None else b_sq
         return block
     a_sq = (a * a).sum(axis=1)
     if b_sq is None:
         b_sq = a_sq if same else (b * b).sum(axis=1)
-    sq = _sq_distances(a, a_sq, b, b_sq, work)
+    sq = _sq_distances(a, a_sq, b, b_sq)
     if same:
         np.fill_diagonal(sq, 0.0)
     return np.sqrt(sq, out=sq)
-
-
-def _block(flat: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return flat[:rows * cols].reshape(rows, cols)
 
 
 def _minus_2ab(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
@@ -112,15 +113,11 @@ def _minus_2ab(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
 
 
 def _sq_distances(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray,
-                  b_sq: np.ndarray, work=None) -> np.ndarray:
+                  b_sq: np.ndarray) -> np.ndarray:
     """Squared distances (|a|^2 + |b|^2) + (-2ab^T) between rows, clamped at
-    0, from the squared row norms `a_sq` and `b_sq`, written into the two
-    flat arrays `work` if given (see `pairwise_distance_matrix`); no input is
-    checked."""
-    ab, sq = (None, None) if work is None else (
-        _block(w, len(a), len(b)) for w in work)
-    ab = _minus_2ab(a, b, ab)
-    sq = np.add(a_sq[:, None], b_sq[None, :], out=sq)
+    0, from the squared row norms `a_sq` and `b_sq`; no input is checked."""
+    ab = _minus_2ab(a, b)
+    sq = np.add(a_sq[:, None], b_sq[None, :])
     sq += ab
     return np.maximum(sq, 0.0, out=sq)
 

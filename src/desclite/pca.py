@@ -13,9 +13,7 @@ import numpy as np
 from ._binio import read_file, u32_bytes, write_atomic
 from .data import DescriptorSet
 from .errors import ConfigError, ShapeError
-from .numerics import sym_eigen
-
-_NORM_EPS = 1e-12
+from .numerics import NORM_EPS, sym_eigen
 
 
 @dataclass
@@ -78,7 +76,7 @@ def pca_transform(model: PcaModel, dset: DescriptorSet,
     z = (dset.descriptors - model.mean) @ model.basis
     if normalize:
         norms = np.linalg.norm(z, axis=1)
-        zero = norms < _NORM_EPS
+        zero = norms < NORM_EPS
         safe = np.where(zero, 1.0, norms)
         z = z / safe[:, None]
         z[zero] = 0.0

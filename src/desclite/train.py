@@ -6,10 +6,27 @@ scheme on a DescriptorSet, returning the trained encoder. An optional
 `log_fn` receives one dict per logged event (epoch summaries, recluster
 events); the CLI turns these into the line-oriented training log and tests
 use them as instrumentation hooks.
-Every epoch event carries `steps_per_epoch` and `total_steps`, the Adam steps
-of one epoch and of the whole run; `sv` epoch events also carry
-`unused_classes_per_epoch`, the eligible classes that no batch of an epoch
-draws (each epoch makes whole batches of distinct classes).
+
+Every scheme runs the one epoch loop, `_run`. A scheme gives it:
+  - its encoder and the steps of one epoch;
+  - its epoch, a generator that draws the epoch's batches and, for each in
+    turn, fills the encoder's gradients and yields the batch's loss terms
+    by name, `loss` first;
+  - any extra epoch-event fields, and any other model to check.
+`_run` owns the encoder's AdamState and its step after each batch, the step
+counts, the epoch means of the loss terms, the non-finite parameter checks
+and the epoch event. A scheme steps its other models itself: `us` its
+decoder and `ss` its classification head, in the epoch's steps; `ss`
+reclusters at the start of its epoch.
+
+An epoch event carries `event`, `scheme`, `epoch`, `loss` and the scheme's
+other loss terms, then `lr`, `steps_per_epoch` and `total_steps` (the Adam
+steps of one epoch and of the whole run), then the scheme's extra fields:
+`head_width` (`ss`, the cluster count) or `unused_classes_per_epoch` (`sv`,
+the eligible classes that no batch of an epoch draws, since each epoch makes
+whole batches of distinct classes). With the distance loss, each step's
+`loss` is its main term plus alpha (`us`) or beta (`sv`) times its
+`distance`.
 
 Training runs in `nn.DTYPE` (float32): each scheme casts the training
 descriptors once, and the models it returns hold DTYPE parameters. Their
@@ -23,12 +40,10 @@ import numpy as np
 
 from . import losses, nn
 from .cluster import KMeansModel, kmeans_fit
-from .data import DescriptorSet
+from .data import DescriptorSet, LabelIndex
 from .errors import ConfigError, NumericError, ShapeError
 from .nn import AdamState, MlpModel, adam_step, backward, build_encoder, build_mlp, \
     forward, project
-
-TARGET_DIMS = (64, 32, 24, 16)
 
 # Paper-scale defaults per scheme: (epochs, batch_size, lr schedule)
 _SCHEME_DEFAULTS = {
@@ -101,18 +116,61 @@ def _recluster_fields(model: KMeansModel) -> dict:
                 min_cluster_size=int(sizes.min()), max_cluster_size=int(sizes.max()))
 
 
-def _batch_starts(n: int, batch_size: int) -> range:
-    """Start rows of an epoch's batches. A trailing single row is dropped,
-    since batchnorm needs two; every other batch has >= 2 rows because
-    batch_size >= 2. Its length is the epoch's step count."""
-    return range(0, n - 1, batch_size)
+def _row_steps(n: int, batch_size: int) -> int:
+    """Steps of an epoch over n shuffled rows. A trailing single row is
+    dropped, since batchnorm needs two; every other batch has >= 2 rows
+    because batch_size >= 2."""
+    return len(range(0, n - 1, batch_size))
 
 
-def _batch_indices(n: int, batch_size: int, rng: np.random.Generator):
-    """Seeded shuffled batches, one per start of `_batch_starts`."""
+def _shuffled(n: int, batch_size: int, steps: int, rng: np.random.Generator) -> list:
+    """`steps` consecutive slices of `batch_size` entries (the last may be
+    shorter) of a fresh seeded permutation of range(n)."""
     order = rng.permutation(n)
-    for start in _batch_starts(n, batch_size):
-        yield order[start:start + batch_size]
+    return [order[start:start + batch_size]
+            for start in range(0, steps * batch_size, batch_size)]
+
+
+def _triplet_rows(index: LabelIndex, codes: np.ndarray, rng: np.random.Generator):
+    """(2B,) rows for the B label codes `codes` of `index`: anchors first,
+    then positives; rows i and B + i are a uniform ordered pair of distinct
+    rows of label codes[i], drawn by two calls over the whole batch."""
+    first, sizes = index.start[codes], index.count[codes]
+    a = rng.integers(0, sizes)
+    b = rng.integers(0, sizes - 1)
+    b += b >= a  # b skips a's slot
+    return index.rows[np.concatenate([first + a, first + b])]
+
+
+def _run(cfg: TrainConfig, log_fn, encoder: MlpModel, steps_per_epoch: int,
+         epoch_steps, others=None, **fields) -> MlpModel:
+    """The epoch loop of every scheme. `epoch_steps(epoch)` yields each
+    batch's loss terms once it has filled the encoder's gradients, and the
+    loop then takes the encoder's Adam step. After each epoch it checks the
+    encoder and the models of `others` (name -> model) for non-finite
+    parameters and emits the epoch event: the mean of each loss term, then
+    the rate, the step counts and `fields`.
+
+    A step's arrays live in the generator until its next batch replaces
+    them, as in a plain loop. A step function that freed them on return,
+    before the Adam step, took twice the minor page faults in paper-3k's
+    `us` run (glibc gave the freed heap back and faulted it in again)."""
+    total_steps = cfg.epochs * steps_per_epoch
+    adam = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
+    checked = {"encoder": encoder, **(others or {})}
+    for epoch in range(1, cfg.epochs + 1):
+        sums = {}
+        for terms in epoch_steps(epoch):
+            for term, value in terms.items():
+                sums[term] = sums.get(term, 0.0) + value
+            adam_step(adam, encoder)
+        for what, model in checked.items():
+            _check_finite(model, what)
+        _emit(log_fn, event="epoch", scheme=cfg.scheme, epoch=epoch,
+              **{term: total / steps_per_epoch for term, total in sums.items()},
+              lr=adam.effective_lr(adam.t), steps_per_epoch=steps_per_epoch,
+              total_steps=total_steps, **fields)
+    return encoder
 
 
 def _train_us(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
@@ -127,43 +185,26 @@ def _train_us(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
     encoder = build_encoder(dim, cfg.target_dim, cfg.hidden_sizes, seed=cfg.seed)
     decoder = build_mlp(cfg.target_dim, dim, tuple(reversed(cfg.hidden_sizes)),
                         seed=cfg.seed + 1, normalize_output=False)
-    steps_per_epoch = len(_batch_starts(len(x), cfg.batch_size))
-    total_steps = cfg.epochs * steps_per_epoch
-    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
-    adam_dec = AdamState(decoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
+    steps = _row_steps(len(x), cfg.batch_size)
+    adam_dec = AdamState(decoder, cfg.learning_rate, cfg.lr_schedule, cfg.epochs * steps)
     rng = np.random.default_rng(cfg.seed + 17)
 
-    for epoch in range(1, cfg.epochs + 1):
-        sums = np.zeros(3)  # total, reconstruction, distance
-        count = 0
-        for idx in _batch_indices(len(x), cfg.batch_size, rng):
+    def epoch_steps(epoch):
+        for idx in _shuffled(len(x), cfg.batch_size, steps, rng):
             batch = x[idx]
             emb = forward(encoder, batch)
-            rec = forward(decoder, emb)
-            loss_rec = losses.reconstruction_loss(batch, rec)
-            grad_emb = backward(decoder, loss_rec.grad)
+            rec = losses.reconstruction_loss(batch, forward(decoder, emb))
+            grad = backward(decoder, rec.grad)
+            loss, dist = rec.value, 0.0
             if cfg.use_distance_loss:
-                loss_dist = losses.distance_loss(batch, emb)
-                total = losses.combine(
-                    losses.LossValue(loss_rec.value, grad_emb),
-                    loss_dist, cfg.alpha,
-                )
-                grad_emb = total.grad
-                loss_total, dist_val = total.value, loss_dist.value
-            else:
-                loss_total, dist_val = loss_rec.value, 0.0
-            backward(encoder, grad_emb)
-            adam_step(adam_enc, encoder)
+                aux = losses.distance_loss(batch, emb)
+                loss, dist = rec.value + cfg.alpha * aux.value, aux.value
+                grad = grad + cfg.alpha * aux.grad
+            backward(encoder, grad)
             adam_step(adam_dec, decoder)
-            sums += (loss_total, loss_rec.value, dist_val)
-            count += 1
-        _check_finite(encoder, "encoder")
-        _check_finite(decoder, "decoder")
-        _emit(log_fn, event="epoch", scheme="us", epoch=epoch,
-              loss=sums[0] / count, reconstruction=sums[1] / count,
-              distance=sums[2] / count, lr=adam_enc.effective_lr(adam_enc.t),
-              steps_per_epoch=steps_per_epoch, total_steps=total_steps)
-    return encoder
+            yield {"loss": loss, "reconstruction": rec.value, "distance": dist}
+
+    return _run(cfg, log_fn, encoder, steps, epoch_steps, others={"decoder": decoder})
 
 
 def _train_ss(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
@@ -181,12 +222,12 @@ def _train_ss(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
 
     encoder = build_encoder(train_set.dim, cfg.target_dim, cfg.hidden_sizes,
                             seed=cfg.seed)
-    steps_per_epoch = len(_batch_starts(n, cfg.batch_size))
-    total_steps = cfg.epochs * steps_per_epoch
-    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
+    steps = _row_steps(n, cfg.batch_size)
     rng = np.random.default_rng(cfg.seed + 17)
+    pseudo = head = adam_head = None
 
-    for epoch in range(1, cfg.epochs + 1):
+    def epoch_steps(epoch):
+        nonlocal pseudo, head, adam_head
         if (epoch - 1) % cfg.recluster_period == 0:  # always at epoch 1
             if epoch == 1:
                 points, source, offset = x, "original", 0
@@ -200,84 +241,57 @@ def _train_ss(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
             adam_head = AdamState(head, cfg.learning_rate)
             _emit(log_fn, event="recluster", scheme="ss", epoch=epoch,
                   source=source, **_recluster_fields(model))
-        loss_sum = 0.0
-        count = 0
-        for idx in _batch_indices(n, cfg.batch_size, rng):
+        for idx in _shuffled(n, cfg.batch_size, steps, rng):
             emb = forward(encoder, x_train[idx])
-            logits = forward(head, emb)
-            loss = losses.softmax_cross_entropy(logits, pseudo[idx])
-            grad_emb = backward(head, loss.grad)
-            backward(encoder, grad_emb)
-            adam_step(adam_enc, encoder)
+            loss = losses.softmax_cross_entropy(forward(head, emb), pseudo[idx])
+            backward(encoder, backward(head, loss.grad))
             adam_step(adam_head, head)
-            loss_sum += loss.value
-            count += 1
-        _check_finite(encoder, "encoder")
-        _emit(log_fn, event="epoch", scheme="ss", epoch=epoch,
-              loss=loss_sum / count, cross_entropy=loss_sum / count,
-              lr=adam_enc.effective_lr(adam_enc.t), head_width=head.output_dim,
-              steps_per_epoch=steps_per_epoch, total_steps=total_steps)
-    return encoder
+            yield {"loss": loss.value, "cross_entropy": loss.value}
+
+    return _run(cfg, log_fn, encoder, steps, epoch_steps, head_width=k)
 
 
 def _train_sv(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
     """Triplet scheme: per step, one (anchor, positive) pair from each of
     `batch_size` distinct classes, embedded by the same encoder, with
     hardest-within-batch mining; optionally plus beta x the distance loss on
-    the anchor embeddings."""
+    the anchor embeddings (and on the positive ones with
+    `distance_loss_on_positives`)."""
     x = train_set.descriptors.astype(nn.DTYPE)
-    class_rows = _rows_by_class(train_set.labels)
-    eligible = [c for c, rows in class_rows.items() if len(rows) >= 2]
+    classes, codes = np.unique(train_set.labels, return_inverse=True)
+    index = LabelIndex(np.arange(len(x)), codes, len(classes))
+    eligible = np.flatnonzero(index.count >= 2)
     if len(eligible) < cfg.batch_size:
         raise ConfigError(
             f"need >= batch_size={cfg.batch_size} classes with >= 2 patches, "
             f"found {len(eligible)}"
         )
-    eligible.sort()
 
     encoder = build_encoder(train_set.dim, cfg.target_dim, cfg.hidden_sizes,
                             seed=cfg.seed)
-    steps_per_epoch = len(eligible) // cfg.batch_size
-    unused_classes = len(eligible) % cfg.batch_size
-    total_steps = cfg.epochs * steps_per_epoch
-    adam_enc = AdamState(encoder, cfg.learning_rate, cfg.lr_schedule, total_steps)
-    rng = np.random.default_rng(cfg.seed + 17)
     nb = cfg.batch_size
+    steps = len(eligible) // nb
+    rng = np.random.default_rng(cfg.seed + 17)
 
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(eligible))
-        sums = np.zeros(3)  # total, triplet, distance
-        for step in range(steps_per_epoch):
-            chosen = order[step * nb:(step + 1) * nb]
-            pairs = _sample_triplet_batch(x, class_rows, [eligible[i] for i in chosen], rng)
+    def epoch_steps(epoch):
+        for chosen in _shuffled(len(eligible), nb, steps, rng):
+            pairs = x[_triplet_rows(index, eligible[chosen], rng)]
             emb = forward(encoder, pairs)
-            loss_tri = losses.triplet_loss_hardest(emb[:nb], emb[nb:], cfg.margin)
+            tri = losses.triplet_loss_hardest(emb[:nb], emb[nb:], cfg.margin)
+            loss, dist, grad = tri.value, 0.0, tri.grad
             if cfg.use_distance_loss:
-                loss_dist = losses.distance_loss(pairs[:nb], emb[:nb])
-                aux_grad = np.vstack([loss_dist.grad, np.zeros_like(loss_dist.grad)])
+                aux = losses.distance_loss(pairs[:nb], emb[:nb])
+                dist, grads = aux.value, [aux.grad, np.zeros_like(aux.grad)]
                 if cfg.distance_loss_on_positives:
                     extra = losses.distance_loss(pairs[nb:], emb[nb:])
-                    aux = losses.LossValue(
-                        loss_dist.value + extra.value,
-                        np.vstack([loss_dist.grad, extra.grad]),
-                    )
-                else:
-                    aux = losses.LossValue(loss_dist.value, aux_grad)
-                total = losses.combine(loss_tri, aux, cfg.beta)
-                grad, loss_total, dist_val = total.grad, total.value, aux.value
-            else:
-                grad, loss_total, dist_val = loss_tri.grad, loss_tri.value, 0.0
+                    dist, grads[1] = dist + extra.value, extra.grad
+                loss = tri.value + cfg.beta * dist
+                grad = tri.grad + cfg.beta * np.vstack(grads)
             backward(encoder, grad)
-            adam_step(adam_enc, encoder)
-            sums += (loss_total, loss_tri.value, dist_val)
-        _check_finite(encoder, "encoder")
-        _emit(log_fn, event="epoch", scheme="sv", epoch=epoch,
-              loss=sums[0] / steps_per_epoch, triplet=sums[1] / steps_per_epoch,
-              distance=sums[2] / steps_per_epoch,
-              lr=adam_enc.effective_lr(adam_enc.t),
-              steps_per_epoch=steps_per_epoch, total_steps=total_steps,
-              unused_classes_per_epoch=unused_classes)
-    return encoder
+            yield {"loss": loss, "triplet": tri.value, "distance": dist}
+
+    return _run(cfg, log_fn, encoder, steps, epoch_steps,
+                unused_classes_per_epoch=len(eligible) % nb)
 
 
 _SCHEME_BODIES = {"us": _train_us, "ss": _train_ss, "sv": _train_sv}
@@ -307,24 +321,3 @@ def reduce(encoder: MlpModel, dset: DescriptorSet) -> DescriptorSet:
         normalized=True,
     )
 
-
-def _rows_by_class(labels: np.ndarray) -> dict:
-    rows: dict[int, list] = {}
-    for i, lab in enumerate(labels):
-        rows.setdefault(int(lab), []).append(i)
-    return {c: np.asarray(v) for c, v in rows.items()}
-
-
-def _sample_triplet_batch(x: np.ndarray, class_rows: dict, chosen_classes,
-                          rng: np.random.Generator) -> np.ndarray:
-    """(2B, D) rows: anchors first, then positives; row i and row B + i share
-    the label of chosen class i."""
-    rows = [class_rows[c] for c in chosen_classes]
-    # a uniform ordered pair of distinct rows per class: b skips a's slot
-    sizes = np.array([len(r) for r in rows])
-    a = rng.integers(0, sizes)
-    b = rng.integers(0, sizes - 1)
-    b += b >= a
-    anchors = [r[i] for r, i in zip(rows, a)]
-    positives = [r[i] for r, i in zip(rows, b)]
-    return x[np.asarray(anchors + positives, dtype=np.int64)]

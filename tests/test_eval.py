@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from desclite import eval as ev
-from desclite.data import DescriptorSet, save_descriptors, tier_name
+from desclite.data import DescriptorSet, LabelIndex, save_descriptors, tier_name
 from desclite.errors import ConfigError, NumericError
 from desclite.eval import (
     EvalReport,
@@ -816,7 +816,7 @@ class TestLabelIndex:
     @staticmethod
     def _check(rows, codes, n_codes):
         # `codes[k]` is row k's label code; the index holds only `rows`
-        index = ev._LabelIndex(rows, codes[rows], n_codes)
+        index = LabelIndex(rows, codes[rows], n_codes)
         assert np.array_equal(index.rows[index.slot], rows)
         for c in np.unique(codes[rows]):
             others = rows[codes[rows] != c]

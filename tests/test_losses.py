@@ -4,7 +4,6 @@ import pytest
 from desclite.errors import ConfigError, ShapeError
 from desclite.losses import (
     LossValue,
-    combine,
     distance_loss,
     reconstruction_loss,
     softmax_cross_entropy,
@@ -289,29 +288,3 @@ class TestDtypes:
         assert abs(narrow.value - wide.value) <= tol * abs(wide.value)
         assert np.abs(narrow.grad - wide.grad).max() <= tol * np.abs(wide.grad).max()
 
-
-class TestCombine:
-    def test_weight_zero_keeps_main(self):
-        rng = np.random.default_rng(0)
-        main = LossValue(1.5, rng.standard_normal((3, 2)))
-        aux = LossValue(2.0, rng.standard_normal((3, 2)))
-        out = combine(main, aux, 0.0)
-        assert out.value == main.value
-        assert np.array_equal(out.grad, main.grad)
-
-    def test_alpha_weighting(self):
-        main = LossValue(1.0, np.zeros((2, 2)))
-        aux = LossValue(2.0, np.ones((2, 2)))
-        out = combine(main, aux, 0.1)
-        assert out.value == pytest.approx(1.2, abs=1e-15)
-
-    def test_beta_weighting(self):
-        main = LossValue(1.0, np.zeros((2, 2)))
-        aux = LossValue(1.0, np.ones((2, 2)))
-        out = combine(main, aux, 3.0)
-        assert out.value == pytest.approx(4.0, abs=1e-15)
-        assert np.array_equal(out.grad, 3.0 * np.ones((2, 2)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            combine(LossValue(0.0, np.zeros((2, 2))), LossValue(0.0, np.zeros((3, 2))), 1.0)

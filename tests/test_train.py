@@ -6,8 +6,8 @@ import pytest
 
 from desclite import nn
 from desclite.cluster import kmeans_fit
-from desclite.data import DescriptorSet, extract_descriptors, generate_synthetic, \
-    split_dataset
+from desclite.data import DescriptorSet, LabelIndex, extract_descriptors, \
+    generate_synthetic, split_dataset
 from desclite.eval import eval_matching, eval_retrieval, eval_verification
 from desclite.errors import ConfigError, StateError
 from desclite.nn import BN_EPS, BN_MOMENTUM, save_model
@@ -258,27 +258,79 @@ class TestTripletPairs:
         # classes of 2 to 12 rows; the rows of a class are not contiguous
         rng = np.random.default_rng(12)
         labels = rng.permutation(np.repeat(np.arange(40), rng.integers(2, 13, size=40)))
-        x = np.arange(len(labels), dtype=np.float64)[:, None]  # a row holds its index
-        class_rows = train_module._rows_by_class(labels)
-        chosen = rng.permutation(40)[:25].tolist()
+        index = LabelIndex(np.arange(len(labels)), labels, 40)
+        chosen = rng.permutation(40)[:25]
         for _ in range(20):
-            got = train_module._sample_triplet_batch(x, class_rows, chosen, rng)
-            anchors, positives = got[:25, 0].astype(int), got[25:, 0].astype(int)
+            got = train_module._triplet_rows(index, chosen, rng)
+            anchors, positives = got[:25], got[25:]
             assert (anchors != positives).all()
             assert (labels[anchors] == chosen).all()
             assert (labels[positives] == chosen).all()
 
     def test_ordered_pairs_of_a_three_row_class_are_uniform(self):
         # Floyd's picks would never put the class's last row first
-        class_rows = {7: np.array([2, 5, 9])}
-        x = np.arange(10, dtype=np.float64)[:, None]
+        index = LabelIndex(np.array([2, 5, 9]), np.array([7, 7, 7]), 8)
         n = 60000
-        got = train_module._sample_triplet_batch(x, class_rows, [7] * n,
-                                                 np.random.default_rng(8))
-        pairs = Counter(zip(got[:n, 0].astype(int).tolist(), got[n:, 0].astype(int).tolist()))
+        got = train_module._triplet_rows(index, np.full(n, 7), np.random.default_rng(8))
+        pairs = Counter(zip(got[:n].tolist(), got[n:].tolist()))
         assert sorted(pairs) == [(a, b) for a in (2, 5, 9) for b in (2, 5, 9) if a != b]
         for count in pairs.values():
             assert abs(count / n - 1 / 6) <= 0.01
+
+    def test_rows_are_those_of_per_class_row_lists(self):
+        # the same two draws index each class's ascending row list, as a
+        # dict of per-class lists built row by row would
+        rng = np.random.default_rng(5)
+        labels = rng.permutation(np.repeat(np.arange(30), rng.integers(2, 9, size=30)))
+        class_rows = {}
+        for row, label in enumerate(labels):
+            class_rows.setdefault(int(label), []).append(row)
+        chosen = rng.permutation(30)[:17]
+        got = train_module._triplet_rows(LabelIndex(np.arange(len(labels)), labels, 30),
+                                         chosen, np.random.default_rng(9))
+        draw = np.random.default_rng(9)
+        sizes = np.array([len(class_rows[c]) for c in chosen])
+        a = draw.integers(0, sizes)
+        b = draw.integers(0, sizes - 1)
+        b += b >= a
+        want = [class_rows[c][i] for c, i in zip(chosen, a)] + \
+            [class_rows[c][i] for c, i in zip(chosen, b)]
+        assert got.tolist() == want
+
+
+class TestEpochEvents:
+    # (config, loss terms after `loss`, weight of `distance`, extra fields)
+    CASES = {
+        "us": (dict(scheme="us"), ["reconstruction", "distance"], None, []),
+        "us_dist": (dict(scheme="us", use_distance_loss=True, alpha=0.7),
+                    ["reconstruction", "distance"], 0.7, []),
+        "ss": (dict(scheme="ss", k=5), ["cross_entropy"], None, ["head_width"]),
+        "sv": (dict(scheme="sv"), ["triplet", "distance"], None,
+               ["unused_classes_per_epoch"]),
+        "sv_dist": (dict(scheme="sv", use_distance_loss=True, beta=2.5),
+                    ["triplet", "distance"], 2.5, ["unused_classes_per_epoch"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_keys_and_the_weighted_loss(self, name):
+        config, terms, weight, extra = self.CASES[name]
+        cfg = TrainConfig(target_dim=4, hidden_sizes=(16,), epochs=2, batch_size=6,
+                          seed=2, **config)
+        events = []
+        train(_classed_set(20, 3), cfg, log_fn=events.append)
+        epochs = [e for e in events if e["event"] == "epoch"]
+        assert len(epochs) == 2
+        for e in epochs:
+            assert list(e) == ["event", "scheme", "epoch", "loss", *terms, "lr",
+                               "steps_per_epoch", "total_steps", *extra]
+            main = e[terms[0]]
+            if weight is None:
+                assert e["loss"] == main
+                assert e.get("distance", 0.0) == 0.0
+            else:
+                assert e["distance"] > 0.0
+                assert e["loss"] == pytest.approx(main + weight * e["distance"],
+                                                  rel=1e-12)
 
 
 def test_sv_32_beats_pca_32_on_every_task():
