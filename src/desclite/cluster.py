@@ -75,6 +75,11 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
         iterations += 1
         new_assign = sq.argmin(axis=1)
         repaired += _repair_empty(x, new_assign, sq, k)
+        if np.array_equal(new_assign, assignments):
+            # the centroids and distances of this assignment are the ones
+            # the previous pass built from it, bit for bit
+            history.append(history[-1])
+            break
         # each cluster's rows, in row order, as one contiguous slice
         order = np.argsort(new_assign, kind="stable")
         members = x[order]
@@ -90,8 +95,6 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
                 f"k-means objective increased: {history[-1]!r} -> {objective!r}"
             )
         history.append(objective)
-        if np.array_equal(new_assign, assignments):
-            break
         assignments = new_assign
     # final nearest-centroid pass so stored assignments match the centroids,
     # repaired like every iteration's (not counted in `repaired`) so that no

@@ -41,19 +41,26 @@ Cost, for N rows of D dimensions:
       target norms, and the candidate filter. This search only keeps
       candidates: each row's targets within an error bound of its float32
       minimum (`_nearest` derives the bound), about one per row on eval
-      sets. The kept pairs are scored again in
-      float64, O(D) each, and the row's match is the candidate at the
-      smallest float64 distance, ties to the lower target row.
+      sets. The filter takes two reductions over the block, each row's
+      argmin and, with that entry masked, its second minimum; only a row
+      whose second minimum lies within its bound is scanned in full. The
+      kept pairs are scored again in float64, O(D) each, and the row's
+      match is the candidate at the smallest float64 distance, ties to the
+      lower target row.
   retrieval — O(N log N) to index rows by label; K draws per query for K
       distractors, made in blocks of about BLOCK_FLOATS draws, each mapped
       to its row in O(1); then O(P * D) per query for a pool of P rows, in
       blocks of queries whose gathered rows, and whose label-mate against
       pool comparisons, hold at most BLOCK_FLOATS entries; the blocks of one
       pool shape share one buffer of rows and one of distances. A block
-      gathers its pool rows, subtracts the query and takes one dot per pair,
-      the distance verification and matching use. Ranking is O(S * P) per
-      query for its S label-mates, with no sort: a mate's rank counts the
-      pool entries ahead of it.
+      is laid out pool-major, the p-th pool row of every query together, so
+      each pass runs over the whole block rather than over one query's D
+      entries or P pool rows at a time. It gathers its pool rows, subtracts
+      the queries and takes one dot per pair, the distance verification and
+      matching use. Ranking is O(S * P) per query for its S label-mates,
+      with no sort: a mate's rank counts the pool entries nearer than it,
+      and only the queries where a mate ties another entry also count the
+      tied entries of smaller row index.
 
 Random draws. Every draw is a public `Generator.integers` call over a whole
 array, never one call per attempt or query: verification draws all of a
@@ -406,18 +413,31 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
         hi = min(lo + rows, len(queries))
         g = pairwise_distance_matrix(queries32[lo:hi], targets32, b_sq=targets32_sq,
                                      shifted=True, out=out)
+        # each row's first float32 minimum is its first candidate
+        row, col = np.arange(hi - lo), g.argmin(axis=1)
         # the row's float32 minimum plus 2E, rounded up into float32
-        limit = (g.min(axis=1) + slack[lo:hi]).astype(np.float32)
+        limit = (g[row, col] + slack[lo:hi]).astype(np.float32)
         limit = np.nextafter(limit, np.float32(np.inf))
-        # np.nonzero of the 2-D mask gives the same (row, col) order but took
-        # 15x as long on a 52 x 5,000 block (numpy 2.4)
-        row, col = np.divmod(np.flatnonzero(g <= limit[:, None]), len(targets))
+        # with each minimum masked, a row's second minimum tells whether it
+        # has more candidates; only those rows are scanned in full, and the
+        # masked minima keep the scan from finding them again
+        g[row, col] = np.inf
+        multi = np.flatnonzero(g.min(axis=1) <= limit)
+        if len(multi):
+            # np.nonzero of the 2-D mask gives the same (row, col) order but
+            # took 15x as long on a 52 x 5,000 block (numpy 2.4)
+            more_row, more_col = np.divmod(
+                np.flatnonzero(g[multi] <= limit[multi, None]), len(targets))
+            row = np.concatenate([row, multi[more_row]])
+            col = np.concatenate([col, more_col])
         dist = row_norms(queries[lo + row] - targets[col])
-        # candidates come row by row; each row keeps at least its minimum
-        first = np.searchsorted(row, np.arange(hi - lo))
-        pick = np.lexsort((col, dist, row))[first]
-        nn[lo:hi] = col[pick]
-        nn_dist[lo:hi] = dist[pick]
+        if len(multi):
+            # each row's candidate at the smallest distance, then lowest column
+            order = np.lexsort((col, dist, row))
+            first = order[np.searchsorted(row[order], np.arange(hi - lo))]
+            col, dist = col[first], dist[first]
+        nn[lo:hi] = col
+        nn_dist[lo:hi] = dist
     return nn, np.ldexp(nn_dist, -shift)
 
 
@@ -469,38 +489,51 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
     bounds = np.flatnonzero(np.diff(shape_key[by_shape])) + 1
     for members in np.split(by_shape, bounds):
         same, far = int(n_same[members[0]]), int(take[members[0]])
+        size = same + far
         # the rank count compares `same` mates with the pool: same * P per query
-        block = max(1, BLOCK_FLOATS // ((same + far) * max(dset.dim, same)))
-        ranks = np.arange(1, same + far + 1)
-        j = np.arange(same)
+        block = max(1, BLOCK_FLOATS // (size * max(dset.dim, same)))
+        j = np.arange(same)[:, None]
         # every block of this pool shape gathers its rows into `work` and
         # takes their distances in place, by np.linalg.norm's own steps; the
         # pool rows are valid, and np.take's default mode would gather into a
         # temporary before copying into `out`
-        work = np.empty((min(block, len(members)), same + far, dset.dim))
-        work_dist = np.empty(work.shape[:2])
+        width = min(block, len(members))
+        work = np.empty(size * width * dset.dim)
+        work_dist = np.empty(size * width)
         for lo in range(0, len(members), block):
             part = members[lo:lo + block]
             q = queries[part]
             label = codes[q]
-            # the query's label-mates, skipping the query itself
-            mates = index.rows[index.start[label][:, None] + j
-                               + (j >= (index.slot[q] - index.start[label])[:, None])]
-            distractors = index.outside(label[:, None], picks[part, :far])
-            pool = np.hstack([mates, distractors])
-            diff = np.take(x, pool, axis=0, out=work[:len(part)], mode="clip")
-            diff -= x[q][:, None, :]
-            dist = work_dist[:len(part)]
+            # pool-major: row p holds each query's p-th pool entry, so every
+            # pass below runs over whole rows of the block's queries. The
+            # first `same` rows are the label-mates, skipping the query itself
+            pool = np.empty((size, len(part)), dtype=np.int64)
+            pool[:same] = index.rows[index.start[label] + j
+                                     + (j >= index.slot[q] - index.start[label])]
+            pool[same:] = index.outside(label, picks[part, :far].T)
+            diff = np.take(x, pool, axis=0, mode="clip",
+                           out=work[:pool.size * dset.dim].reshape(*pool.shape, dset.dim))
+            diff -= x[q]
+            dist = work_dist[:pool.size].reshape(pool.shape)
             row_norms(diff.reshape(-1, dset.dim), out=dist.reshape(-1))
-            # ties break by row index; label-mates fill the first `same` columns.
-            # A mate's 0-based rank counts the pool entries ahead of it: nearer,
-            # or as near with a smaller row index.
-            mate_dist = dist[:, :same, None]
-            ahead = dist[:, None, :] < mate_dist
-            ahead |= (dist[:, None, :] == mate_dist) & (pool[:, None, :] < mates[:, :, None])
-            hit = np.zeros(dist.shape)
-            hit[np.arange(len(part))[:, None], ahead.sum(axis=2)] = 1.0
-            aps[part] = (np.cumsum(hit, axis=1) / ranks * hit).sum(axis=1) / same
+            # ties break by row index: a mate's 0-based rank counts the pool
+            # entries ahead of it, nearer or as near with a smaller row index.
+            # Every mate is as near as itself; only the queries where a mate
+            # ties another entry take the second count.
+            mate_dist = dist[:same, None, :]
+            rank = (dist < mate_dist).sum(axis=1)
+            tie = dist == mate_dist
+            if np.count_nonzero(tie) > rank.size:
+                tied = np.flatnonzero(np.count_nonzero(tie, axis=(0, 1)) > same)
+                rank[:, tied] += (tie[:, :, tied]
+                                  & (pool[:, tied] < pool[:same, None, tied])).sum(axis=1)
+            # the mate at rank r that is the k-th mate found scores precision
+            # k / (r + 1); the AP sums each query's precisions over its pool in
+            # rank order, zeros between them
+            found = (rank[:, None, :] <= rank).sum(axis=0)
+            precision = np.zeros((len(part), size))
+            precision[np.arange(len(part))[:, None], rank.T] = (found / (rank + 1)).T
+            aps[part] = precision.sum(axis=1) / same
     return EvalReport(
         task="retrieval",
         map_overall=float(np.mean(aps)),

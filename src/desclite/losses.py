@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .numerics import as_matrix, pairwise_distance_matrix
-
-_TINY = 1e-12
+from .numerics import NORM_EPS, as_matrix, pairwise_distance_matrix
 
 
 @dataclass
@@ -43,9 +41,9 @@ def reconstruction_loss(inputs, outputs) -> LossValue:
     diff = y - x
     norms = np.linalg.norm(diff, axis=1)
     value = float(norms.mean())
-    safe = np.where(norms < _TINY, 1.0, norms)
+    safe = np.where(norms < NORM_EPS, 1.0, norms)
     grad = diff / (n * safe[:, None])
-    grad[norms < _TINY] = 0.0
+    grad[norms < NORM_EPS] = 0.0
     return LossValue(value, grad)
 
 
@@ -69,9 +67,9 @@ def distance_loss(x, x_hat) -> LossValue:
     s = float((diff * diff).sum())  # diagonal contributes zero
     coeff = 1.0 / (n * (n - 1))
     value = coeff * np.sqrt(s)
-    if s < _TINY * _TINY:
+    if s < NORM_EPS * NORM_EPS:
         return LossValue(float(value), np.zeros_like(xh))
-    ratio = np.where(dh < _TINY, 0.0, diff / np.where(dh < _TINY, 1.0, dh))
+    ratio = np.where(dh < NORM_EPS, 0.0, diff / np.where(dh < NORM_EPS, 1.0, dh))
     np.fill_diagonal(ratio, 0.0)
     row_sum = ratio.sum(axis=1)
     grad = (2.0 * coeff / math.sqrt(s)) * (row_sum[:, None] * xh - ratio @ xh)
@@ -102,8 +100,7 @@ def triplet_loss_hardest(anchors_emb, positives_emb, margin: float) -> LossValue
     np.fill_diagonal(masked, np.inf)
     row_idx = masked.argmin(axis=1)
     row_val = masked[np.arange(n), row_idx]
-    col_idx = masked.argmin(axis=0)
-    col_val = masked[col_idx, np.arange(n)]
+    col_val, col_idx = _column_argmin(masked)
     use_row = row_val <= col_val
     hardest = np.where(use_row, row_val, col_val)
 
@@ -120,9 +117,9 @@ def triplet_loss_hardest(anchors_emb, positives_emb, margin: float) -> LossValue
     neg = np.where(use_row, row_idx, col_idx)[act]
     anchor = np.where(use_row[act], act, neg)
     positive = np.where(use_row[act], neg, act)
-    # a term whose distance is at most _TINY moves nothing
+    # a term whose distance is at most NORM_EPS moves nothing
     dists = np.stack([pos[act], hardest[act]], axis=1)
-    keep = dists > _TINY
+    keep = dists > NORM_EPS
     dists[~keep] = 1.0
     inv_n = 1.0 / n
     u = (a[act] - p[act]) / dists[:, :1] * inv_n
@@ -133,6 +130,20 @@ def triplet_loss_hardest(anchors_emb, positives_emb, margin: float) -> LossValue
     grad = np.zeros((2 * n, a.shape[1]), dtype=np.result_type(a, p))
     np.add.at(grad, rows[keep], steps[keep])
     return LossValue(value, grad)
+
+
+def _column_argmin(m: np.ndarray):
+    """Each column's minimum and the first row that holds it, the row
+    `m.argmin(axis=0)` finds. `argmin` along axis 0 copies the matrix to a
+    transposed layout first; this takes the column minima and one
+    comparison pass in row order instead."""
+    col_val = m.min(axis=0)
+    row, col = np.divmod(np.flatnonzero(m == col_val), m.shape[1])
+    # hits come row by row, so a column's first hit is its lowest row
+    _, first = np.unique(col, return_index=True)
+    if len(first) < m.shape[1]:  # a NaN minimum equals nothing
+        return col_val, m.argmin(axis=0)
+    return col_val, row[first]
 
 
 def softmax_cross_entropy(logits, targets) -> LossValue:

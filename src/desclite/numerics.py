@@ -14,7 +14,8 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 # A row whose L2 norm is below this is a zero row: L2 normalization leaves it
-# all-zero instead of dividing by its norm.
+# all-zero instead of dividing by its norm, and the losses take a distance
+# below it as zero.
 NORM_EPS = 1e-12
 
 

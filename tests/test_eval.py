@@ -489,23 +489,70 @@ class TestReferenceOracle:
             assert eval_retrieval(dset, distractors_per_query=distractors, seed=seed) == \
                 _reference_retrieval(dset, distractors, seed)
 
+    @pytest.mark.parametrize("block", [ev.BLOCK_FLOATS, 170])
     @pytest.mark.parametrize("distractors", [1000, 4])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_retrieval_ties_between_mates_and_distractors(self, seed, distractors):
+    def test_retrieval_ties_between_mates_and_distractors(self, seed, distractors, block,
+                                                         monkeypatch):
         # Label 0 is rows 1, 4 and 9, and row 9 is row 4's twin. Rows 0 and 6
         # are row 4's twins under other labels, one below and one above it,
         # so for query row 1 two mates and two distractors sit at one
-        # distance and rank by row index: 0, 4, 6, 9.
+        # distance and rank by row index: 0, 4, 6, 9. Labels 6 and 7 add six
+        # rows with no twin and label 0's pool shape.
+        monkeypatch.setattr(ev, "BLOCK_FLOATS", block)
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((12, 5))
+        x = rng.standard_normal((18, 5))
         x[[0, 6, 9]] = x[4]
-        labels = np.array([1, 0, 3, 2, 0, 3, 2, 1, 4, 0, 4, 5])
+        labels = np.array([1, 0, 3, 2, 0, 3, 2, 1, 4, 0, 4, 5, 6, 6, 6, 7, 7, 7])
         dset = make_set(x, labels)
         report = eval_retrieval(dset, distractors_per_query=distractors, seed=seed)
         assert report == _reference_retrieval(dset, distractors, seed)
         # the tied distances are equal bit for bit
         dist = np.linalg.norm(x[[0, 4, 6, 9]] - x[1], axis=1)
         assert (dist == dist[0]).all()
+        # With every other row in the pool, a mate ties another pool row only
+        # for queries 1, 3, 4, 7 and 9. Block 170 holds two queries of one
+        # pool shape (17 pool rows of 5 entries each), so queries 3 and 5,
+        # 6 and 7, and 9 and 12 share a block and the tie count touches one
+        # of its two columns.
+        full = np.linalg.norm(x[:, None] - x[None], axis=2)
+        others = ~np.eye(len(x), dtype=bool)
+        tied = [q for q in range(len(x))
+                if any((full[q, others[q]] == full[q, m]).sum() > 1
+                       for m in np.flatnonzero((labels == labels[q]) & others[q]))]
+        assert tied == [1, 3, 4, 7, 9]
+
+    def test_matching_candidates_in_a_block_s_first_and_last_rows(self, monkeypatch):
+        # Blocks of 4 of the 8 reference rows. The first and last row of each
+        # block have three targets 3 away along an axis, with other labels,
+        # and after them the matching target 3(1 - 1e-12) away. Small
+        # integers keep every float32 value of the search exact, so all four
+        # targets get one value and the search's first minimum is the first
+        # of them: only the float64 scores of every candidate find the
+        # match. The middle rows have one clear nearest, 5 away, so they rank
+        # after the others and a wrong match at the edges lowers the AP.
+        rng = np.random.default_rng(10)
+        ref = 10.0 * rng.integers(-4, 5, size=(8, 6))
+        assert len(np.unique(ref, axis=0)) == 8
+        eye = np.eye(6)
+        groups = []
+        for i, row in enumerate(ref):
+            if i % 4 in (0, 3):
+                groups.append(([row + 3 * eye[0], row - 3 * eye[1], row + 3 * eye[2],
+                                row + 3 * (1 - 1e-12) * eye[3]],
+                               [i + 100, i + 200, i + 300, i]))
+            else:
+                groups.append(([row + 5 * eye[i % 6]], [i]))
+        # the targets of the last reference row come first
+        targets = np.vstack([np.asarray(t) for t, _ in reversed(groups)])
+        target_labels = np.concatenate([lab for _, lab in reversed(groups)])
+        x = np.vstack([ref, targets])
+        labels = np.concatenate([np.arange(8), target_labels])
+        dset = make_set(x, labels, np.repeat([0, 1], [8, len(targets)]))
+        monkeypatch.setattr(ev, "BLOCK_FLOATS", 4 * len(targets))
+        report = eval_matching(dset)
+        assert report == _reference_matching(dset)
+        assert report.map_overall == 1.0
 
     def test_matching_blocks_on_a_large_pair(self):
         rng = np.random.default_rng(9)

@@ -4,6 +4,7 @@ import pytest
 from desclite.errors import ConfigError, ShapeError
 from desclite.losses import (
     LossValue,
+    _column_argmin,
     distance_loss,
     reconstruction_loss,
     softmax_cross_entropy,
@@ -169,6 +170,25 @@ class TestTripletLossHardest:
             want = _reference_triplet_loss_hardest(a, p, margin)
             assert got.value == want.value
             assert np.array_equal(got.grad, want.grad)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_column_argmin_is_argmin_along_axis_0(self, dtype):
+        # a few integer values tie often; column 5 ties in every finite row,
+        # column 7 is all inf, and a NaN, where argmin stops, goes in column 9
+        rng = np.random.default_rng(13)
+        m = rng.integers(0, 4, size=(40, 30)).astype(dtype)
+        m[rng.integers(40, size=10), rng.integers(30, size=10)] = np.inf
+        m[:, 5] = 2.0
+        np.fill_diagonal(m, np.inf)
+        m[:, 7] = np.inf
+        with_nan = m.copy()
+        with_nan[[8, 3], 9] = np.nan
+        for matrix in (m, with_nan):
+            val, idx = _column_argmin(matrix)
+            want = matrix.argmin(axis=0)
+            assert np.array_equal(idx, want)
+            assert np.array_equal(val, matrix[want, np.arange(30)], equal_nan=True)
+        assert ((m == m.min(axis=0)).sum(axis=0) > 1).sum() >= 10  # tied minima
 
 
 def _reference_triplet_loss_hardest(a, p, margin):
