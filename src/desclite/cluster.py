@@ -9,7 +9,6 @@ from .errors import ConfigError, NumericError
 from .numerics import _sq_distances, as_matrix
 
 DEFAULT_MAX_ITERS = 50
-DEFAULT_RESTARTS = 10
 
 
 @dataclass
@@ -19,7 +18,7 @@ class KMeansModel:
     objective: float               # mean squared distance to assigned centroid
     iterations_run: int
     objective_history: list = field(default_factory=list)
-    empty_repaired: int = 0        # refills of emptied clusters, summed over the kept run
+    empty_repaired: int = 0        # refills of emptied clusters, summed over the iterations
 
     @property
     def k(self) -> int:
@@ -106,14 +105,14 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
 
 
 def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
-               seed: int = 0, restarts: int = DEFAULT_RESTARTS) -> KMeansModel:
+               seed: int = 0) -> KMeansModel:
     """Cluster rows of `points` into k groups.
 
-    Runs `restarts` independent k-means++ seedings from one seeded RNG and
-    keeps the run with the lowest objective. The result is deterministic per
-    arguments for a fixed BLAS library and thread count, which can change the
-    last bits of the distances and so break near-ties differently.
-    Each run stops when assignments stop changing or after `max_iters` Lloyd
+    Runs one k-means++ seeding from an RNG seeded with `seed`, then Lloyd
+    iterations. The result is deterministic per arguments for a fixed BLAS
+    library and thread count, which can change the last bits of the
+    distances and so break near-ties differently.
+    Lloyd stops when assignments stop changing or after `max_iters`
     iterations; an emptied cluster is repaired by moving the point farthest
     from its assigned centroid into it. The objective (mean squared distance
     to the assigned centroid) is checked to be non-increasing every step.
@@ -124,26 +123,11 @@ def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
         raise ConfigError(f"k must be >= 1, got {k}")
     if k > n:
         raise ConfigError(f"k={k} exceeds the number of points ({n})")
-    if restarts < 1:
-        raise ConfigError(f"restarts must be >= 1, got {restarts}")
 
     x_sq = (x * x).sum(axis=1)
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        init = _plus_plus_init(x, x_sq, k, rng)
-        result = _lloyd(x, x_sq, init, k, max_iters)
-        if best is None or result[2] < best[2]:
-            best = result
-    centroids, assignments, objective, iterations, history, repaired = best
-    return KMeansModel(
-        centroids=centroids,
-        assignments=assignments,
-        objective=objective,
-        iterations_run=iterations,
-        objective_history=history,
-        empty_repaired=repaired,
-    )
+    init = _plus_plus_init(x, x_sq, k, np.random.default_rng(seed))
+    # _lloyd returns the model's fields in their declared order
+    return KMeansModel(*_lloyd(x, x_sq, init, k, max_iters))
 
 
 def _repair_empty(x: np.ndarray, assign: np.ndarray, sq: np.ndarray, k: int) -> int:

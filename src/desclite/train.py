@@ -91,6 +91,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {cfg.batch_size}")
         if cfg.learning_rate <= 0 or cfg.margin < 0:
             raise ConfigError("learning_rate must be > 0 and margin >= 0")
+        if cfg.alpha < 0 or cfg.beta < 0:  # a negative weight rewards distorted distances
+            raise ConfigError(f"alpha and beta must be >= 0, got {cfg.alpha} and {cfg.beta}")
         if cfg.lr_schedule not in ("none", "linear"):
             raise ConfigError(f"lr_schedule must be none|linear, got {cfg.lr_schedule!r}")
         if cfg.recluster_period < 1:

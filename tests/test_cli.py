@@ -162,6 +162,17 @@ class TestTrain:
         assert set(tmp_path.iterdir()) == before
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme,weight", [("us", "--alpha"), ("sv", "--beta")])
+    def test_a_negative_distance_weight_exits_4_and_writes_nothing(
+            self, tmp_path, descriptor_file, scheme, weight, capsys):
+        before = set(tmp_path.iterdir())
+        assert main(["train", str(descriptor_file), "--scheme", scheme,
+                     "--use-distance-loss", weight, "-1", "--dim", "8", "--hidden", "16",
+                     "--epochs", "1", "--batch-size", "2", "-o", str(tmp_path / "m.dnn"),
+                     "-m", str(tmp_path / "m.manifest")]) == EXIT_CONFIG
+        assert set(tmp_path.iterdir()) == before
+        assert "alpha and beta must be >= 0" in capsys.readouterr().err
+
     def test_manifest_records_the_resolved_config(self, tmp_path, descriptor_file, capsys):
         manifest = tmp_path / "m.manifest"
         assert main(["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",

@@ -38,16 +38,24 @@ class TestKmeansFit:
         assert sorted(model.assignments.tolist()) == [0, 1]
 
     def test_exhaustive_assignment_oracle(self):
+        # one k-means++ seeding and one Lloyd run end in a local optimum:
+        # every row is nearest its own cluster's mean. On 8 unclustered
+        # points that is the global optimum in 7 of these 20 instances (the
+        # best of 3 seedings reaches 16, the best of 10 all 20)
         strict = 0
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             x = rng.standard_normal((8, 2))
             model = kmeans_fit(x, 2, seed=seed)
+            means = np.array([x[model.assignments == j].mean(axis=0) for j in (0, 1)])
+            assert np.allclose(model.centroids, means, atol=1e-12)
+            nearest = ((x[:, None] - means[None]) ** 2).sum(axis=2).argmin(axis=1)
+            assert np.array_equal(model.assignments, nearest)
             optimum = exhaustive_two_cluster_optimum(x)
             assert model.objective >= optimum - 1e-10  # Lloyd guarantee
             if abs(model.objective - optimum) <= 1e-10:
                 strict += 1
-        assert strict >= 16  # >= 80 % of instances reach the global optimum
+        assert strict >= 7
 
     def test_objective_history_non_increasing(self):
         rng = np.random.default_rng(2)
@@ -99,6 +107,18 @@ class TestKmeansFit:
         x = np.vstack([base, base + 1e-9])
         model = kmeans_fit(x, 8, seed=0)
         assert len(np.unique(model.assignments)) == 8
+
+    def test_one_seeding_per_fit(self, monkeypatch):
+        seedings = []
+
+        def counted(*args):
+            seedings.append(args[2])
+            return _plus_plus_init(*args)
+
+        monkeypatch.setattr("desclite.cluster._plus_plus_init", counted)
+        x = np.random.default_rng(7).standard_normal((40, 3))
+        kmeans_fit(x, 4, seed=2)
+        assert seedings == [4]
 
     def test_k_greater_than_n(self):
         with pytest.raises(ConfigError):
@@ -174,15 +194,10 @@ def _reference_lloyd(x, centroids, k, max_iters):
     return centroids, final_assign, objective, iterations, history
 
 
-def _reference_kmeans_fit(x, k, max_iters=50, seed=0, restarts=10):
-    rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        init = _reference_plus_plus_init(x, k, rng)
-        result = _reference_lloyd(x, init, k, max_iters)
-        if best is None or result[2] < best[2]:
-            best = result
-    centroids, assignments, objective, iterations, history = best
+def _reference_kmeans_fit(x, k, max_iters=50, seed=0):
+    init = _reference_plus_plus_init(x, k, np.random.default_rng(seed))
+    centroids, assignments, objective, iterations, history = \
+        _reference_lloyd(x, init, k, max_iters)
     return KMeansModel(centroids=centroids, assignments=assignments, objective=objective,
                        iterations_run=iterations, objective_history=history)
 
@@ -202,9 +217,9 @@ class TestReferenceOracle:
         base = rng.standard_normal((4, 3))
         x = base[rng.integers(4, size=40)]  # 40 rows, 4 distinct
         for k in (3, 6, 9):
-            model = kmeans_fit(x, k, seed=seed, restarts=3)
+            model = kmeans_fit(x, k, seed=seed)
             assert model.empty_repaired > 0 or k <= 4
-            _assert_same_model(model, _reference_kmeans_fit(x, k, seed=seed, restarts=3))
+            _assert_same_model(model, _reference_kmeans_fit(x, k, seed=seed))
 
     def test_duplicate_wide_rows(self):
         # at 128-D the norm form leaves a rounding residue, often positive,
@@ -218,8 +233,8 @@ class TestReferenceOracle:
             got = _plus_plus_init(x, (x * x).sum(axis=1), k, got_rng)
             assert np.array_equal(got, _reference_plus_plus_init(x, k, want_rng))
             assert got_rng.random() == want_rng.random()  # the same draws made
-            _assert_same_model(kmeans_fit(x, k, seed=8, restarts=4),
-                               _reference_kmeans_fit(x, k, seed=8, restarts=4))
+            _assert_same_model(kmeans_fit(x, k, seed=8),
+                               _reference_kmeans_fit(x, k, seed=8))
 
     def test_k1_and_k_equals_n(self):
         x = np.random.default_rng(30).standard_normal((12, 5))
@@ -241,9 +256,9 @@ class TestReferenceOracle:
         # the benchmark's shape: 2,100 training rows of 128-D, k = 50;
         # unclustered skewed data keeps Lloyd going for about 25 iterations
         x = np.random.default_rng(33).standard_normal((2100, 128)) ** 2
-        model = kmeans_fit(x, 50, seed=7, restarts=2)
+        model = kmeans_fit(x, 50, seed=7)
         assert model.iterations_run > 10
-        _assert_same_model(model, _reference_kmeans_fit(x, 50, seed=7, restarts=2))
+        _assert_same_model(model, _reference_kmeans_fit(x, 50, seed=7))
 
 
 class TestEmptyRepaired:
@@ -251,7 +266,7 @@ class TestEmptyRepaired:
         # k-means++ must draw a second [0, 0] centroid, which loses every
         # distance tie, so each of the two iterations refills it once
         x = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]])
-        model = kmeans_fit(x, 3, seed=0, restarts=1)
+        model = kmeans_fit(x, 3, seed=0)
         assert model.iterations_run == 2
         assert model.empty_repaired == 2
 
@@ -260,10 +275,10 @@ class TestEmptyRepaired:
         # of the twin [0, 0] centroids; its repair refills the second, which
         # `empty_repaired` does not count
         x = np.array([[0.0, 0.0]] * 10 + [[1.0, 1.0]])
-        model = kmeans_fit(x, 3, seed=0, restarts=1)
+        model = kmeans_fit(x, 3, seed=0)
         assert sorted(np.bincount(model.assignments, minlength=3)) == [1, 1, 9]
         assert model.empty_repaired == 2
-        _assert_same_model(model, _reference_kmeans_fit(x, 3, seed=0, restarts=1))
+        _assert_same_model(model, _reference_kmeans_fit(x, 3, seed=0))
 
     def test_zero_without_empty_clusters(self):
         x = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from desclite import nn
-from desclite.cluster import kmeans_fit
+from desclite.cluster import _plus_plus_init, kmeans_fit
 from desclite.data import DescriptorSet, LabelIndex, extract_descriptors, \
     generate_synthetic, split_dataset
 from desclite.eval import eval_matching, eval_retrieval, eval_verification
@@ -44,6 +44,21 @@ class TestSelfSupervisedLog:
         assert first["empty_repaired"] == model.empty_repaired > 0
         assert (first["min_cluster_size"], first["max_cluster_size"]) == \
             (sizes.min(), sizes.max())
+
+    def test_one_seeding_per_recluster(self, monkeypatch):
+        seedings = []
+
+        def counted(*args):
+            seedings.append(args[2])
+            return _plus_plus_init(*args)
+
+        monkeypatch.setattr("desclite.cluster._plus_plus_init", counted)
+        cfg = TrainConfig(scheme="ss", target_dim=4, hidden_sizes=(16,), epochs=3,
+                          batch_size=16, k=5, recluster_period=1)
+        events = []
+        train(_random_set(48), cfg, log_fn=events.append)
+        assert sum(e["event"] == "recluster" for e in events) == 3
+        assert seedings == [5, 5, 5]
 
 
 def _random_set(n, dim=8, seed=0):
