@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: synth, describe, fit-pca, train, reduce, eval, sweep, bench.
+Subcommands: synth, describe, fit-pca, train, reduce, eval, sweep.
 
 Exit codes: 1 usage, 2 file-format or dimension errors, 3 numeric errors,
 4 configuration errors. Output files are written to a temp file and renamed
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import statistics
 import sys
 import time
 from dataclasses import replace
@@ -36,7 +35,7 @@ from .data import (
 )
 from .errors import ConfigError, FormatError, NumericError, ShapeError, StateError
 from .eval import eval_matching, eval_retrieval, eval_verification
-from .nn import PROJECT_CHUNK, load_model, project, save_model
+from .nn import load_model, save_model
 from .pca import fit_pca, load_pca, pca_transform, save_pca
 from .train import SCHEMES, TrainConfig, reduce as reduce_set, train as train_model
 
@@ -271,38 +270,40 @@ def _cmd_train(args) -> int:
     return 0
 
 
+# model file magic -> (loader, projection); a projection takes (model, set)
+# and returns a set of unit or zero rows
+_PROJECTORS = {
+    b"DNN1": (load_model, reduce_set),
+    b"DPC1": (load_pca, pca_transform),
+}
+
+
 def _load_projector(path: str):
-    """Sniff the model magic: DNN1 -> MLP encoder, DPC1 -> PCA model."""
+    """The model in `path` and its projection, picked by the file magic."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
-    if magic == b"DNN1":
-        model = load_model(path)
-        return ("mlp", model, model.input_dim, model.output_dim)
-    if magic == b"DPC1":
-        model = load_pca(path)
-        return ("pca", model, model.input_dim, model.output_dim)
-    raise FormatError(f"{path}: unknown model magic {magic!r}")
+    if magic not in _PROJECTORS:
+        raise FormatError(f"{path}: unknown model magic {magic!r}")
+    load, projection = _PROJECTORS[magic]
+    return load(path), projection
 
 
 def _cmd_reduce(args) -> int:
     manifest = _Manifest("reduce", None)
     with manifest.phase("load"):
         dset = load_descriptors(args.input)
-        kind, model, in_dim, out_dim = _load_projector(args.model)
+        model, projection = _load_projector(args.model)
     t0 = time.perf_counter()
     with manifest.phase("project"):
-        if kind == "mlp":
-            reduced = reduce_set(model, dset)
-        else:
-            reduced = pca_transform(model, dset, normalize=not args.no_normalize)
+        reduced = projection(model, dset)
     elapsed = time.perf_counter() - t0
     with manifest.phase("write"):
         save_descriptors(reduced, args.output, precision=args.precision)
     manifest.add("input", args.input)
     manifest.add("model", args.model)
     manifest.add("output", args.output)
-    manifest.add("input_dim", in_dim)
-    manifest.add("output_dim", out_dim)
+    manifest.add("input_dim", model.input_dim)
+    manifest.add("output_dim", model.output_dim)
     if len(dset):
         manifest.add("projection_us_per_descriptor",
                      f"{elapsed / len(dset) * 1e6:.3f}")
@@ -370,41 +371,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    manifest = _Manifest("bench", None)
-    with manifest.phase("load"):
-        kind, model, in_dim, out_dim = _load_projector(args.model)
-        dset = load_descriptors(args.descriptors)
-    if dset.dim != in_dim:
-        raise ShapeError(
-            f"descriptor dim {dset.dim} does not match model input dim {in_dim}"
-        )
-    if kind != "mlp":
-        raise ConfigError("bench times MLP projections; got a PCA model file")
-    if not len(dset):
-        raise ConfigError(f"{args.descriptors} holds no descriptors to time")
-    reps = max(10, args.reps)
-    x = dset.descriptors
-    times = []
-    with manifest.phase("bench"):
-        project(model, x[:PROJECT_CHUNK])  # warm up buffers/BLAS
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            project(model, x)
-            times.append(time.perf_counter() - t0)
-    median = statistics.median(times)
-    per_desc_us = median / len(x) * 1e6
-    manifest.add("model", args.model)
-    manifest.add("descriptors", args.descriptors)
-    manifest.add("count", len(x))
-    manifest.add("repetitions", reps)
-    manifest.add("median_batch_s", f"{median:.4f}")
-    manifest.add("projection_us_per_descriptor", f"{per_desc_us:.3f}")
-    manifest.add("memory_ratio", f"{in_dim / out_dim:g}")
-    manifest.emit(args.manifest)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Argument wiring
 # ---------------------------------------------------------------------------
@@ -464,8 +430,6 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("--model", required=True, help="DNN1 or DPC1 file")
     p.add_argument("--precision", type=int, choices=(4, 8), default=8)
-    p.add_argument("--no-normalize", action="store_true",
-                   help="skip L2 normalization (PCA models only)")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("-m", "--manifest")
     p.set_defaults(func=_cmd_reduce)
@@ -494,13 +458,6 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.add_argument("-m", "--manifest")
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("bench", help="time projection; report memory ratio")
-    p.add_argument("--model", required=True)
-    p.add_argument("--descriptors", required=True)
-    p.add_argument("--reps", type=int, default=10)
-    p.add_argument("-m", "--manifest")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

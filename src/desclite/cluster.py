@@ -94,6 +94,10 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
                 f"k-means objective increased: {history[-1]!r} -> {objective!r}"
             )
         history.append(objective)
+        if len(history) > 1 and objective >= history[-2]:
+            # on exact duplicates the refills can move a different row each
+            # pass, so the assignment alone might never repeat
+            break
         assignments = new_assign
     # final nearest-centroid pass so stored assignments match the centroids,
     # repaired like every iteration's (not counted in `repaired`) so that no
@@ -112,10 +116,11 @@ def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
     iterations. The result is deterministic per arguments for a fixed BLAS
     library and thread count, which can change the last bits of the
     distances and so break near-ties differently.
-    Lloyd stops when assignments stop changing or after `max_iters`
-    iterations; an emptied cluster is repaired by moving the point farthest
-    from its assigned centroid into it. The objective (mean squared distance
-    to the assigned centroid) is checked to be non-increasing every step.
+    Lloyd stops when assignments stop changing, after a pass that does not
+    lower the objective, or after `max_iters` iterations; an emptied cluster
+    is repaired by moving the point farthest from its assigned centroid into
+    it. The objective (mean squared distance to the assigned centroid) is
+    checked to be non-increasing every step.
     """
     x = as_matrix(points, "points")
     n = len(x)

@@ -12,11 +12,11 @@ elsewhere (without tier information) remain readable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._binio import ByteReader, check_u32, read_file, u32_bytes, write_atomic
+from ._binio import check_u32, read_file, u32_bytes, write_atomic
 from .errors import ConfigError, FormatError, ShapeError
 from .numerics import row_norms
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._binio import read_file, u32_bytes, write_atomic
 from .errors import ConfigError, FormatError, ShapeError, StateError
-from .numerics import NORM_EPS, as_matrix
+from .numerics import NORM_EPS, as_matrix, l2_normalize_rows
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
@@ -173,7 +173,7 @@ class L2Normalize(_Layer):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, norms, zero = _l2_rows(x)
+        out, norms, zero = l2_normalize_rows(x)
         self._cache = (out, norms, zero)
         return out
 
@@ -186,15 +186,6 @@ class L2Normalize(_Layer):
         out = (grad - dots * y) / norms[:, None]
         out[zero] = 0.0
         return out
-
-
-def _l2_rows(x: np.ndarray):
-    norms = np.linalg.norm(x, axis=1)
-    zero = norms < NORM_EPS
-    safe = np.where(zero, 1.0, norms)
-    out = x / safe[:, None]
-    out[zero] = 0.0
-    return out, safe, zero
 
 
 class MlpModel:
@@ -384,7 +375,7 @@ def save_model(model: MlpModel, path: str) -> None:
     write_atomic(path, b"".join(parts))
 
 
-def load_model(path: str, expect_input_dim: int | None = None) -> MlpModel:
+def load_model(path: str) -> MlpModel:
     r = read_file(path)
     r.magic(b"DNN1")
     version = r.u8("version")
@@ -393,10 +384,6 @@ def load_model(path: str, expect_input_dim: int | None = None) -> MlpModel:
     input_dim = r.u32("input dim")
     output_dim = r.u32("output dim")
     n_layers = r.u32("layer count")
-    if expect_input_dim is not None and input_dim != expect_input_dim:
-        raise ShapeError(
-            f"{path}: model input dim {input_dim} != expected {expect_input_dim}"
-        )
     layers = []
     prev = input_dim
     for li in range(n_layers):
@@ -452,8 +439,8 @@ def project(model: MlpModel, batch) -> np.ndarray:
     next linear layer (algebraically exact). Each chunk of the input is cast
     into its own buffer, so a float64 set is never copied whole. The output
     is float64: the final l2norm divides the widened rows, so they are unit
-    rows to float64 precision. Descriptor reduction, `ss` reclustering and
-    the timing command all run it.
+    rows to float64 precision. Descriptor reduction and `ss` reclustering
+    both run it.
     """
     x = _checked_batch(model, batch)
     chunk_size = PROJECT_CHUNK

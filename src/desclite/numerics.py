@@ -134,6 +134,18 @@ def row_norms(x: np.ndarray, out=None) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0], out=out)
 
 
+def l2_normalize_rows(x: np.ndarray):
+    """Each row of the 2-D `x` divided by its L2 norm, with a zero row (norm
+    below NORM_EPS) left all-zero. Returns the rows, their norms with 1 in
+    place of each zero row's, and the zero-row mask."""
+    norms = np.linalg.norm(x, axis=1)
+    zero = norms < NORM_EPS
+    safe = np.where(zero, 1.0, norms)
+    out = x / safe[:, None]
+    out[zero] = 0.0
+    return out, safe, zero
+
+
 def sym_eigen(a) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix by LAPACK `eigh`.
 

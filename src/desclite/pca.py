@@ -13,7 +13,7 @@ import numpy as np
 from ._binio import read_file, u32_bytes, write_atomic
 from .data import DescriptorSet
 from .errors import ConfigError, ShapeError
-from .numerics import NORM_EPS, sym_eigen
+from .numerics import l2_normalize_rows, sym_eigen
 
 
 @dataclass
@@ -65,27 +65,20 @@ def fit_pca(train: DescriptorSet, d: int) -> PcaModel:
     )
 
 
-def pca_transform(model: PcaModel, dset: DescriptorSet,
-                  normalize: bool = True) -> DescriptorSet:
-    """Project rows onto the basis after centering; L2-normalized by default
-    so PCA outputs face the same evaluation as the MLP embeddings."""
+def pca_transform(model: PcaModel, dset: DescriptorSet) -> DescriptorSet:
+    """Project rows onto the basis after centering, then always L2-normalize
+    them (a zero row stays zero), as the MLP embeddings are."""
     if dset.dim != model.input_dim:
         raise ShapeError(
             f"descriptor dim {dset.dim} does not match PCA input dim {model.input_dim}"
         )
-    z = (dset.descriptors - model.mean) @ model.basis
-    if normalize:
-        norms = np.linalg.norm(z, axis=1)
-        zero = norms < NORM_EPS
-        safe = np.where(zero, 1.0, norms)
-        z = z / safe[:, None]
-        z[zero] = 0.0
+    z, _, _ = l2_normalize_rows((dset.descriptors - model.mean) @ model.basis)
     return DescriptorSet(
         descriptors=z,
         labels=dset.labels.copy(),
         sequence_ids=dset.sequence_ids.copy(),
         tiers=None if dset.tiers is None else dset.tiers.copy(),
-        normalized=normalize,
+        normalized=True,
     )
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from . import losses, nn
 from .cluster import KMeansModel, kmeans_fit
 from .data import DescriptorSet, LabelIndex
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError
 from .nn import AdamState, MlpModel, adam_step, backward, build_encoder, build_mlp, \
     forward, project
 
@@ -308,12 +308,8 @@ def train(train_set: DescriptorSet, config: TrainConfig, log_fn=None) -> MlpMode
 
 
 def reduce(encoder: MlpModel, dset: DescriptorSet) -> DescriptorSet:
-    """Project a descriptor set through an encoder."""
-    if dset.dim != encoder.input_dim:
-        raise ShapeError(
-            f"descriptor dim {dset.dim} does not match encoder input dim "
-            f"{encoder.input_dim}"
-        )
+    """Project a descriptor set through an encoder: unit or zero rows.
+    `project` refuses a set of another width with a ShapeError."""
     out = project(encoder, dset.descriptors)
     return DescriptorSet(
         descriptors=out,

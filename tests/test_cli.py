@@ -16,6 +16,7 @@ from desclite.data import (
 )
 from desclite.eval import eval_matching, eval_retrieval, eval_verification
 from desclite.nn import load_model
+from desclite.pca import load_pca, pca_transform
 from desclite.train import SCHEMES, TrainConfig, reduce
 
 
@@ -303,10 +304,14 @@ class TestTrain:
 
 
 class TestReduce:
-    def test_a_pca_model_of_another_input_dim_exits_2(self, tmp_path, descriptor_file,
-                                                      capsys):
-        model, reduced = tmp_path / "pca.dpc", tmp_path / "r8.ddr"
-        assert main(["fit-pca", str(descriptor_file), "--dim", "8", "-o", str(model)]) == 0
+    @pytest.mark.parametrize("kind", ["pca.dpc", "sv.dnn"])
+    def test_a_model_of_another_input_dim_exits_2(self, tmp_path, descriptor_file,
+                                                  kind, capsys):
+        model, reduced = tmp_path / kind, tmp_path / "r8.ddr"
+        fit = (["fit-pca", str(descriptor_file), "--dim", "8"] if kind == "pca.dpc" else
+               ["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",
+                "--hidden", "16", "--epochs", "1", "--batch-size", "2"])
+        assert main(fit + ["-o", str(model)]) == 0
         assert main(["reduce", str(descriptor_file), "--model", str(model),
                      "-o", str(reduced)]) == 0
         capsys.readouterr()
@@ -327,6 +332,17 @@ class TestReduce:
                      "-m", str(tmp_path / "r.manifest")]) == EXIT_FORMAT
         assert set(tmp_path.iterdir()) == before
         assert "unknown model magic" in capsys.readouterr().err
+
+    def test_no_normalize_is_not_an_option(self, tmp_path, descriptor_file, capsys):
+        # PCA output is always L2-normalized, as MLP output is
+        model = tmp_path / "pca.dpc"
+        assert main(["fit-pca", str(descriptor_file), "--dim", "8", "-o", str(model)]) == 0
+        before = set(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as stop:
+            main(["reduce", str(descriptor_file), "--model", str(model),
+                  "--no-normalize", "-o", str(tmp_path / "out.ddr")])
+        assert stop.value.code == EXIT_USAGE
+        assert set(tmp_path.iterdir()) == before
 
 
 class TestEval:
@@ -436,23 +452,6 @@ class TestSweep:
         assert _facts(manifest)["cells"] == "3"
 
 
-class TestBench:
-    def test_zero_rows_exit_4_and_write_nothing(self, tmp_path, descriptor_file, capsys):
-        model = tmp_path / "m.dnn"
-        assert main(["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",
-                     "--hidden", "16", "--epochs", "1", "--batch-size", "2",
-                     "-o", str(model)]) == 0
-        dset = load_descriptors(str(descriptor_file))
-        empty = tmp_path / "empty.ddr"
-        save_descriptors(dset.take(np.arange(0)), str(empty))
-        capsys.readouterr()
-        before = set(tmp_path.iterdir())
-        assert main(["bench", "--model", str(model), "--descriptors", str(empty),
-                     "-m", str(tmp_path / "b.manifest")]) == EXIT_CONFIG
-        assert set(tmp_path.iterdir()) == before
-        assert "no descriptors" in capsys.readouterr().err
-
-
 class TestPipeline:
     LIBRARY_EVAL = {
         "verification": lambda dset: eval_verification(dset, pairs_per_tier=1000, seed=0),
@@ -470,14 +469,18 @@ class TestPipeline:
         run("fit-pca", descriptors, "--dim", 8, "-o", tmp_path / "pca.dpc")
         run("train", descriptors, "--scheme", "sv", "--dim", 8, "--hidden", 16,
             "--epochs", 2, "--batch-size", 4, "-o", tmp_path / "sv.dnn")
-        for name in ("pca.dpc", "sv.dnn"):
+        source = load_descriptors(str(descriptors))
+        for name, load, project in (("pca.dpc", load_pca, pca_transform),
+                                    ("sv.dnn", load_model, reduce)):
+            manifest = tmp_path / f"{name}.manifest"
             run("reduce", descriptors, "--model", tmp_path / name,
-                "-o", tmp_path / f"{name}.ddr")
-        run("bench", "--model", tmp_path / "sv.dnn", "--descriptors", descriptors)
-        want_reduced = reduce(load_model(str(tmp_path / "sv.dnn")),
-                              load_descriptors(str(descriptors)))
-        assert np.array_equal(load_descriptors(str(tmp_path / "sv.dnn.ddr")).descriptors,
-                              want_reduced.descriptors)
+                "-o", tmp_path / f"{name}.ddr", "-m", manifest)
+            facts = _facts(manifest)
+            assert (facts["input_dim"], facts["output_dim"]) == ("128", "8")
+            assert float(facts["projection_us_per_descriptor"]) >= 0
+            want = project(load(str(tmp_path / name)), source)
+            assert np.array_equal(load_descriptors(str(tmp_path / f"{name}.ddr")).descriptors,
+                                  want.descriptors), name
 
         for name in ("pca.dpc", "sv.dnn"):
             reduced = tmp_path / f"{name}.ddr"

@@ -184,7 +184,8 @@ def _reference_lloyd(x, centroids, k, max_iters):
             centroids[j] = x[new_assign == j].mean(axis=0)
         objective = float(_reference_sq_dist(x, centroids)[np.arange(n), new_assign].mean())
         history.append(objective)
-        if np.array_equal(new_assign, assignments):
+        if np.array_equal(new_assign, assignments) or \
+                (len(history) > 1 and objective >= history[-2]):
             break
         assignments = new_assign
     final_sq = _reference_sq_dist(x, centroids)
@@ -220,6 +221,19 @@ class TestReferenceOracle:
             model = kmeans_fit(x, k, seed=seed)
             assert model.empty_repaired > 0 or k <= 4
             _assert_same_model(model, _reference_kmeans_fit(x, k, seed=seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_duplicate_rows_stop_when_the_objective_stops_falling(self, seed):
+        # at seed 1 the refills once moved a different duplicate row every
+        # pass, so the objective alternated 2.2e-16 and 0 for 50 iterations
+        rng = np.random.default_rng(20 + seed)
+        base = rng.standard_normal((4, 3))
+        x = base[rng.integers(4, size=40)]
+        for k in (3, 6, 9):
+            model = kmeans_fit(x, k, seed=seed)
+            assert model.iterations_run <= 3, (seed, k)
+            history = model.objective_history
+            assert all(a > b for a, b in zip(history[:-2], history[1:-1]))
 
     def test_duplicate_wide_rows(self):
         # at 128-D the norm form leaves a rounding residue, often positive,

@@ -324,13 +324,6 @@ class TestSerialization:
         with pytest.raises(FormatError):
             load_model(str(path))
 
-    def test_wrong_expected_input_dim(self, tmp_path):
-        model = build_encoder(4, 2, [], seed=0)
-        path = str(tmp_path / "m.dnn")
-        save_model(model, path)
-        with pytest.raises(ShapeError):
-            load_model(path, expect_input_dim=8)
-
 
 def _reference_eval_forward(model, x):
     """Layer-by-layer projection arithmetic, with batchnorm applying its

@@ -111,12 +111,15 @@ class TestPcaTransform:
         out = pca_transform(model, probe)
         assert np.array_equal(out.descriptors, np.zeros((1, 2)))
 
-    def test_full_dim_isometry_without_normalization(self):
+    def test_full_dim_isometry_of_unit_rows(self):
+        # at full dimension the basis is a rotation, so the normalized output
+        # rows are the unit-normalized centred rows, rotated
         rng = np.random.default_rng(1)
         dset = random_set(rng, n=15, dim=5)
         model = fit_pca(dset, 5)
-        out = pca_transform(model, dset, normalize=False)
+        out = pca_transform(model, dset)
         centered = dset.descriptors - model.mean
+        centered /= np.linalg.norm(centered, axis=1, keepdims=True)
         before = pairwise_distance_matrix(centered, centered)
         after = pairwise_distance_matrix(out.descriptors, out.descriptors)
         assert np.abs(before - after).max() <= 1e-9
@@ -124,11 +127,12 @@ class TestPcaTransform:
     def test_hand_built_2d_projection(self):
         # points (0,0), (2,0), (0,2): cov = [[4/3,-2/3],[-2/3,4/3]],
         # top eigenvalue 2 with direction (1,-1)/sqrt(2) after the sign rule,
-        # giving centered projections [0, sqrt(2), -sqrt(2)].
+        # giving centered projections [0, sqrt(2), -sqrt(2)]; normalized, the
+        # zero row stays zero and the others become [1] and [-1].
         x = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         model = fit_pca(make_set(x), 1)
-        out = pca_transform(model, make_set(x), normalize=False)
-        expected = np.array([[0.0], [np.sqrt(2)], [-np.sqrt(2)]])
+        out = pca_transform(model, make_set(x))
+        expected = np.array([[0.0], [1.0], [-1.0]])
         assert np.abs(out.descriptors - expected).max() <= 1e-9
 
     def test_normalized_rows(self):
