@@ -99,11 +99,17 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
             # pass, so the assignment alone might never repeat
             break
         assignments = new_assign
-    # final nearest-centroid pass so stored assignments match the centroids,
-    # repaired like every iteration's (not counted in `repaired`) so that no
-    # stored cluster is empty
+    # final nearest-centroid pass, so that each stored row is at its nearest
+    # centroid. Where that empties a cluster (twin centroids send all their
+    # rows to the first), the loop's last assignment is kept instead: none of
+    # its clusters is empty, the centroids are its cluster means and its
+    # objective is the loop's last. Without a loop (max_iters = 0) the pass's
+    # empty clusters are refilled as in the loop, uncounted.
     final_assign = sq.argmin(axis=1)
-    _repair_empty(x, final_assign, sq, k)
+    if not history:
+        _repair_empty(x, final_assign, sq, k)
+    elif np.bincount(final_assign, minlength=k).min() == 0:
+        final_assign = new_assign
     objective = float(sq[rows, final_assign].mean())
     return centroids, final_assign, objective, iterations, history, repaired
 
@@ -120,7 +126,10 @@ def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
     lower the objective, or after `max_iters` iterations; an emptied cluster
     is repaired by moving the point farthest from its assigned centroid into
     it. The objective (mean squared distance to the assigned centroid) is
-    checked to be non-increasing every step.
+    checked to be non-increasing every step. The stored assignments are each
+    row's nearest centroid unless that would leave a cluster empty; then
+    they are the loop's last, so the stored objective never exceeds the
+    loop's last.
     """
     x = as_matrix(points, "points")
     n = len(x)

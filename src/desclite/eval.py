@@ -167,19 +167,24 @@ def _distinct(rng, pops, takes):
     col = np.arange(width)
     rows = max(1, BLOCK_FLOATS // max(width, 1))
     for lo in range(0, len(pops), rows):
-        top = pops[lo:lo + rows, None] - takes[lo:lo + rows, None] + col
+        block_takes = takes[lo:lo + rows, None]
+        top = pops[lo:lo + rows, None] - block_takes + col
         picks = rng.integers(0, top + 1)
-        live = col < takes[lo:lo + rows, None]
-        # padding gets distinct negative values, so only true repeats match
-        probe = np.where(live, picks, -1 - col)
-        probe.sort(axis=1)
+        full = block_takes.min() == width  # no row has padding
+        if full:
+            probe = np.sort(picks, axis=1)
+        else:
+            live = col < block_takes
+            # padding gets distinct negative values, so only true repeats match
+            probe = np.where(live, picks, -1 - col)
+            probe.sort(axis=1)
         rep = np.flatnonzero((probe[:, 1:] == probe[:, :-1]).any(axis=1))
         sub = picks[rep]
         for k in range(1, width):
             taken = (sub[:, :k] == sub[:, k:k + 1]).any(axis=1)
             sub[taken, k] = top[rep[taken], k]
         picks[rep] = sub
-        out[lo:lo + rows] = np.where(live, picks, 0)
+        out[lo:lo + rows] = picks if full else np.where(live, picks, 0)
     return out
 
 

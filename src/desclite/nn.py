@@ -8,6 +8,20 @@ updating batchnorm running statistics. `project` is the one way a model maps
 rows: it folds each batchnorm affine into the following linear layer, which
 is exact.
 
+Ownership in the training pass: a layer may overwrite the array it is
+handed. ReLU and BatchNorm write their forward results into their input and
+their backward results into the incoming gradient. `forward` and `backward`
+never hand a layer an array that the caller holds, or that the layer before
+keeps in its cache (l2norm's output): they copy it once, and only where the
+next layer would write into it, so the caller's batch and upstream gradient
+come back unchanged. `backward(..., input_grad=False)` lets a first linear
+layer skip its input gradient, which the training schemes pass for the
+encoder. BatchNorm takes its three column sums of products (x_hat^2,
+grad * x_hat and g * x_hat) with `np.einsum("ij,ij->j", ...)`: numpy's einsum
+adds each column's products row by row without fusing multiply and add, as
+`(a * b).sum(axis=0)` does, so it gives the same bits without the product
+array.
+
 Training and projection run in one dtype, the module constant DTYPE
 (float32): parameters, gradients, batchnorm running statistics, Adam moments,
 layer caches and `project`'s chunk buffers are all DTYPE, and a batch is cast
@@ -50,9 +64,13 @@ ADAM_CHUNK = 32768  # parameters per chunk of `adam_step`: 128 KiB per operand
 
 class _Layer:
     """Shared by the layers: each name in PARAMS is a parameter attribute whose
-    gradient lives in `grad_<name>`."""
+    gradient lives in `grad_<name>`. A layer with WRITES overwrites the array
+    its `forward` or `backward` is handed; one with KEEPS_OUTPUT caches the
+    array its `forward` returns."""
 
     PARAMS = ()
+    WRITES = False
+    KEEPS_OUTPUT = False
 
     def parameters(self):
         for name in self.PARAMS:
@@ -76,6 +94,9 @@ class Linear(_Layer):
         self.bias = np.zeros(out_dim, dtype=DTYPE)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
+        # whether backward returns the input gradient; the module-level
+        # `backward` sets it on a model's first layer for each pass
+        self.input_grad = True
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -84,37 +105,39 @@ class Linear(_Layer):
         out += self.bias
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
         if self._cache is None:
             raise StateError("linear backward without a cached forward")
         x = self._cache
         self._cache = None
         np.dot(x.T, grad, out=self.grad_weight)
         self.grad_bias[...] = grad.sum(axis=0)
-        return grad @ self.weight.T
+        return grad @ self.weight.T if self.input_grad else None
 
 
 class ReLU(_Layer):
     kind = "relu"
+    WRITES = True
 
     def __init__(self):
         self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x > 0.0  # subgradient 0 at exactly 0
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError("relu backward without a cached forward")
         mask = self._cache
         self._cache = None
-        return grad * mask
+        return np.multiply(grad, mask, out=grad)
 
 
 class BatchNorm(_Layer):
     kind = "batchnorm"
     PARAMS = ("gamma", "beta")
+    WRITES = True
 
     def __init__(self, width: int):
         self.width = width
@@ -133,9 +156,8 @@ class BatchNorm(_Layer):
         # the mean and variance by np.var's own steps: sum / n, then the
         # centred rows squared, summed and divided by n
         mean = x.sum(axis=0) / n
-        x_hat = x - mean
-        out = np.square(x_hat)
-        var = out.sum(axis=0) / n
+        x_hat = np.subtract(x, mean, out=x)
+        var = _column_dots(x_hat, x_hat) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat *= inv_std
         self._cache = (x_hat, inv_std)
@@ -143,7 +165,7 @@ class BatchNorm(_Layer):
         self.running_var[...] = (
             (1.0 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var * n / (n - 1)
         )
-        np.multiply(x_hat, self.gamma, out=out)
+        out = x_hat * self.gamma
         out += self.beta
         return out
 
@@ -152,22 +174,32 @@ class BatchNorm(_Layer):
             raise StateError("batchnorm backward without a cached forward")
         x_hat, inv_std = self._cache
         self._cache = None
-        scratch = grad * x_hat
-        self.grad_gamma[...] = scratch.sum(axis=0)
+        self.grad_gamma[...] = _column_dots(grad, x_hat)
         self.grad_beta[...] = grad.sum(axis=0)
-        # (g - mean(g) - x_hat * mean(g * x_hat)) * inv_std with g = grad * gamma
-        g = grad * self.gamma
-        np.multiply(g, x_hat, out=scratch)
-        mean_gx = scratch.mean(axis=0)
+        # (g - mean(g) - x_hat * mean(g * x_hat)) * inv_std with g = grad * gamma,
+        # written over grad and then x_hat
+        g = np.multiply(grad, self.gamma, out=grad)
+        mean_gx = _column_dots(g, x_hat) / len(g)
         g -= g.mean(axis=0)
-        np.multiply(x_hat, mean_gx, out=scratch)
-        g -= scratch
+        x_hat *= mean_gx
+        g -= x_hat
         g *= inv_std
         return g
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`(a * b).sum(axis=0)` bit for bit, without the product array. On
+    C-ordered arrays of two or more columns, einsum adds each column's
+    products row by row, as that sum does; numpy sums a single column or an
+    F-ordered array pairwise, so those take the product."""
+    if a.shape[1] > 1 and a.flags.c_contiguous and b.flags.c_contiguous:
+        return np.einsum("ij,ij->j", a, b)
+    return (a * b).sum(axis=0)
+
+
 class L2Normalize(_Layer):
     kind = "l2norm"
+    KEEPS_OUTPUT = True
 
     def __init__(self):
         self._cache = None
@@ -252,10 +284,15 @@ def build_mlp(input_dim: int, output_dim: int, hidden_sizes, seed: int = 0,
 
 def forward(model: MlpModel, batch) -> np.ndarray:
     """The training pass: run the stack layer by layer, caching what
-    `backward` needs and updating each batchnorm's running statistics."""
+    `backward` needs and updating each batchnorm's running statistics.
+    `batch` comes back unchanged."""
     x = _checked_batch(model, batch).astype(DTYPE, copy=False)
+    held = True  # by the caller, or by the cache of the layer before
     for layer in model.layers:
+        if held and layer.WRITES:
+            x = x.copy()
         x = layer.forward(x)
+        held = layer.KEEPS_OUTPUT
     return x
 
 
@@ -268,13 +305,21 @@ def _checked_batch(model: MlpModel, batch) -> np.ndarray:
     return x
 
 
-def backward(model: MlpModel, upstream_grad) -> np.ndarray:
+def backward(model: MlpModel, upstream_grad, input_grad: bool = True):
     """Backpropagate, filling per-layer parameter gradients; returns the
-    gradient with respect to the forward input."""
+    gradient with respect to the forward input, or None with
+    `input_grad=False`, when a first linear layer skips computing it.
+    `upstream_grad` comes back unchanged; no layer keeps the gradient it
+    returns, so only the last layer can need a copy of it."""
     g = as_matrix(upstream_grad, "upstream_grad").astype(DTYPE, copy=False)
+    if model.layers[-1].WRITES:
+        g = g.copy()
+    first = model.layers[0]
+    if isinstance(first, Linear):
+        first.input_grad = input_grad
     for layer in reversed(model.layers):
         g = layer.backward(g)
-    return g
+    return g if input_grad else None
 
 
 class AdamState:

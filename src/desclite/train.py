@@ -202,7 +202,7 @@ def _train_us(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
                 aux = losses.distance_loss(batch, emb)
                 loss, dist = rec.value + cfg.alpha * aux.value, aux.value
                 grad = grad + cfg.alpha * aux.grad
-            backward(encoder, grad)
+            backward(encoder, grad, input_grad=False)
             adam_step(adam_dec, decoder)
             yield {"loss": loss, "reconstruction": rec.value, "distance": dist}
 
@@ -246,7 +246,7 @@ def _train_ss(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
         for idx in _shuffled(n, cfg.batch_size, steps, rng):
             emb = forward(encoder, x_train[idx])
             loss = losses.softmax_cross_entropy(forward(head, emb), pseudo[idx])
-            backward(encoder, backward(head, loss.grad))
+            backward(encoder, backward(head, loss.grad), input_grad=False)
             adam_step(adam_head, head)
             yield {"loss": loss.value, "cross_entropy": loss.value}
 
@@ -289,7 +289,7 @@ def _train_sv(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
                     dist, grads[1] = dist + extra.value, extra.grad
                 loss = tri.value + cfg.beta * dist
                 grad = tri.grad + cfg.beta * np.vstack(grads)
-            backward(encoder, grad)
+            backward(encoder, grad, input_grad=False)
             yield {"loss": loss, "triplet": tri.value, "distance": dist}
 
     return _run(cfg, log_fn, encoder, steps, epoch_steps,

@@ -7,9 +7,11 @@ from desclite.losses import reconstruction_loss
 from desclite.nn import (
     AdamState,
     BN_EPS,
+    BatchNorm,
     L2Normalize,
     Linear,
     MlpModel,
+    ReLU,
     adam_step,
     backward,
     build_encoder,
@@ -84,7 +86,7 @@ class TestForward:
         from desclite.nn import BatchNorm
         bn = BatchNorm(1)
         x = np.array([[3.0], [5.0], [7.0]])  # mean 5, biased var 8/3
-        out = bn.forward(x)
+        out = bn.forward(x.copy())  # the layer overwrites its input
         var = x.var(axis=0)
         expected = (x - 5.0) / np.sqrt(var + BN_EPS)
         assert np.allclose(out, expected, atol=1e-12)
@@ -93,7 +95,7 @@ class TestForward:
         from desclite.nn import BatchNorm
         bn = BatchNorm(1)
         x = np.array([[3.0], [7.0]])  # mean 5, biased var 4
-        out = bn.forward(x)
+        out = bn.forward(x.copy())  # the layer overwrites its input
         expected = (x - 5.0) / np.sqrt(4.0 + BN_EPS)
         assert np.allclose(out, expected, atol=1e-12)
 
@@ -212,6 +214,121 @@ class TestBackward:
         out = forward(model, x)
         g_in = backward(model, np.ones_like(out))
         assert g_in.shape == x.shape
+
+
+def _stack(kinds, width=6, seed=40):
+    """A hand-built stack of `kinds` at one width, with nonzero biases and
+    batchnorm affines so that every parameter gradient is nonzero."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for kind in kinds:
+        if kind == "linear":
+            layer = Linear(width, width, rng)
+            layer.bias[...] = rng.standard_normal(width)
+        elif kind == "batchnorm":
+            layer = BatchNorm(width)
+            layer.gamma[...] = rng.uniform(0.5, 1.5, width)
+            layer.beta[...] = rng.standard_normal(width)
+        else:
+            layer = {"relu": ReLU, "l2norm": L2Normalize}[kind]()
+        layers.append(layer)
+    return MlpModel(layers, width, width)
+
+
+def _copying_pass(model, batch, upstream):
+    """The training pass with a fresh copy of every array handed to a layer:
+    the oracle for the passes that let layers overwrite what they are
+    handed."""
+    x = batch.astype(nn.DTYPE)
+    for layer in model.layers:
+        x = layer.forward(x.copy())
+    g = upstream.astype(nn.DTYPE)
+    for layer in reversed(model.layers):
+        g = layer.backward(g.copy())
+    return x, g, model.grads.copy()
+
+
+# Stacks whose first or last layer writes into what it is handed, and one
+# whose relu follows the l2norm, which keeps its output for its backward.
+OWNERSHIP_STACKS = [
+    ("relu", "linear", "batchnorm"),
+    ("batchnorm", "linear", "relu"),
+    ("relu", "batchnorm", "linear", "relu", "batchnorm"),
+    ("linear", "l2norm", "relu", "linear", "l2norm"),
+]
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("kinds", OWNERSHIP_STACKS)
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_caller_arrays_come_back_unchanged(self, kinds, loaded, tmp_path):
+        model = _stack(kinds)
+        if loaded:
+            save_model(model, str(tmp_path / "m.dnn"))
+            model = load_model(str(tmp_path / "m.dnn"))
+        rng = np.random.default_rng(41)
+        batch = rng.standard_normal((9, 6)).astype(np.float32)
+        upstream = rng.standard_normal((9, 6)).astype(np.float32)
+        kept = batch.copy(), upstream.copy()
+        forward(model, batch)
+        backward(model, upstream)
+        assert batch.tobytes() == kept[0].tobytes()
+        assert upstream.tobytes() == kept[1].tobytes()
+
+    @pytest.mark.parametrize("kinds", OWNERSHIP_STACKS)
+    def test_same_bits_as_a_pass_that_copies(self, kinds):
+        rng = np.random.default_rng(42)
+        batch = rng.standard_normal((9, 6))
+        upstream = rng.standard_normal((9, 6))
+        model = _stack(kinds)
+        want_out, want_g, want_grads = _copying_pass(model, batch, upstream)
+        model = _stack(kinds)
+        out = forward(model, batch)
+        g_in = backward(model, upstream)
+        assert out.tobytes() == want_out.tobytes()
+        assert g_in.tobytes() == want_g.tobytes()
+        assert model.grads.tobytes() == want_grads.tobytes()
+
+    @pytest.mark.parametrize("hidden", [[], [16], [16, 12]])
+    def test_backward_without_input_gradient_fills_the_same_gradients(self, hidden):
+        rng = np.random.default_rng(43)
+        batch = rng.standard_normal((10, 8)).astype(np.float32)
+        target = rng.standard_normal((10, 4)).astype(np.float32)
+        grads = []
+        for input_grad in (True, False):
+            model = build_encoder(8, 4, hidden, seed=44)
+            out = forward(model, batch)
+            g_in = backward(model, reconstruction_loss(target, out).grad,
+                            input_grad=input_grad)
+            assert (g_in is None) == (not input_grad)
+            grads.append(model.grads.copy())
+        assert grads[0].tobytes() == grads[1].tobytes()
+        assert np.any(grads[0] != 0.0)
+
+
+class TestColumnDots:
+    # nn._column_dots replaces batchnorm's product-then-sum, so a numpy whose
+    # einsum fuses multiply and add, or adds rows in another order, fails here
+    # rather than moving trained bits
+    @pytest.mark.parametrize("rows", [2, 52, 256, 512, 1024, 2048, 777])
+    def test_einsum_sums_equal_product_then_sum(self, rows):
+        rng = np.random.default_rng(rows)
+        for width in (2, 20, 512):
+            a = rng.standard_normal((rows, width)).astype(np.float32)
+            b = rng.standard_normal((rows, width)).astype(np.float32)
+            for x, y in ((a, a), (a, b)):
+                want = (x * y).sum(axis=0).tobytes()
+                assert np.einsum("ij,ij->j", x, y).tobytes() == want, (rows, width)
+                assert nn._column_dots(x, y).tobytes() == want, (rows, width)
+
+    @pytest.mark.parametrize("rows", [2, 52, 777])
+    def test_one_column_and_f_order_match_too(self, rows):
+        # numpy sums these pairwise, as einsum does not
+        rng = np.random.default_rng(rows)
+        for shape, order in (((rows, 1), "C"), ((rows, 20), "F")):
+            a = np.asarray(rng.standard_normal(shape).astype(np.float32), order=order)
+            b = np.asarray(rng.standard_normal(shape).astype(np.float32), order=order)
+            assert nn._column_dots(a, b).tobytes() == (a * b).sum(axis=0).tobytes()
 
 
 class TestAdam:
