@@ -1,24 +1,23 @@
 """MLP core: layers with exact analytic gradients, Adam, model serialization.
 
-Layer stack convention for encoders (hidden count H in {0, 1, 2}):
-    [linear -> relu -> batchnorm] * H -> linear(output_dim) -> l2norm
-ReLU precedes batch normalization deliberately. `forward` is the training
-pass: it runs the layers' own `forward`s, caching what `backward` needs and
-updating batchnorm running statistics. `project` is the one way a model maps
-rows: it folds each batchnorm affine into the following linear layer, which
-is exact.
+Every model has one stack shape, which `MlpModel` checks on construction:
+    [linear -> relu -> batchnorm] * H -> linear(output_dim) [-> l2norm]
+with H <= MAX_HIDDEN_LAYERS; encoders end in l2norm. ReLU precedes batch
+normalization deliberately. `forward` is the training pass: it runs the
+layers' own `forward`s, caching what `backward` needs and updating batchnorm
+running statistics. `project` is the one way a model maps rows: it folds
+each batchnorm affine into the linear after it, which is exact.
 
-Ownership in the training pass: a layer may overwrite the array it is
-handed. ReLU and BatchNorm write their forward results into their input and
-their backward results into the incoming gradient. `forward` and `backward`
-never hand a layer an array that the caller holds, or that the layer before
-keeps in its cache (l2norm's output): they copy it once, and only where the
-next layer would write into it, so the caller's batch and upstream gradient
-come back unchanged. `backward(..., input_grad=False)` lets a first linear
-layer skip its input gradient, which the training schemes pass for the
-encoder. BatchNorm takes its three column sums of products (x_hat^2,
-grad * x_hat and g * x_hat) with `np.einsum("ij,ij->j", ...)`: numpy's einsum
-adds each column's products row by row without fusing multiply and add, as
+Ownership in the training pass: ReLU and BatchNorm write their results into
+the array they are handed, and the shape is why no copy is needed. The
+first layer is a linear and the last a linear or an l2norm; none of them
+writes, so the caller's batch and upstream gradient come back unchanged, and
+each writing layer gets an array that the linear or relu before it made and
+does not keep. `backward(..., input_grad=False)` lets the first linear skip
+its input gradient, which the training schemes pass for the encoder.
+BatchNorm takes its three column sums of products (x_hat^2, grad * x_hat and
+g * x_hat) with `np.einsum("ij,ij->j", ...)`: numpy's einsum adds each
+column's products row by row without fusing multiply and add, as
 `(a * b).sum(axis=0)` does, so it gives the same bits without the product
 array.
 
@@ -41,10 +40,12 @@ Model file format "DNN1" (little-endian): magic, u8 version=1, u32 input_dim,
 u32 output_dim, u32 layer count, then per layer a u8 kind tag
 (1 linear, 2 relu, 3 batchnorm, 4 l2norm) followed by its payload:
 linear = u32 in, u32 out, W row-major f64, bias f64; batchnorm = u32 width,
-gamma, beta, running_mean, running_var (all f64). Saving widens DTYPE values
-to f64, which is exact, so a saved model loads back bit for bit. Loading
-narrows each f64 value to DTYPE, rounding to nearest: a file holding values
-that DTYPE cannot represent loads as their nearest DTYPE values.
+gamma, beta, running_mean, running_var (all f64). The one accepted stack is
+the shape above with every width >= 1; `load_model` refuses any other with
+a FormatError, on which the CLI exits 2. Saving widens DTYPE
+values to f64, which is exact, so a saved model loads back bit for bit.
+Loading narrows each f64 value to DTYPE, rounding to nearest: a file holding
+values that DTYPE cannot represent loads as their nearest DTYPE values.
 """
 from __future__ import annotations
 
@@ -64,13 +65,9 @@ ADAM_CHUNK = 32768  # parameters per chunk of `adam_step`: 128 KiB per operand
 
 class _Layer:
     """Shared by the layers: each name in PARAMS is a parameter attribute whose
-    gradient lives in `grad_<name>`. A layer with WRITES overwrites the array
-    its `forward` or `backward` is handed; one with KEEPS_OUTPUT caches the
-    array its `forward` returns."""
+    gradient lives in `grad_<name>`."""
 
     PARAMS = ()
-    WRITES = False
-    KEEPS_OUTPUT = False
 
     def parameters(self):
         for name in self.PARAMS:
@@ -82,8 +79,6 @@ class Linear(_Layer):
     PARAMS = ("weight", "bias")
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None = None):
-        if in_dim < 1 or out_dim < 1:
-            raise ConfigError(f"linear dims must be >= 1, got {in_dim}->{out_dim}")
         self.in_dim = in_dim
         self.out_dim = out_dim
         if rng is None:
@@ -117,7 +112,6 @@ class Linear(_Layer):
 
 class ReLU(_Layer):
     kind = "relu"
-    WRITES = True
 
     def __init__(self):
         self._cache = None
@@ -137,7 +131,6 @@ class ReLU(_Layer):
 class BatchNorm(_Layer):
     kind = "batchnorm"
     PARAMS = ("gamma", "beta")
-    WRITES = True
 
     def __init__(self, width: int):
         self.width = width
@@ -199,7 +192,6 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class L2Normalize(_Layer):
     kind = "l2norm"
-    KEEPS_OUTPUT = True
 
     def __init__(self):
         self._cache = None
@@ -221,7 +213,7 @@ class L2Normalize(_Layer):
 
 
 class MlpModel:
-    """Ordered layer stack.
+    """Ordered layer stack of the one shape, which the constructor checks.
 
     The constructor copies every parameter, in `parameters()` order, into the
     flat buffer `params` and every gradient into the flat buffer `grads`, and
@@ -230,6 +222,7 @@ class MlpModel:
 
     def __init__(self, layers, input_dim: int, output_dim: int):
         self.layers = list(layers)
+        _check_stack(self.layers, input_dim, output_dim)
         self.input_dim = input_dim
         self.output_dim = output_dim
         bound = [(layer, name) for layer in self.layers for name in layer.PARAMS]
@@ -253,6 +246,29 @@ class MlpModel:
                 yield f"{i}.{name}", param, grad
 
 
+def _check_stack(layers, input_dim: int, output_dim: int) -> None:
+    """Refuse any stack but [linear, relu, batchnorm] * H -> linear ->
+    optional l2norm with H <= MAX_HIDDEN_LAYERS, whose widths are >= 1 and
+    run from input_dim to output_dim, each matching the next layer's input."""
+    kinds = [layer.kind for layer in layers]
+    hidden = (len(kinds) - 1) // 3
+    if (hidden > MAX_HIDDEN_LAYERS
+            or kinds[:3 * hidden] != ["linear", "relu", "batchnorm"] * hidden
+            or kinds[3 * hidden:] not in (["linear"], ["linear", "l2norm"])):
+        raise ShapeError(f"layer stack {kinds} is not [linear, relu, batchnorm] * H "
+                         f"(H <= {MAX_HIDDEN_LAYERS}), linear, optional l2norm")
+    dims = [input_dim]  # each even entry is a width the odd one after expects
+    for layer in layers:
+        if layer.kind == "linear":
+            dims += [layer.in_dim, layer.out_dim]
+        elif layer.kind == "batchnorm":
+            dims += [layer.width, layer.width]
+    dims.append(output_dim)
+    if min(dims) < 1 or dims[0::2] != dims[1::2]:
+        raise ShapeError(f"layer widths {dims[1:-1]} do not run from input dim "
+                         f"{input_dim} to output dim {output_dim} or are not >= 1")
+
+
 def build_encoder(input_dim: int, output_dim: int, hidden_sizes, seed: int = 0) -> MlpModel:
     """Encoder stack ending in row-wise L2 normalization."""
     return build_mlp(input_dim, output_dim, hidden_sizes, seed=seed, normalize_output=True)
@@ -261,9 +277,9 @@ def build_encoder(input_dim: int, output_dim: int, hidden_sizes, seed: int = 0) 
 def build_mlp(input_dim: int, output_dim: int, hidden_sizes, seed: int = 0,
               normalize_output: bool = True) -> MlpModel:
     """General stack builder; decoders use normalize_output=False."""
-    if input_dim < 1 or output_dim < 1:
-        raise ConfigError(f"dims must be >= 1, got {input_dim}->{output_dim}")
     hidden_sizes = list(hidden_sizes)
+    if min(input_dim, output_dim, *hidden_sizes) < 1:
+        raise ConfigError(f"widths must be >= 1, got {input_dim}, {hidden_sizes}, {output_dim}")
     if len(hidden_sizes) > MAX_HIDDEN_LAYERS:
         raise ConfigError(
             f"at most {MAX_HIDDEN_LAYERS} hidden layers supported, got {len(hidden_sizes)}"
@@ -287,12 +303,8 @@ def forward(model: MlpModel, batch) -> np.ndarray:
     `backward` needs and updating each batchnorm's running statistics.
     `batch` comes back unchanged."""
     x = _checked_batch(model, batch).astype(DTYPE, copy=False)
-    held = True  # by the caller, or by the cache of the layer before
     for layer in model.layers:
-        if held and layer.WRITES:
-            x = x.copy()
         x = layer.forward(x)
-        held = layer.KEEPS_OUTPUT
     return x
 
 
@@ -308,18 +320,13 @@ def _checked_batch(model: MlpModel, batch) -> np.ndarray:
 def backward(model: MlpModel, upstream_grad, input_grad: bool = True):
     """Backpropagate, filling per-layer parameter gradients; returns the
     gradient with respect to the forward input, or None with
-    `input_grad=False`, when a first linear layer skips computing it.
-    `upstream_grad` comes back unchanged; no layer keeps the gradient it
-    returns, so only the last layer can need a copy of it."""
+    `input_grad=False`, when the first linear layer skips computing it.
+    `upstream_grad` comes back unchanged."""
     g = as_matrix(upstream_grad, "upstream_grad").astype(DTYPE, copy=False)
-    if model.layers[-1].WRITES:
-        g = g.copy()
-    first = model.layers[0]
-    if isinstance(first, Linear):
-        first.input_grad = input_grad
+    model.layers[0].input_grad = input_grad
     for layer in reversed(model.layers):
         g = layer.backward(g)
-    return g if input_grad else None
+    return g
 
 
 class AdamState:
@@ -430,29 +437,19 @@ def load_model(path: str) -> MlpModel:
     output_dim = r.u32("output dim")
     n_layers = r.u32("layer count")
     layers = []
-    prev = input_dim
     for li in range(n_layers):
         tag = r.u8(f"layer {li} kind")
         if tag == _KIND_TAGS["linear"]:
             in_dim = r.u32("linear in dim")
             out_dim = r.u32("linear out dim")
-            if in_dim != prev:
-                raise ShapeError(
-                    f"{path}: layer {li} expects input {in_dim}, stack provides {prev}"
-                )
             layer = Linear(in_dim, out_dim)
             layer.weight = r.array("<f8", in_dim * out_dim, "weights").reshape(
                 in_dim, out_dim).astype(DTYPE)
             layer.bias = r.array("<f8", out_dim, "bias").astype(DTYPE)
-            prev = out_dim
         elif tag == _KIND_TAGS["relu"]:
             layer = ReLU()
         elif tag == _KIND_TAGS["batchnorm"]:
             width = r.u32("batchnorm width")
-            if width != prev:
-                raise ShapeError(
-                    f"{path}: batchnorm width {width} != stack width {prev}"
-                )
             layer = BatchNorm(width)
             layer.gamma = r.array("<f8", width, "gamma").astype(DTYPE)
             layer.beta = r.array("<f8", width, "beta").astype(DTYPE)
@@ -464,11 +461,10 @@ def load_model(path: str) -> MlpModel:
             raise FormatError(f"{path}: unknown layer tag {tag} at offset {r.offset - 1}")
         layers.append(layer)
     r.expect_end()
-    if prev != output_dim:
-        raise ShapeError(
-            f"{path}: stack ends at width {prev}, header says {output_dim}"
-        )
-    return MlpModel(layers, input_dim, output_dim)
+    try:
+        return MlpModel(layers, input_dim, output_dim)
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -479,84 +475,58 @@ def project(model: MlpModel, batch) -> np.ndarray:
     """The one path by which a model maps rows, with batchnorm applying its
     running statistics. It reads the parameters and writes no layer state.
 
-    Works in chunks of PROJECT_CHUNK rows with preallocated per-chunk DTYPE
-    buffers, and folds each batchnorm's running-statistics affine into the
-    next linear layer (algebraically exact). Each chunk of the input is cast
-    into its own buffer, so a float64 set is never copied whole. The output
-    is float64: the final l2norm divides the widened rows, so they are unit
-    rows to float64 precision. Descriptor reduction and `ss` reclustering
-    both run it.
+    Runs `_fold_plan`'s folded linears with ReLU between them, in chunks of
+    PROJECT_CHUNK rows with one preallocated DTYPE buffer per linear. Each
+    chunk of the input is cast into its own buffer, so a float64 set is
+    never copied whole. The output is float64: a final l2norm divides the
+    widened rows, so they are unit rows to float64 precision. Descriptor
+    reduction and `ss` reclustering both run it.
     """
     x = _checked_batch(model, batch)
-    chunk_size = PROJECT_CHUNK
     plan = _fold_plan(model)
+    normalize = model.layers[-1].kind == "l2norm"
     n = len(x)
     out = np.empty((n, model.output_dim))
-    bufs = {}
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        h = _chunk_buf(bufs, "input", chunk_size, x.shape[1])[: stop - start]
+    chunk = PROJECT_CHUNK
+    h_in = np.empty((chunk, x.shape[1]), dtype=DTYPE)
+    bufs = [np.empty((chunk, w.shape[1]), dtype=DTYPE) for w, _ in plan]
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        h = h_in[: stop - start]
         h[...] = x[start:stop]
-        for op, payload in plan:
-            if op == "linear":
-                w, b = payload
-                buf = _chunk_buf(bufs, id(payload), chunk_size, w.shape[1])[: stop - start]
-                np.dot(h, w, out=buf)
-                buf += b
-                h = buf
-            elif op == "relu":
+        for i, (w, b) in enumerate(plan):
+            if i:
                 np.maximum(h, 0.0, out=h)
-            elif op == "affine":
-                scale, shift = payload
-                h *= scale
-                h += shift
-            else:  # l2norm, in float64
-                h = h.astype(np.float64)
-                norms = np.sqrt(np.einsum("ij,ij->i", h, h))
-                zero = norms < NORM_EPS
-                norms[zero] = 1.0
-                h /= norms[:, None]
-                h[zero] = 0.0
+            h = np.dot(h, w, out=bufs[i][: stop - start])
+            h += b
+        if normalize:  # in float64
+            h = h.astype(np.float64)
+            norms = np.sqrt(np.einsum("ij,ij->i", h, h))
+            zero = norms < NORM_EPS
+            norms[zero] = 1.0
+            h /= norms[:, None]
+            h[zero] = 0.0
         out[start:stop] = h
     return out
 
 
-def _chunk_buf(bufs: dict, key, chunk: int, width: int) -> np.ndarray:
-    if key not in bufs:
-        bufs[key] = np.empty((chunk, width), dtype=DTYPE)
-    return bufs[key]
-
-
 def _fold_plan(model: MlpModel):
-    """Compile the layer stack into ops, folding batchnorm into linears.
+    """The stack's linears as DTYPE (weight, bias) pairs, each batchnorm's
+    running-statistics affine folded into the linear after it.
 
-    The fold is computed in float64 from the DTYPE parameters; each payload
-    array is then cast to DTYPE once."""
+    The fold is computed in float64 from the DTYPE parameters; each array is
+    then cast to DTYPE once."""
     plan = []
-    pending = None  # (scale, shift) from a batchnorm awaiting a linear
+    scale = shift = None  # from the batchnorm before the next linear
     for layer in model.layers:
         if layer.kind == "batchnorm":
             gamma, beta, mean, var = (a.astype(np.float64) for a in (
                 layer.gamma, layer.beta, layer.running_mean, layer.running_var))
             scale = gamma / np.sqrt(var + BN_EPS)
             shift = beta - mean * scale
-            if pending is not None:
-                plan.append(("affine", pending))
-            pending = (scale, shift)
         elif layer.kind == "linear":
             w, b = layer.weight.astype(np.float64), layer.bias.astype(np.float64)
-            if pending is not None:
-                scale, shift = pending
+            if scale is not None:
                 w, b = scale[:, None] * w, shift @ w + b
-                pending = None
-            plan.append(("linear", (w, b)))
-        else:  # relu or l2norm
-            if pending is not None:
-                plan.append(("affine", pending))
-                pending = None
-            plan.append((layer.kind, None))
-    if pending is not None:
-        plan.append(("affine", pending))
-    return [(op, None if payload is None
-             else tuple(a.astype(DTYPE, order="C") for a in payload))
-            for op, payload in plan]
+            plan.append((w.astype(DTYPE, order="C"), b.astype(DTYPE, order="C")))
+    return plan

@@ -1,7 +1,8 @@
 """PCA baseline: covariance eigendecomposition projection.
 
 Model file format "DPC1" (little-endian): magic, u32 D, u32 d, D f64 mean,
-then the D x d basis in column-major order as f64.
+then the D x d basis in column-major order as f64. `load_pca` refuses a
+file whose d is not in [1, D], as `fit_pca` does, with a FormatError.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from ._binio import read_file, u32_bytes, write_atomic
 from .data import DescriptorSet
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, FormatError, ShapeError
 from .numerics import l2_normalize_rows, sym_eigen
 
 
@@ -98,6 +99,8 @@ def load_pca(path: str) -> PcaModel:
     r.magic(b"DPC1")
     big_d = r.u32("input dim")
     small_d = r.u32("output dim")
+    if not 1 <= small_d <= big_d:
+        raise FormatError(f"{path}: output dim must be in [1, {big_d}], got {small_d}")
     mean = r.array("<f8", big_d, "mean").astype(np.float64)
     basis = r.array("<f8", big_d * small_d, "basis").astype(np.float64)
     r.expect_end()

@@ -1,5 +1,6 @@
 """End-to-end tests of the `desclite` command line, run through `cli.main`."""
 import argparse
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from desclite.data import (
     save_descriptors,
 )
 from desclite.eval import eval_matching, eval_retrieval, eval_verification
+from desclite.errors import FormatError
 from desclite.nn import load_model
 from desclite.pca import load_pca, pca_transform
 from desclite.train import SCHEMES, TrainConfig, reduce
@@ -39,6 +41,27 @@ def descriptor_file(tmp_path, patch_file, capsys):
 
 def _facts(manifest):
     return dict(line.split("=", 1) for line in manifest.read_text().splitlines())
+
+
+def _dnn1(input_dim, output_dim, layers):
+    """The bytes of a DNN1 file holding `layers`, each ("linear", in, out),
+    ("relu",), ("batchnorm", width) or ("l2norm",), with zero weights and
+    biases and unit batchnorm scales and variances."""
+    tags = {"linear": 1, "relu": 2, "batchnorm": 3, "l2norm": 4}
+    parts = [b"DNN1", bytes([1]), struct.pack("<3I", input_dim, output_dim, len(layers))]
+    for kind, *dims in layers:
+        parts.append(bytes([tags[kind]]) + struct.pack(f"<{len(dims)}I", *dims))
+        if kind == "linear":
+            parts.append(np.zeros(dims[0] * dims[1] + dims[1]).tobytes())
+        elif kind == "batchnorm":
+            parts.append(np.repeat([1.0, 0.0, 0.0, 1.0], dims[0]).tobytes())
+    return b"".join(parts)
+
+
+def _dpc1(input_dim, output_dim):
+    """The bytes of a DPC1 file with a zero mean and a zero basis."""
+    return (b"DPC1" + struct.pack("<2I", input_dim, output_dim)
+            + np.zeros(input_dim * (1 + output_dim)).tobytes())
 
 
 class TestFailedManifestWrite:
@@ -344,6 +367,73 @@ class TestReduce:
         assert stop.value.code == EXIT_USAGE
         assert set(tmp_path.iterdir()) == before
 
+
+    def _reduce_exits_2_and_writes_nothing(self, tmp_path, descriptor_file, model, capsys):
+        capsys.readouterr()
+        before = set(tmp_path.iterdir())
+        assert main(["reduce", str(descriptor_file), "--model", str(model),
+                     "-o", str(tmp_path / "out.ddr"),
+                     "-m", str(tmp_path / "r.manifest")]) == EXIT_FORMAT
+        assert set(tmp_path.iterdir()) == before
+        assert str(model) in capsys.readouterr().err
+
+    # 128-D in and out, so that each breaks only the one stack shape
+    MALFORMED_STACKS = {
+        "empty": [],
+        "relu first": [("relu",), ("linear", 128, 128)],
+        "three hidden blocks": [("linear", 128, 16), ("relu",), ("batchnorm", 16)] + [
+            ("linear", 16, 16), ("relu",), ("batchnorm", 16)] * 2 + [("linear", 16, 128)],
+        "batchnorm last": [("linear", 128, 128), ("relu",), ("batchnorm", 128)],
+        "two l2norms": [("linear", 128, 128), ("l2norm",), ("l2norm",)],
+    }
+
+    @pytest.mark.parametrize("stack", MALFORMED_STACKS)
+    def test_a_malformed_stack_exits_2_and_writes_nothing(self, tmp_path, descriptor_file,
+                                                         stack, capsys):
+        model = tmp_path / "m.dnn"
+        model.write_bytes(_dnn1(128, 128, self.MALFORMED_STACKS[stack]))
+        self._reduce_exits_2_and_writes_nothing(tmp_path, descriptor_file, model, capsys)
+
+    # a zero width in the header's input or output dim, in a linear's in or
+    # out dim or in a batchnorm's width
+    ZERO_WIDTHS = {
+        "input dim": (0, 8, [("linear", 0, 8)]),
+        "output dim": (128, 0, [("linear", 128, 0)]),
+        "hidden block": (128, 8, [("linear", 128, 0), ("relu",), ("batchnorm", 0),
+                                  ("linear", 0, 8)]),
+        "batchnorm width": (128, 8, [("linear", 128, 16), ("relu",), ("batchnorm", 0),
+                                     ("linear", 16, 8)]),
+    }
+
+    @pytest.mark.parametrize("where", ZERO_WIDTHS)
+    def test_a_zero_width_exits_2_and_writes_nothing(self, tmp_path, descriptor_file,
+                                                    where, capsys):
+        model = tmp_path / "m.dnn"
+        model.write_bytes(_dnn1(*self.ZERO_WIDTHS[where]))
+        with pytest.raises(FormatError):
+            load_model(str(model))
+        self._reduce_exits_2_and_writes_nothing(tmp_path, descriptor_file, model, capsys)
+
+    @pytest.mark.parametrize("dim", [0, 200])
+    def test_a_pca_dim_outside_the_input_exits_2_and_writes_nothing(
+            self, tmp_path, descriptor_file, dim, capsys):
+        model = tmp_path / "pca.dpc"
+        model.write_bytes(_dpc1(128, dim))
+        with pytest.raises(FormatError):
+            load_pca(str(model))
+        self._reduce_exits_2_and_writes_nothing(tmp_path, descriptor_file, model, capsys)
+
+    @pytest.mark.parametrize("kind", ["pca.dpc", "sv.dnn"])
+    def test_an_empty_set_reduces_to_an_empty_set(self, tmp_path, descriptor_file, kind,
+                                                  capsys):
+        model, empty, reduced = tmp_path / kind, tmp_path / "empty.ddr", tmp_path / "r.ddr"
+        fit = (["fit-pca", str(descriptor_file), "--dim", "8"] if kind == "pca.dpc" else
+               ["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",
+                "--hidden", "16", "--epochs", "1", "--batch-size", "2"])
+        assert main(fit + ["-o", str(model)]) == 0
+        save_descriptors(DescriptorSet(np.zeros((0, 128)), [], []), str(empty))
+        assert main(["reduce", str(empty), "--model", str(model), "-o", str(reduced)]) == 0
+        assert load_descriptors(str(reduced)).descriptors.shape == (0, 8)
 
 class TestEval:
     @pytest.mark.parametrize("task", ["verification", "matching", "retrieval"])

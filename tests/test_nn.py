@@ -216,23 +216,63 @@ class TestBackward:
         assert g_in.shape == x.shape
 
 
-def _stack(kinds, width=6, seed=40):
-    """A hand-built stack of `kinds` at one width, with nonzero biases and
-    batchnorm affines so that every parameter gradient is nonzero."""
+_LAYER_OF_KIND = {"linear": lambda: Linear(4, 4), "relu": ReLU,
+                  "batchnorm": lambda: BatchNorm(4), "l2norm": L2Normalize}
+
+
+class TestStackShape:
+    @pytest.mark.parametrize("kinds", [
+        (),
+        ("relu", "linear"),
+        ("linear", "relu", "batchnorm"),
+        ("linear", "l2norm", "l2norm"),
+        ("linear", "relu", "batchnorm") * 3 + ("linear",),
+        ("linear", "batchnorm", "relu", "linear"),
+        ("linear", "relu", "linear"),
+    ])
+    def test_any_other_layer_order_is_refused(self, kinds):
+        with pytest.raises(ShapeError, match="layer stack"):
+            MlpModel([_LAYER_OF_KIND[kind]() for kind in kinds], 4, 4)
+
+    # input dim, first linear in -> out, batchnorm width, second linear
+    # in -> out, output dim
+    @pytest.mark.parametrize("dims", [
+        (5, 4, 6, 6, 6, 3, 3),
+        (4, 4, 6, 5, 6, 3, 3),
+        (4, 4, 6, 6, 5, 3, 3),
+        (4, 4, 6, 6, 6, 3, 2),
+        (4, 4, 0, 0, 0, 3, 3),
+        (0, 0, 6, 6, 6, 3, 3),
+    ])
+    def test_widths_that_do_not_chain_or_are_zero_are_refused(self, dims):
+        i, a, b, c, d, e, o = dims
+        layers = [Linear(a, b), ReLU(), BatchNorm(c), Linear(d, e)]
+        with pytest.raises(ShapeError, match="layer widths"):
+            MlpModel(layers, i, o)
+
+    @pytest.mark.parametrize("hidden", [[0], [8, 0], [-1]])
+    def test_build_mlp_refuses_a_hidden_width_below_1_as_config(self, hidden):
+        with pytest.raises(ConfigError):
+            build_mlp(8, 4, hidden)
+
+
+def _built(hidden, normalize, loaded, tmp_path, seed=40):
+    """A `build_mlp` stack with nonzero biases and batchnorm affines, so that
+    no parameter's gradient is all zero; after a DNN1 round trip if
+    `loaded`."""
+    model = build_mlp(6, 4, hidden, seed=seed, normalize_output=normalize)
     rng = np.random.default_rng(seed)
-    layers = []
-    for kind in kinds:
-        if kind == "linear":
-            layer = Linear(width, width, rng)
-            layer.bias[...] = rng.standard_normal(width)
-        elif kind == "batchnorm":
-            layer = BatchNorm(width)
-            layer.gamma[...] = rng.uniform(0.5, 1.5, width)
-            layer.beta[...] = rng.standard_normal(width)
-        else:
-            layer = {"relu": ReLU, "l2norm": L2Normalize}[kind]()
-        layers.append(layer)
-    return MlpModel(layers, width, width)
+    for layer in model.layers:
+        if layer.kind == "linear":
+            layer.bias[...] = rng.standard_normal(layer.out_dim)
+        elif layer.kind == "batchnorm":
+            layer.gamma[...] = rng.uniform(0.5, 1.5, layer.width)
+            layer.beta[...] = rng.standard_normal(layer.width)
+    if loaded:
+        path = str(tmp_path / "m.dnn")
+        save_model(model, path)
+        model = load_model(path)
+    return model
 
 
 def _copying_pass(model, batch, upstream):
@@ -248,46 +288,41 @@ def _copying_pass(model, batch, upstream):
     return x, g, model.grads.copy()
 
 
-# Stacks whose first or last layer writes into what it is handed, and one
-# whose relu follows the l2norm, which keeps its output for its backward.
-OWNERSHIP_STACKS = [
-    ("relu", "linear", "batchnorm"),
-    ("batchnorm", "linear", "relu"),
-    ("relu", "batchnorm", "linear", "relu", "batchnorm"),
-    ("linear", "l2norm", "relu", "linear", "l2norm"),
-]
+# every stack shape that build_mlp makes: 0, 1 and 2 hidden blocks, with and
+# without the final l2norm
+BUILT_STACKS = [(hidden, normalize) for hidden in ([], [7], [7, 5])
+                for normalize in (False, True)]
 
 
 class TestOwnership:
-    @pytest.mark.parametrize("kinds", OWNERSHIP_STACKS)
+    @pytest.mark.parametrize("hidden,normalize", BUILT_STACKS)
     @pytest.mark.parametrize("loaded", [False, True])
-    def test_caller_arrays_come_back_unchanged(self, kinds, loaded, tmp_path):
-        model = _stack(kinds)
-        if loaded:
-            save_model(model, str(tmp_path / "m.dnn"))
-            model = load_model(str(tmp_path / "m.dnn"))
+    def test_caller_arrays_come_back_unchanged(self, hidden, normalize, loaded, tmp_path):
+        model = _built(hidden, normalize, loaded, tmp_path)
         rng = np.random.default_rng(41)
         batch = rng.standard_normal((9, 6)).astype(np.float32)
-        upstream = rng.standard_normal((9, 6)).astype(np.float32)
+        upstream = rng.standard_normal((9, 4)).astype(np.float32)
         kept = batch.copy(), upstream.copy()
         forward(model, batch)
         backward(model, upstream)
         assert batch.tobytes() == kept[0].tobytes()
         assert upstream.tobytes() == kept[1].tobytes()
 
-    @pytest.mark.parametrize("kinds", OWNERSHIP_STACKS)
-    def test_same_bits_as_a_pass_that_copies(self, kinds):
+    @pytest.mark.parametrize("hidden,normalize", BUILT_STACKS)
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_same_bits_as_a_pass_that_copies(self, hidden, normalize, loaded, tmp_path):
         rng = np.random.default_rng(42)
         batch = rng.standard_normal((9, 6))
-        upstream = rng.standard_normal((9, 6))
-        model = _stack(kinds)
+        upstream = rng.standard_normal((9, 4))
+        model = _built(hidden, normalize, loaded, tmp_path)
         want_out, want_g, want_grads = _copying_pass(model, batch, upstream)
-        model = _stack(kinds)
+        model = _built(hidden, normalize, loaded, tmp_path)
         out = forward(model, batch)
         g_in = backward(model, upstream)
         assert out.tobytes() == want_out.tobytes()
         assert g_in.tobytes() == want_g.tobytes()
         assert model.grads.tobytes() == want_grads.tobytes()
+        assert all(np.any(grad != 0.0) for _, _, grad in model.parameters())
 
     @pytest.mark.parametrize("hidden", [[], [16], [16, 12]])
     def test_backward_without_input_gradient_fills_the_same_gradients(self, hidden):
