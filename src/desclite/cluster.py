@@ -8,21 +8,27 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .numerics import _sq_distances, as_matrix
 
-DEFAULT_MAX_ITERS = 50
+# the most Lloyd passes one fit makes
+MAX_ITERS = 50
 
 
 @dataclass
 class KMeansModel:
+    """A fit's result, with one `objective_history` entry per Lloyd pass."""
+
     centroids: np.ndarray          # (k, D)
     assignments: np.ndarray        # (N,) cluster index per training point
     objective: float               # mean squared distance to assigned centroid
-    iterations_run: int
     objective_history: list = field(default_factory=list)
     empty_repaired: int = 0        # refills of emptied clusters, summed over the iterations
 
     @property
     def k(self) -> int:
         return len(self.centroids)
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.objective_history)
 
 
 def _plus_plus_init(points: np.ndarray, points_sq: np.ndarray, k: int,
@@ -59,77 +65,64 @@ def _sq_dist_to_row(points: np.ndarray, points_sq: np.ndarray, c: int) -> np.nda
     return d2
 
 
-def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int,
-           max_iters: int):
-    n = len(x)
-    rows = np.arange(n)
-    assignments = np.full(n, -1, dtype=np.int64)
+def _lloyd(x: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, k: int) -> KMeansModel:
+    rows = np.arange(len(x))
     history: list[float] = []
-    iterations = 0
     repaired = 0
     # distances to the current centroids: each iteration's argmin, the
     # previous iteration's objective and the final pass all read this matrix
     sq = _sq_distances(x, x_sq, centroids, (centroids * centroids).sum(axis=1))
-    for _ in range(max_iters):
-        iterations += 1
-        new_assign = sq.argmin(axis=1)
-        repaired += _repair_empty(x, new_assign, sq, k)
-        if np.array_equal(new_assign, assignments):
-            # the centroids and distances of this assignment are the ones
-            # the previous pass built from it, bit for bit
-            history.append(history[-1])
-            break
+    for _ in range(MAX_ITERS):
+        assign = sq.argmin(axis=1)
+        repaired += _repair_empty(x, assign, sq, k)
         # each cluster's rows, in row order, as one contiguous slice
-        order = np.argsort(new_assign, kind="stable")
+        order = np.argsort(assign, kind="stable")
         members = x[order]
-        stops = np.cumsum(np.bincount(new_assign, minlength=k))
+        stops = np.cumsum(np.bincount(assign, minlength=k))
         start = 0
         for j, stop in enumerate(stops):
             centroids[j] = members[start:stop].sum(axis=0) / (stop - start)
             start = stop
         sq = _sq_distances(x, x_sq, centroids, (centroids * centroids).sum(axis=1))
-        objective = float(sq[rows, new_assign].mean())
+        objective = float(sq[rows, assign].mean())
         if history and objective > history[-1] + 1e-9 * max(1.0, history[-1]):
             raise NumericError(
                 f"k-means objective increased: {history[-1]!r} -> {objective!r}"
             )
         history.append(objective)
+        # a repeated assignment rebuilds the last centroids bit for bit and
+        # stops here; on exact duplicates the refills can move a different
+        # row each pass, so the assignment alone might never repeat
         if len(history) > 1 and objective >= history[-2]:
-            # on exact duplicates the refills can move a different row each
-            # pass, so the assignment alone might never repeat
             break
-        assignments = new_assign
     # final nearest-centroid pass, so that each stored row is at its nearest
     # centroid. Where that empties a cluster (twin centroids send all their
     # rows to the first), the loop's last assignment is kept instead: none of
     # its clusters is empty, the centroids are its cluster means and its
-    # objective is the loop's last. Without a loop (max_iters = 0) the pass's
-    # empty clusters are refilled as in the loop, uncounted.
+    # objective is the loop's last.
     final_assign = sq.argmin(axis=1)
-    if not history:
-        _repair_empty(x, final_assign, sq, k)
-    elif np.bincount(final_assign, minlength=k).min() == 0:
-        final_assign = new_assign
-    objective = float(sq[rows, final_assign].mean())
-    return centroids, final_assign, objective, iterations, history, repaired
+    if np.bincount(final_assign, minlength=k).min() == 0:
+        final_assign = assign
+    return KMeansModel(centroids, final_assign, float(sq[rows, final_assign].mean()),
+                       history, repaired)
 
 
-def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
-               seed: int = 0) -> KMeansModel:
+def kmeans_fit(points, k: int, seed: int = 0) -> KMeansModel:
     """Cluster rows of `points` into k groups.
 
     Runs one k-means++ seeding from an RNG seeded with `seed`, then Lloyd
-    iterations. The result is deterministic per arguments for a fixed BLAS
+    passes. The result is deterministic per arguments for a fixed BLAS
     library and thread count, which can change the last bits of the
     distances and so break near-ties differently.
-    Lloyd stops when assignments stop changing, after a pass that does not
-    lower the objective, or after `max_iters` iterations; an emptied cluster
-    is repaired by moving the point farthest from its assigned centroid into
-    it. The objective (mean squared distance to the assigned centroid) is
-    checked to be non-increasing every step. The stored assignments are each
-    row's nearest centroid unless that would leave a cluster empty; then
-    they are the loop's last, so the stored objective never exceeds the
-    loop's last.
+    Lloyd stops after a pass that does not lower the objective, or after
+    MAX_ITERS passes. A pass whose assignment repeats the last one rebuilds
+    the same centroids, so the objective rule stops it too. An emptied
+    cluster is repaired by moving the point farthest from its assigned
+    centroid into it. The objective (mean squared distance to the assigned
+    centroid) is checked to be non-increasing every pass. The stored
+    assignments are each row's nearest centroid unless that would leave a
+    cluster empty; then they are the loop's last, so the stored objective
+    never exceeds the loop's last.
     """
     x = as_matrix(points, "points")
     n = len(x)
@@ -140,8 +133,7 @@ def kmeans_fit(points, k: int, max_iters: int = DEFAULT_MAX_ITERS,
 
     x_sq = (x * x).sum(axis=1)
     init = _plus_plus_init(x, x_sq, k, np.random.default_rng(seed))
-    # _lloyd returns the model's fields in their declared order
-    return KMeansModel(*_lloyd(x, x_sq, init, k, max_iters))
+    return _lloyd(x, x_sq, init, k)
 
 
 def _repair_empty(x: np.ndarray, assign: np.ndarray, sq: np.ndarray, k: int) -> int:

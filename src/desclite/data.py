@@ -8,7 +8,8 @@ File formats (all little-endian):
                         bytes/value), N*D floats row-major, N u32 labels,
                         N u32 sequence ids, then optionally N u8 tier codes.
 The tier block in DDR1 is an optional trailer so descriptor files produced
-elsewhere (without tier information) remain readable.
+elsewhere (without tier information) remain readable. A tier code indexes
+TIER_NAMES; a file holding any other code is malformed (FormatError).
 """
 from __future__ import annotations
 
@@ -48,6 +49,18 @@ def _as_ids(values, n: int, what: str) -> np.ndarray:
     return arr
 
 
+def _as_tiers(values, n: int) -> np.ndarray:
+    """`values` as (n,) uint8 tier codes, each an index into TIER_NAMES;
+    checked before the cast, which would wrap 256 to 0."""
+    tiers = np.asarray(values)
+    if tiers.shape != (n,):
+        raise ShapeError(f"tiers must have shape ({n},), got {tiers.shape}")
+    bad = (tiers < 0) | (tiers >= len(TIER_NAMES))
+    if bad.any():
+        raise ConfigError(f"tier code {tiers[bad][0]} out of range")
+    return tiers.astype(np.uint8, copy=False)
+
+
 @dataclass
 class PatchDataset:
     """32x32 grayscale patches with per-patch class label, sequence id and tier."""
@@ -66,11 +79,7 @@ class PatchDataset:
         n = len(self.patches)
         self.labels = _as_ids(self.labels, n, "labels")
         self.sequence_ids = _as_ids(self.sequence_ids, n, "sequence_ids")
-        self.tiers = np.asarray(self.tiers, dtype=np.uint8)
-        if self.tiers.shape != (n,):
-            raise ShapeError(f"tiers must have shape ({n},), got {self.tiers.shape}")
-        if self.tiers.size and self.tiers.max() >= len(TIER_NAMES):
-            raise ConfigError("tier codes must be 0, 1 or 2")
+        self.tiers = _as_tiers(self.tiers, n)
 
     def __len__(self) -> int:
         return len(self.patches)
@@ -85,10 +94,10 @@ def _unit_or_zero(norms: np.ndarray) -> bool:
 class DescriptorSet:
     """N x D float64 descriptors with per-row label and sequence id.
 
-    `tiers` is optional; it is carried through projection and used by the
-    evaluation tasks for the per-tier breakdown when available. When
-    `normalized` is set, every row must have unit L2 norm (or be all-zero)
-    within 1e-6.
+    `tiers` is optional: codes into TIER_NAMES, as in PatchDataset. It is
+    carried through projection and used by the evaluation tasks for the
+    per-tier breakdown when available. When `normalized` is set, every row
+    must have unit L2 norm (or be all-zero) within 1e-6.
     """
 
     descriptors: np.ndarray
@@ -105,9 +114,7 @@ class DescriptorSet:
         self.labels = _as_ids(self.labels, n, "labels")
         self.sequence_ids = _as_ids(self.sequence_ids, n, "sequence_ids")
         if self.tiers is not None:
-            self.tiers = np.asarray(self.tiers, dtype=np.uint8)
-            if self.tiers.shape != (n,):
-                raise ShapeError(f"tiers must have shape ({n},), got {self.tiers.shape}")
+            self.tiers = _as_tiers(self.tiers, n)
         if self.normalized and n:
             if not _unit_or_zero(np.linalg.norm(self.descriptors, axis=1)):
                 raise ConfigError("normalized flag set but rows are not unit/zero norm")
@@ -186,12 +193,15 @@ def load_patches(path: str) -> PatchDataset:
     seq = r.array("<u4", n, "sequence ids")
     tiers = r.array("<u1", n, "tier codes")
     r.expect_end()
-    return PatchDataset(
-        patches=pixels.reshape(n, PATCH_SIZE, PATCH_SIZE),
-        labels=labels.astype(np.int64),
-        sequence_ids=seq.astype(np.int64),
-        tiers=tiers.copy(),
-    )
+    try:
+        return PatchDataset(
+            patches=pixels.reshape(n, PATCH_SIZE, PATCH_SIZE),
+            labels=labels.astype(np.int64),
+            sequence_ids=seq.astype(np.int64),
+            tiers=tiers.copy(),
+        )
+    except ConfigError as exc:  # a tier code outside TIER_NAMES
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +249,16 @@ def load_descriptors(path: str) -> DescriptorSet:
     desc = payload.astype(np.float64).reshape(n, d)
     norms = np.linalg.norm(desc, axis=1) if n else np.empty(0)
     normalized = bool(n) and _unit_or_zero(norms)
-    return DescriptorSet(
-        descriptors=desc,
-        labels=labels.astype(np.int64),
-        sequence_ids=seq.astype(np.int64),
-        tiers=tiers,
-        normalized=normalized,
-    )
+    try:
+        return DescriptorSet(
+            descriptors=desc,
+            labels=labels.astype(np.int64),
+            sequence_ids=seq.astype(np.int64),
+            tiers=tiers,
+            normalized=normalized,
+        )
+    except ConfigError as exc:  # a tier code outside TIER_NAMES
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

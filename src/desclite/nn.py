@@ -437,24 +437,28 @@ def load_model(path: str) -> MlpModel:
     output_dim = r.u32("output dim")
     n_layers = r.u32("layer count")
     layers = []
+    # each layer is built only once its payload has been read, so a file
+    # that declares more than it holds fails before anything of that size
+    # is allocated
     for li in range(n_layers):
         tag = r.u8(f"layer {li} kind")
         if tag == _KIND_TAGS["linear"]:
             in_dim = r.u32("linear in dim")
             out_dim = r.u32("linear out dim")
+            weight = r.array("<f8", in_dim * out_dim, "weights")
+            bias = r.array("<f8", out_dim, "bias")
             layer = Linear(in_dim, out_dim)
-            layer.weight = r.array("<f8", in_dim * out_dim, "weights").reshape(
-                in_dim, out_dim).astype(DTYPE)
-            layer.bias = r.array("<f8", out_dim, "bias").astype(DTYPE)
+            layer.weight = weight.reshape(in_dim, out_dim).astype(DTYPE)
+            layer.bias = bias.astype(DTYPE)
         elif tag == _KIND_TAGS["relu"]:
             layer = ReLU()
         elif tag == _KIND_TAGS["batchnorm"]:
             width = r.u32("batchnorm width")
+            stats = [r.array("<f8", width, what)
+                     for what in ("gamma", "beta", "running mean", "running var")]
             layer = BatchNorm(width)
-            layer.gamma = r.array("<f8", width, "gamma").astype(DTYPE)
-            layer.beta = r.array("<f8", width, "beta").astype(DTYPE)
-            layer.running_mean = r.array("<f8", width, "running mean").astype(DTYPE)
-            layer.running_var = r.array("<f8", width, "running var").astype(DTYPE)
+            layer.gamma, layer.beta, layer.running_mean, layer.running_var = (
+                a.astype(DTYPE) for a in stats)
         elif tag == _KIND_TAGS["l2norm"]:
             layer = L2Normalize()
         else:

@@ -147,12 +147,13 @@ def l2_normalize_rows(x: np.ndarray):
 
 
 def sym_eigen(a) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by LAPACK `eigh`.
+    """Full eigendecomposition of a symmetric matrix by LAPACK `eigh`, the one
+    path for every size: a 0x0 matrix gives empty arrays, and an all-zero one
+    zero eigenvalues with the identity as eigenvectors.
 
     The input must be symmetric to within 1e-9 and is symmetrized as
-    (A + A^T)/2 first. A 0x0, 1x1 or all-zero matrix returns its diagonal
-    with the identity as eigenvectors. Non-finite entries raise NumericError;
-    a non-square or asymmetric matrix raises ShapeError.
+    (A + A^T)/2 first. Non-finite entries raise NumericError; a non-square
+    or asymmetric matrix raises ShapeError.
     """
     a = as_matrix(a, "a")
     n, m = a.shape
@@ -160,13 +161,6 @@ def sym_eigen(a) -> EigenDecomposition:
         raise ShapeError(f"sym_eigen: matrix must be square, got {a.shape}")
     if n and np.abs(a - a.T).max() > 1e-9:
         raise ShapeError("sym_eigen: matrix is not symmetric within 1e-9")
-    s = (a + a.T) / 2.0
-    if n <= 1 or not s.any():
-        return _sorted_eigen(np.diag(s).copy(), np.eye(n))
-    vals, vecs = np.linalg.eigh(s)
-    return _sorted_eigen(vals, vecs)
-
-
-def _sorted_eigen(vals: np.ndarray, vecs: np.ndarray) -> EigenDecomposition:
+    vals, vecs = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-vals, kind="stable")
     return EigenDecomposition(eigenvalues=vals[order], eigenvectors=vecs[:, order])

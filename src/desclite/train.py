@@ -219,8 +219,6 @@ def _train_ss(train_set: DescriptorSet, cfg: TrainConfig, log_fn) -> MlpModel:
     if n < 2:
         raise ConfigError(f"need at least 2 training rows, got {n}")
     k = cfg.k if cfg.k is not None else min(100_000, max(1, n // 4))
-    if k > n:
-        raise ConfigError(f"cluster count k={k} exceeds dataset size {n}")
 
     encoder = build_encoder(train_set.dim, cfg.target_dim, cfg.hidden_sizes,
                             seed=cfg.seed)

@@ -197,6 +197,21 @@ class TestTrain:
         assert set(tmp_path.iterdir()) == before
         assert "alpha and beta must be >= 0" in capsys.readouterr().err
 
+    def test_more_clusters_than_rows_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        patches, described = tmp_path / "p.dpt", tmp_path / "d.ddr"
+        assert main(["synth", "--classes", "20", "--per-class", "4", "-o", str(patches)]) == 0
+        assert main(["describe", str(patches), "-o", str(described)]) == 0
+        capsys.readouterr()
+        before = set(tmp_path.iterdir())
+        assert main(["train", str(described), "--scheme", "ss", "--k", "1000",
+                     "--dim", "8", "--hidden", "16", "--epochs", "1",
+                     "--log", str(tmp_path / "train.log"), "-o", str(tmp_path / "m.dnn"),
+                     "-m", str(tmp_path / "m.manifest")]) == EXIT_CONFIG
+        assert set(tmp_path.iterdir()) == before
+        captured = capsys.readouterr()
+        assert "k=1000 exceeds the number of points (80)" in captured.err
+        assert captured.out == ""
+
     def test_manifest_records_the_resolved_config(self, tmp_path, descriptor_file, capsys):
         manifest = tmp_path / "m.manifest"
         assert main(["train", str(descriptor_file), "--scheme", "sv", "--dim", "8",
@@ -434,6 +449,35 @@ class TestReduce:
         save_descriptors(DescriptorSet(np.zeros((0, 128)), [], []), str(empty))
         assert main(["reduce", str(empty), "--model", str(model), "-o", str(reduced)]) == 0
         assert load_descriptors(str(reduced)).descriptors.shape == (0, 8)
+
+class TestBadTierCode:
+    """A tier code outside TIER_NAMES in an input file is a format error."""
+
+    def _exits_2_and_writes_nothing(self, tmp_path, argv, bad, capsys):
+        capsys.readouterr()
+        before = set(tmp_path.iterdir())
+        assert main(argv + ["-o", str(tmp_path / "out.bin"),
+                            "-m", str(tmp_path / "out.manifest")]) == EXIT_FORMAT
+        assert set(tmp_path.iterdir()) == before
+        captured = capsys.readouterr()
+        assert f"{bad}: tier code " in captured.err
+        assert captured.out == ""
+
+    def test_a_patch_file_exits_2_in_describe(self, tmp_path, patch_file, capsys):
+        patch_file.write_bytes(patch_file.read_bytes()[:-1] + bytes([9]))
+        self._exits_2_and_writes_nothing(tmp_path, ["describe", str(patch_file)],
+                                         patch_file, capsys)
+
+    @pytest.mark.parametrize("command", ["reduce", "verification", "matching", "retrieval"])
+    def test_a_descriptor_file_exits_2(self, tmp_path, descriptor_file, command, capsys):
+        model = tmp_path / "pca.dpc"
+        assert main(["fit-pca", str(descriptor_file), "--dim", "8", "-o", str(model)]) == 0
+        descriptor_file.write_bytes(descriptor_file.read_bytes()[:-1] + bytes([7]))
+        argv = (["reduce", str(descriptor_file), "--model", str(model)]
+                if command == "reduce" else
+                ["eval", str(descriptor_file), "--task", command])
+        self._exits_2_and_writes_nothing(tmp_path, argv, descriptor_file, capsys)
+
 
 class TestEval:
     @pytest.mark.parametrize("task", ["verification", "matching", "retrieval"])

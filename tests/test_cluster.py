@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from desclite import cluster
 from desclite.cluster import KMeansModel, _plus_plus_init, kmeans_fit
 from desclite.errors import ConfigError
 
@@ -203,8 +204,9 @@ def _reference_kmeans_fit(x, k, max_iters=50, seed=0):
     init = _reference_plus_plus_init(x, k, np.random.default_rng(seed))
     centroids, assignments, objective, iterations, history = \
         _reference_lloyd(x, init, k, max_iters)
+    assert iterations == len(history)  # one history entry per pass
     return KMeansModel(centroids=centroids, assignments=assignments, objective=objective,
-                       iterations_run=iterations, objective_history=history)
+                       objective_history=history)
 
 
 def _assert_same_model(got, want):
@@ -277,18 +279,23 @@ class TestReferenceOracle:
         for k in (2, 7):
             _assert_same_model(kmeans_fit(x, k, seed=5), _reference_kmeans_fit(x, k, seed=5))
 
-    def test_iteration_cap(self):
+    @pytest.mark.parametrize("max_iters", [1, 2])
+    def test_iteration_cap(self, monkeypatch, max_iters):
         x = np.random.default_rng(32).standard_normal((80, 4))
-        for max_iters in (0, 1, 2):
-            _assert_same_model(kmeans_fit(x, 6, max_iters=max_iters, seed=6),
-                               _reference_kmeans_fit(x, 6, max_iters=max_iters, seed=6))
+        monkeypatch.setattr(cluster, "MAX_ITERS", max_iters)
+        model = kmeans_fit(x, 6, seed=6)
+        assert model.iterations_run == max_iters
+        _assert_same_model(model, _reference_kmeans_fit(x, 6, max_iters=max_iters, seed=6))
 
     def test_descriptor_sized_set(self):
         # the benchmark's shape: 2,100 training rows of 128-D, k = 50;
-        # unclustered skewed data keeps Lloyd going for about 25 iterations
+        # unclustered skewed data keeps Lloyd going for 29 passes; the last
+        # repeats the one before it, so the reference's assignment-equality
+        # stop and kmeans_fit's objective rule end on the same pass
         x = np.random.default_rng(33).standard_normal((2100, 128)) ** 2
         model = kmeans_fit(x, 50, seed=7)
-        assert model.iterations_run > 10
+        assert model.iterations_run == 29
+        assert model.objective_history[-1] == model.objective_history[-2]
         _assert_same_model(model, _reference_kmeans_fit(x, 50, seed=7))
 
 

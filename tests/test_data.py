@@ -412,6 +412,15 @@ class TestDescriptorFiles:
         save_descriptors(dset, path)
         assert load_descriptors(path).normalized
 
+    def test_a_tier_code_out_of_range_is_a_format_error(self, tmp_path):
+        path = tmp_path / "t.ddr"
+        save_descriptors(extract_descriptors(generate_synthetic(3, 2, seed=5)), str(path))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1] + bytes([7]))  # the last row's tier code
+        with pytest.raises(FormatError) as exc:
+            load_descriptors(str(path))
+        assert str(exc.value) == f"{path}: tier code 7 out of range"
+
     def test_described_set_keeps_flag_and_bits_through_a_file(self, tmp_path):
         described = extract_descriptors(generate_synthetic(5, 4, seed=6))
         assert described.normalized
@@ -442,6 +451,14 @@ class TestPatchFiles:
         path.write_bytes(raw[:-3])
         with pytest.raises(FormatError):
             load_patches(str(path))
+
+    def test_a_tier_code_out_of_range_is_a_format_error(self, tmp_path):
+        path = tmp_path / "p.dpt"
+        save_patches(generate_synthetic(3, 2, seed=5), str(path))
+        path.write_bytes(path.read_bytes()[:-1] + bytes([9]))  # the last patch's tier code
+        with pytest.raises(FormatError) as exc:
+            load_patches(str(path))
+        assert str(exc.value) == f"{path}: tier code 9 out of range"
 
 
 class TestSplitDataset:
@@ -521,3 +538,11 @@ class TestValidation:
                 sequence_ids=[0, 0],
                 tiers=[0, 0],
             )
+
+    @pytest.mark.parametrize("code", [3, 255, 256, -1])
+    def test_both_containers_refuse_a_tier_code_out_of_range(self, code):
+        tiers = np.array([0, code])  # int64, so 256 would wrap to 0 as uint8
+        with pytest.raises(ConfigError, match=f"tier code {code} out of range"):
+            PatchDataset(np.zeros((2, 32, 32), np.uint8), [0, 1], [0, 0], tiers)
+        with pytest.raises(ConfigError, match=f"tier code {code} out of range"):
+            DescriptorSet(np.zeros((2, 4)), [0, 1], [0, 0], tiers=tiers[::-1])

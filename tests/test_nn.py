@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -475,6 +478,24 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(FormatError):
             load_model(str(path))
+
+    @pytest.mark.parametrize("kind,dims", [("linear", (4096, 4096)), ("batchnorm", (1 << 24,))])
+    def test_a_truncated_layer_allocates_nothing_of_its_declared_size(self, tmp_path,
+                                                                      kind, dims):
+        # a 4096 x 4096 linear (128 MB as float64) or a batchnorm of width
+        # 2^24, declared by a file that holds 9 bytes of payload
+        tag = {"linear": 1, "batchnorm": 3}[kind]
+        path = tmp_path / "m.dnn"
+        path.write_bytes(b"DNN1" + bytes([1]) + struct.pack("<3I", dims[0], dims[-1], 1)
+                         + bytes([tag]) + struct.pack(f"<{len(dims)}I", *dims) + bytes(9))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                load_model(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _reference_eval_forward(model, x):

@@ -68,9 +68,21 @@ class TestSymEigen:
             sym_eigen([[1.0, 2.0], [0.0, 1.0]])
 
     def test_zero_matrix(self):
-        eig = sym_eigen(np.zeros((3, 3)))
-        assert np.array_equal(eig.eigenvalues, np.zeros(3))
-        assert np.array_equal(eig.eigenvectors, np.eye(3))
+        # zero eigenvalues and the identity, bit for bit: no negative zeros
+        for n in (1, 3, 64, 128):
+            eig = sym_eigen(np.zeros((n, n)))
+            assert eig.eigenvalues.tobytes() == np.zeros(n).tobytes()
+            assert eig.eigenvectors.tobytes() == np.eye(n).tobytes()
+
+    def test_empty_matrix(self):
+        eig = sym_eigen(np.zeros((0, 0)))
+        assert eig.eigenvalues.shape == (0,) and eig.eigenvalues.dtype == np.float64
+        assert eig.eigenvectors.shape == (0, 0) and eig.eigenvectors.dtype == np.float64
+
+    def test_one_by_one(self):
+        eig = sym_eigen([[3.5]])
+        assert eig.eigenvalues.tolist() == [3.5]
+        assert eig.eigenvectors.tolist() == [[1.0]]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
