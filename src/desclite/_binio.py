@@ -67,10 +67,15 @@ def check_u32(values: np.ndarray, what: str) -> None:
 
 
 def write_atomic(path: str, payload: bytes) -> None:
-    """Write to a temp file in the target directory, then rename into place."""
+    """Write to a temp file in the target directory, then rename into place.
+    The file gets the mode `open` would give a new file, 0o666 less the
+    umask, rather than mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
+        umask = os.umask(0)  # os.umask reads the mask only by setting one
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)

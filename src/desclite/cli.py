@@ -4,10 +4,11 @@ Subcommands: synth, describe, fit-pca, train, reduce, eval, sweep.
 
 Exit codes: 1 usage, 2 file-format or dimension errors, 3 numeric errors,
 4 configuration errors. Output files are written to a temp file and renamed
-into place, so failures leave no partial artifacts. The manifest (-m) is
-written last, before anything is printed; if that write fails, the
-command's other outputs are removed and nothing is printed. All randomness
-flows from --seed; subsystem seeds are derived from it by fixed offsets.
+into place, so failures leave no partial artifacts, and get the mode of a
+new file under the umask. The manifest (-m) is written last, before
+anything is printed; if that write fails, the command's other outputs are
+removed and nothing is printed. All randomness flows from --seed, a
+non-negative integer; subsystem seeds are derived from it by fixed offsets.
 
 Optional per-command config files are flat `key=value` lines (`#` comments);
 explicit flags win over config-file values, and a key the command does not
@@ -112,6 +113,13 @@ def _parse_bool(raw: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _parse_ints(raw: str):
@@ -384,7 +392,7 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--tiers", default=",".join(TIER_NAMES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("-m", "--manifest")
     p.set_defaults(func=_cmd_synth)
@@ -420,7 +428,7 @@ def build_parser() -> _Parser:
     p.add_argument("--distance-loss-on-positives", action="store_const", const=True)
     p.add_argument("--k", type=int)
     p.add_argument("--recluster-period", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--log", help="write the line-oriented training log here")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("-m", "--manifest")
@@ -440,7 +448,7 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--pairs-per-tier", type=int, default=1000)
     p.add_argument("--distractors", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output")
     p.add_argument("-m", "--manifest")
     p.set_defaults(func=_cmd_eval)
@@ -454,7 +462,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", type=_parse_ints, default="96,128,256,512,1024")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--output")
     p.add_argument("-m", "--manifest")
     p.set_defaults(func=_cmd_sweep)

@@ -34,12 +34,6 @@ def tier_code(name: str) -> int:
         raise ConfigError(f"unknown noise tier {name!r}, expected one of {TIER_NAMES}") from None
 
 
-def tier_name(code: int) -> str:
-    if not 0 <= code < len(TIER_NAMES):
-        raise ConfigError(f"tier code {code} out of range")
-    return TIER_NAMES[code]
-
-
 def _as_ids(values, n: int, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.int64)
     if arr.shape != (n,):

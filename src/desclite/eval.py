@@ -1,5 +1,6 @@
 """Patch verification, image matching and patch retrieval, reported as mean
-average precision with a per-noise-tier breakdown.
+average precision with a per-noise-tier breakdown. A set without tier codes
+(a DDR1 file without the tier trailer) is one tier, named `all`.
 
 Protocol notes (simplified HPatches analogue, desk scale):
   verification — seeded balanced positive/negative pairs per tier, scored by
@@ -80,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DescriptorSet, LabelIndex, tier_name
+from .data import TIER_NAMES, DescriptorSet, LabelIndex
 from .errors import ConfigError
 from .numerics import as_matrix, pairwise_distance_matrix, row_norms
 
@@ -133,20 +134,26 @@ def average_precision(ranked_relevance) -> float:
     return float((precision_at * rel).sum() / total)
 
 
-def _ranked_relevance(distances: np.ndarray, relevant: np.ndarray,
-                      tie_index: np.ndarray) -> np.ndarray:
-    order = np.lexsort((tie_index, distances))
-    return relevant[order]
+def _ap_by_distance(distances: np.ndarray, relevant: np.ndarray) -> float:
+    """AP of `relevant` ranked by ascending distance, ties by position."""
+    return average_precision(relevant[np.argsort(distances, kind="stable")])
 
 
-def _mean_by_tier(values: np.ndarray, codes) -> dict:
+def _tiers(dset: DescriptorSet):
+    """Each row's tier code and the names the codes index. An untiered set
+    is one tier named `all`: every row has code 0 and the names are
+    ("all",)."""
+    if dset.tiers is None:
+        return np.zeros(len(dset), np.uint8), ("all",)
+    return dset.tiers, TIER_NAMES
+
+
+def _mean_by_tier(values: np.ndarray, codes, names) -> dict:
     """Mean of `values` per tier name, tiers in order of first appearance;
-    `codes` holds one tier code per value, or is None for an untiered set."""
-    if codes is None:
-        return {"all": float(np.mean(values))}
+    `codes` holds one tier code per value, an index into `names`."""
     codes = np.asarray(codes)
     present, first = np.unique(codes, return_index=True)
-    return {tier_name(int(code)): float(np.mean(values[codes == code]))
+    return {names[code]: float(np.mean(values[codes == code]))
             for code in present[np.argsort(first)]}
 
 
@@ -206,15 +213,17 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
     if np.sum(counts >= 2) < 2:
         raise ConfigError("verification needs >= 2 classes with >= 2 patches each")
     rng = np.random.default_rng(seed)
-    codes = dset.tiers if dset.tiers is not None else np.zeros(len(dset), np.uint8)
-    tiers_present = np.unique(codes).tolist()
+    tiers, names = _tiers(dset)
 
-    first, second, pair_rel, pair_tier = [], [], [], []
+    # pairs are pooled tier by tier, so each tier's pairs are one span,
+    # recorded as (name, lo, hi, positives drawn)
+    first, second, pair_rel, spans = [], [], [], []
     pairs_by_tier = {}
-    for code in tiers_present:
-        name = "all" if dset.tiers is None else tier_name(code)
-        tier_rows = np.flatnonzero(codes == code)
-        eligible_rows = np.flatnonzero(codes <= code)
+    hi = 0
+    for code in np.unique(tiers):
+        name = names[code]
+        tier_rows = np.flatnonzero(tiers == code)
+        eligible_rows = np.flatnonzero(tiers <= code)
         eligible = LabelIndex(eligible_rows, label_codes[eligible_rows], len(classes))
         tier_slots = eligible.slot[np.searchsorted(eligible_rows, tier_rows)]
         drawn = []
@@ -225,7 +234,8 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
             second.append(j)
             pair_rel.append(np.full(len(i), float(positive)))
             drawn.append(len(i))
-        pair_tier.append(np.full(sum(drawn), code))
+        lo, hi = hi, hi + sum(drawn)
+        spans.append((name, lo, hi, drawn[0]))
         pairs_by_tier[name] = {"requested": pairs_per_tier, "positive": drawn[0],
                                "negative": drawn[1]}
         if min(drawn) < pairs_per_tier:
@@ -240,21 +250,11 @@ def eval_verification(dset: DescriptorSet, pairs_per_tier: int = 1000,
 
     dist = row_norms(x[np.concatenate(first)] - x[np.concatenate(second)])
     rel = np.concatenate(pair_rel)
-    tier_arr = np.concatenate(pair_tier)
-    idx = np.arange(len(dist))
-    overall = average_precision(_ranked_relevance(dist, rel, idx))
-    by_tier = {}
-    for code in tiers_present:
-        mask = tier_arr == code
-        if rel[mask].sum() > 0:
-            name = "all" if dset.tiers is None else tier_name(code)
-            by_tier[name] = average_precision(
-                _ranked_relevance(dist[mask], rel[mask], idx[mask])
-            )
     return EvalReport(
         task="verification",
-        map_overall=overall,
-        map_by_tier=by_tier,
+        map_overall=_ap_by_distance(dist, rel),
+        map_by_tier={name: _ap_by_distance(dist[lo:hi], rel[lo:hi])
+                     for name, lo, hi, positives in spans if positives},
         num_queries=len(dist),
         num_skipped=0,
         config={"pairs_per_tier": pairs_per_tier, "seed": seed, "dim": dset.dim},
@@ -319,6 +319,7 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
         raise ConfigError("matching needs a reference plus >= 1 target sequence")
     ref_id = int(seqs.min())
     ref_rows = np.flatnonzero(dset.sequence_ids == ref_id)
+    tiers, names = _tiers(dset)
     aps = []
     pair_codes = []
     skipped = 0
@@ -338,11 +339,9 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
         correct = (
             dset.labels[tgt_rows][nn] == dset.labels[use_ref]
         ).astype(np.float64)
-        ranked = _ranked_relevance(nn_dist, correct, np.arange(len(use_ref)))
         # AP is undefined with no relevant item; an all-wrong pair scores 0
-        aps.append(average_precision(ranked) if correct.any() else 0.0)
-        if dset.tiers is not None:
-            pair_codes.append(int(np.bincount(dset.tiers[tgt_rows]).argmax()))
+        aps.append(_ap_by_distance(nn_dist, correct) if correct.any() else 0.0)
+        pair_codes.append(np.bincount(tiers[tgt_rows]).argmax())
     if not aps:
         raise ConfigError(
             f"matching: no target sequence shares a label with reference sequence {ref_id}"
@@ -351,7 +350,7 @@ def eval_matching(dset: DescriptorSet, seed: int = 0) -> EvalReport:
     return EvalReport(
         task="matching",
         map_overall=float(np.mean(aps)),
-        map_by_tier=_mean_by_tier(aps, pair_codes if dset.tiers is not None else None),
+        map_by_tier=_mean_by_tier(aps, pair_codes, names),
         num_queries=len(aps),
         num_skipped=skipped,
         num_zero_ap=int(np.sum(aps == 0.0)),
@@ -476,6 +475,7 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
     if len(classes) < 2:
         raise ConfigError("retrieval needs >= 2 classes")
     rng = np.random.default_rng(seed)
+    tiers, names = _tiers(dset)
     n = len(dset)
     index = LabelIndex(np.arange(n), codes, len(classes))
     queries = np.flatnonzero(counts[codes] >= 2)
@@ -542,7 +542,7 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
     return EvalReport(
         task="retrieval",
         map_overall=float(np.mean(aps)),
-        map_by_tier=_mean_by_tier(aps, None if dset.tiers is None else dset.tiers[queries]),
+        map_by_tier=_mean_by_tier(aps, tiers[queries], names),
         num_queries=len(aps),
         num_skipped=n - len(queries),
         config={"distractors_per_query": distractors_per_query, "seed": seed,

@@ -7,7 +7,7 @@ file whose d is not in [1, D], as `fit_pca` does, with a FormatError.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,19 +68,14 @@ def fit_pca(train: DescriptorSet, d: int) -> PcaModel:
 
 def pca_transform(model: PcaModel, dset: DescriptorSet) -> DescriptorSet:
     """Project rows onto the basis after centering, then always L2-normalize
-    them (a zero row stays zero), as the MLP embeddings are."""
+    them (a zero row stays zero), as the MLP embeddings are. The result
+    shares the source's label, sequence-id and tier arrays."""
     if dset.dim != model.input_dim:
         raise ShapeError(
             f"descriptor dim {dset.dim} does not match PCA input dim {model.input_dim}"
         )
     z, _, _ = l2_normalize_rows((dset.descriptors - model.mean) @ model.basis)
-    return DescriptorSet(
-        descriptors=z,
-        labels=dset.labels.copy(),
-        sequence_ids=dset.sequence_ids.copy(),
-        tiers=None if dset.tiers is None else dset.tiers.copy(),
-        normalized=True,
-    )
+    return replace(dset, descriptors=z, normalized=True)
 
 
 def save_pca(model: PcaModel, path: str) -> None:

@@ -89,6 +89,9 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
         if cfg.batch_size < 2:  # batchnorm statistics and triplet mining need 2 rows
             raise ConfigError(f"batch_size must be >= 2, got {cfg.batch_size}")
+        for name in ("learning_rate", "margin", "alpha", "beta"):
+            if not np.isfinite(getattr(cfg, name)):  # NaN passes every check below
+                raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
         if cfg.learning_rate <= 0 or cfg.margin < 0:
             raise ConfigError("learning_rate must be > 0 and margin >= 0")
         if cfg.alpha < 0 or cfg.beta < 0:  # a negative weight rewards distorted distances
@@ -307,13 +310,7 @@ def train(train_set: DescriptorSet, config: TrainConfig, log_fn=None) -> MlpMode
 
 def reduce(encoder: MlpModel, dset: DescriptorSet) -> DescriptorSet:
     """Project a descriptor set through an encoder: unit or zero rows.
-    `project` refuses a set of another width with a ShapeError."""
-    out = project(encoder, dset.descriptors)
-    return DescriptorSet(
-        descriptors=out,
-        labels=dset.labels.copy(),
-        sequence_ids=dset.sequence_ids.copy(),
-        tiers=None if dset.tiers is None else dset.tiers.copy(),
-        normalized=True,
-    )
+    `project` refuses a set of another width with a ShapeError. The result
+    shares the source's label, sequence-id and tier arrays."""
+    return replace(dset, descriptors=project(encoder, dset.descriptors), normalized=True)
 

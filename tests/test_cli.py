@@ -1,5 +1,7 @@
 """End-to-end tests of the `desclite` command line, run through `cli.main`."""
 import argparse
+import os
+import stat
 import struct
 from dataclasses import replace
 
@@ -326,6 +328,29 @@ class TestTrain:
         assert "unknown train keys alhpa, epoch, seed" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key,field", [("lr", "learning_rate"), ("margin", "margin"),
+                                           ("alpha", "alpha"), ("beta", "beta")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_non_finite_setting_exits_4_and_writes_nothing(
+            self, tmp_path, descriptor_file, source, key, field, value, capsys):
+        # NaN passes every comparison of the range checks, and inf trains
+        # to an infinite loss
+        config = tmp_path / "train.cfg"
+        config.write_text(f"{key}={value}\n")
+        setting = [f"--{key}", value] if source == "flag" else ["--config", str(config)]
+        before = set(tmp_path.iterdir())
+        assert main(["train", str(descriptor_file), "--scheme",
+                     "us" if key == "alpha" else "sv", "--use-distance-loss",
+                     "--dim", "8", "--hidden", "16", "--epochs", "1", "--batch-size", "4",
+                     *setting, "--log", str(tmp_path / "train.log"),
+                     "-o", str(tmp_path / "m.dnn"),
+                     "-m", str(tmp_path / "m.manifest")]) == EXIT_CONFIG
+        assert set(tmp_path.iterdir()) == before
+        captured = capsys.readouterr()
+        assert f"{field} must be finite, got {value}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("bad", ["log", "model"])
     def test_a_failed_write_leaves_neither_log_nor_model(self, tmp_path, descriptor_file,
                                                          bad, capsys):
@@ -516,6 +541,68 @@ class TestEval:
             main(["eval", str(descriptor_file), "--task", "matching", "--no-such-flag"])
         assert stop.value.code == EXIT_USAGE
         assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+    def test_an_untiered_file_reports_one_tier_named_all(self, tmp_path, descriptor_file,
+                                                         capsys):
+        # a DDR1 file without the tier trailer
+        dset = load_descriptors(str(descriptor_file))
+        untiered = tmp_path / "untiered.ddr"
+        save_descriptors(DescriptorSet(dset.descriptors, dset.labels, dset.sequence_ids),
+                         str(untiered))
+        assert untiered.stat().st_size == descriptor_file.stat().st_size - len(dset)
+        for task in ("verification", "matching", "retrieval"):
+            report = tmp_path / f"{task}.txt"
+            assert main(["eval", str(untiered), "--task", task, "-o", str(report)]) == 0
+            lines = report.read_text().splitlines()
+            assert any(line.startswith("tier.all.map=") for line in lines), task
+            assert all(line.startswith("tier.all.") for line in lines
+                       if line.startswith("tier.")), task
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "sweep"])
+def test_a_negative_seed_exits_1_and_writes_nothing(tmp_path, descriptor_file, command,
+                                                     capsys):
+    small = ["--dim", "8", "--epochs", "1", "--batch-size", "4"]
+    argv = {
+        "synth": ["synth", "--classes", "4", "--per-class", "2"],
+        "train": ["train", str(descriptor_file), "--hidden", "16", *small],
+        "eval": ["eval", str(descriptor_file), "--task", "verification"],
+        "sweep": ["sweep", str(descriptor_file), str(descriptor_file), "--layers", "0",
+                  *small],
+    }[command]
+    capsys.readouterr()
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--seed", "-1", "-o", str(tmp_path / "out.bin"),
+                     "-m", str(tmp_path / "out.manifest")])
+    assert stop.value.code == EXIT_USAGE
+    assert set(tmp_path.iterdir()) == before
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: desclite ")
+    assert "argument --seed: must be a non-negative integer, got -1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_outputs_get_the_mode_of_a_new_file(tmp_path, umask, mode, monkeypatch, capsys):
+    # each writer goes through one atomic write: patches, descriptors, both
+    # model formats, the training log, a report and the manifests
+    monkeypatch.chdir(tmp_path)
+    old = os.umask(umask)
+    try:
+        for argv in (["synth", "--classes", "6", "--per-class", "4", "-o", "p.dpt"],
+                     ["describe", "p.dpt", "-o", "d.ddr"],
+                     ["fit-pca", "d.ddr", "--dim", "8", "-o", "pca.dpc"],
+                     ["train", "d.ddr", "--dim", "8", "--hidden", "16", "--epochs", "1",
+                      "--batch-size", "4", "--log", "train.log", "-o", "sv.dnn"],
+                     ["eval", "d.ddr", "--task", "matching", "-o", "report.txt"]):
+            assert main(argv + ["-m", f"{argv[0]}.manifest"]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert len(modes) == 11
+    assert modes == dict.fromkeys(modes, mode)
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

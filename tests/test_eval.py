@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from desclite import eval as ev
-from desclite.data import DescriptorSet, LabelIndex, save_descriptors, tier_name
+from desclite.data import TIER_NAMES, DescriptorSet, LabelIndex, save_descriptors
 from desclite.errors import ConfigError, NumericError
 from desclite.eval import (
     EvalReport,
@@ -307,7 +307,7 @@ class TestInvariances:
 # Matching's config leaves out the seed, which matching never used.
 
 def _reference_tier_of(dset, row):
-    return "all" if dset.tiers is None else tier_name(int(dset.tiers[row]))
+    return "all" if dset.tiers is None else TIER_NAMES[int(dset.tiers[row])]
 
 
 def _reference_ranked(distances, relevant, tie_index):
@@ -362,14 +362,14 @@ def _reference_verification(dset, pairs_per_tier, seed):
                 pair_dist.append(float(np.linalg.norm(dset.descriptors[i] - dset.descriptors[j])))
                 pair_rel.append(float(positive))
                 pair_tier.append(code)
-        pairs_by_tier["all" if dset.tiers is None else tier_name(code)] = counts
+        pairs_by_tier["all" if dset.tiers is None else TIER_NAMES[code]] = counts
     dist, rel, tier_arr = np.asarray(pair_dist), np.asarray(pair_rel), np.asarray(pair_tier)
     idx = np.arange(len(dist))
     by_tier = {}
     for code in tiers_present:
         mask = tier_arr == code
         if rel[mask].sum() > 0:
-            name = "all" if dset.tiers is None else tier_name(code)
+            name = "all" if dset.tiers is None else TIER_NAMES[code]
             by_tier[name] = average_precision(_reference_ranked(dist[mask], rel[mask], idx[mask]))
     return EvalReport(
         task="verification",
@@ -411,7 +411,7 @@ def _reference_matching(dset):
         if dset.tiers is None:
             tiers_of_pairs.append("all")
         else:
-            tiers_of_pairs.append(tier_name(int(np.bincount(dset.tiers[tgt_rows]).argmax())))
+            tiers_of_pairs.append(TIER_NAMES[int(np.bincount(dset.tiers[tgt_rows]).argmax())])
     by_tier = {}
     for name, ap in zip(tiers_of_pairs, aps):
         by_tier.setdefault(name, []).append(ap)
@@ -587,22 +587,27 @@ def test_matching_ignores_the_seed():
     assert "seed" not in a.config
 
 
-def test_verification_warns_on_a_short_tier():
-    # the two tough rows are the only rows of their labels: the tier draws
-    # negatives but no positive, so it has no AP of its own
-    labels = np.array([0, 0, 1, 1, 2, 3])
-    tiers = np.array([0, 0, 0, 0, 2, 2], dtype=np.uint8)
-    x = np.random.default_rng(3).standard_normal((6, 4))
-    dset = make_set(x, labels, tiers=tiers)
+@pytest.mark.parametrize("labels,tiers,short,scored", [
+    # the two tough rows are the only rows of their labels
+    ([0, 0, 1, 1, 2, 3], [0, 0, 0, 0, 2, 2], "tough", ["easy"]),
+    # the hard rows are the only rows of their labels among the rows no
+    # noisier than them, and tough's pairs come after hard's in the pool
+    ([0, 0, 1, 1, 2, 3, 0, 1, 4, 4], [0, 0, 0, 0, 1, 1, 2, 2, 2, 2], "hard",
+     ["easy", "tough"]),
+])
+def test_verification_warns_on_a_short_tier(labels, tiers, short, scored):
+    # the short tier draws negatives but no positive, so it has no AP of its own
+    x = np.random.default_rng(3).standard_normal((len(labels), 4))
+    dset = make_set(x, np.array(labels), tiers=np.array(tiers, dtype=np.uint8))
     with pytest.warns(RuntimeWarning) as caught:
         report = eval_verification(dset, pairs_per_tier=10, seed=5)
     messages = [str(w.message) for w in caught]
     assert messages == [
-        "verification: tier tough drew 0 positive and 10 negative pairs of 10 requested each",
-        "verification: tier tough has no positive pairs; left out of map_by_tier",
+        f"verification: tier {short} drew 0 positive and 10 negative pairs of 10 requested each",
+        f"verification: tier {short} has no positive pairs; left out of map_by_tier",
     ]
-    assert set(report.map_by_tier) == {"easy"}
-    assert report.num_queries == 30
+    assert list(report.map_by_tier) == scored
+    assert report.num_queries == 20 * len(scored) + 10
     assert report == _reference_verification(dset, 10, 5)
 
 

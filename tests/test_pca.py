@@ -144,13 +144,21 @@ class TestPcaTransform:
         assert np.all((np.abs(norms - 1) <= 1e-6) | (norms == 0))
         assert out.normalized
 
-    def test_labels_carried(self):
+    @pytest.mark.parametrize("tiered", [True, False])
+    def test_labels_carried(self, tiered):
         rng = np.random.default_rng(3)
-        dset = random_set(rng, n=12, dim=4)
-        model = fit_pca(dset, 2)
-        out = pca_transform(model, dset)
+        dset = DescriptorSet(descriptors=rng.standard_normal((12, 4)),
+                             labels=rng.integers(0, 5, size=12),
+                             sequence_ids=rng.integers(0, 3, size=12),
+                             tiers=rng.integers(0, 3, size=12) if tiered else None)
+        out = pca_transform(fit_pca(dset, 2), dset)
         assert np.array_equal(out.labels, dset.labels)
         assert np.array_equal(out.sequence_ids, dset.sequence_ids)
+        if tiered:
+            assert out.tiers.dtype == np.uint8
+            assert np.array_equal(out.tiers, dset.tiers)
+        else:
+            assert out.tiers is None
 
     def test_dim_mismatch(self):
         rng = np.random.default_rng(4)

@@ -40,6 +40,21 @@ def test_the_returned_encoder_keeps_no_layer_cache(scheme):
     assert [layer._cache for layer in encoder.layers] == [None] * len(encoder.layers)
 
 
+@pytest.mark.parametrize("tiered", [True, False])
+def test_reduce_keeps_the_source_s_metadata(tiered):
+    dset = _classed_set()
+    tiers = np.arange(len(dset)) % 3 if tiered else None
+    dset = DescriptorSet(dset.descriptors, dset.labels, dset.sequence_ids, tiers)
+    out = reduce(train(dset, _config("sv")), dset)
+    assert np.array_equal(out.labels, dset.labels)
+    assert np.array_equal(out.sequence_ids, dset.sequence_ids)
+    if tiered:
+        assert out.tiers.dtype == np.uint8
+        assert np.array_equal(out.tiers, dset.tiers)
+    else:
+        assert out.tiers is None
+
+
 def test_the_returned_and_the_loaded_encoder_reduce_alike(tmp_path):
     dset = _classed_set()
     encoder = train(dset, _config("sv"))
