@@ -19,11 +19,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 import time
 from dataclasses import replace
 
-from . import __version__
+from . import __version__, numerics
 from ._binio import write_atomic
 from .data import (
     TIER_NAMES,
@@ -47,6 +48,15 @@ EXIT_CONFIG = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a token for a negative number, and so for a value
+        # rather than an option, only if it matches this; its own pattern
+        # misses "-inf" and "-1e-3", so `--lr -inf` would read as a flag
+        # with no value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -312,6 +322,7 @@ def _cmd_reduce(args) -> int:
     manifest.add("output", args.output)
     manifest.add("input_dim", model.input_dim)
     manifest.add("output_dim", model.output_dim)
+    manifest.add("workers", numerics.WORKERS)
     if len(dset):
         manifest.add("projection_us_per_descriptor",
                      f"{elapsed / len(dset) * 1e6:.3f}")
@@ -339,6 +350,7 @@ def _cmd_eval(args) -> int:
     manifest.add("input", args.input)
     manifest.add("task", args.task)
     manifest.add("map_overall", f"{report.map_overall:.6f}")
+    manifest.add("workers", numerics.WORKERS)
     manifest.emit(args.manifest, [args.output], report=text)
     return 0
 

@@ -20,7 +20,7 @@ All score ties break by stable index order, and every distance a report
 ranks or matches by is taken pair by pair (matching's float32 matrix
 products only narrow the candidates, within a proven bound), so reports are
 deterministic per (set, seed) for a fixed numpy and BLAS library, whatever
-the BLAS thread count.
+the BLAS thread count or the number of CPUs.
 
 Each task checks once, on entry, that every descriptor is finite, and
 raises NumericError if one is not.
@@ -33,35 +33,44 @@ Cost, for N rows of D dimensions:
       float32: the reference rows go through `pairwise_distance_matrix(...,
       shifted=True)` in blocks of about BLOCK_FLOATS / T rows, each
       O(rows * T * D), so a block holds about BLOCK_FLOATS float32 entries
-      (1 MiB) and never R x T, and every block reuses one buffer. A block's
-      values are |b|^2 - 2a.b, each row's squared distances less the row's
-      own |a|^2, which order a row's targets as its distances do. The
-      float32 target copy is kept in column-major order, so the sgemm reads
-      its transpose contiguously, and a block takes the sgemm (the -2 folded
-      into the operand with fewer rows), one elementwise pass that adds the
-      target norms, and the candidate filter. This search only keeps
-      candidates: each row's targets within an error bound of its float32
-      minimum (`_nearest` derives the bound), about one per row on eval
-      sets. The filter takes two reductions over the block, each row's
-      argmin and, with that entry masked, its second minimum; only a row
-      whose second minimum lies within its bound is scanned in full. The
-      kept pairs are scored again in float64, O(D) each, and the row's
-      match is the candidate at the smallest float64 distance, ties to the
-      lower target row.
+      (1 MiB) and never R x T, and every block of a part (see "two CPUs"
+      below) reuses one buffer. A block's values are |b|^2 - 2a.b, each row's
+      squared distances less the row's own |a|^2, which order a row's
+      targets as its distances do. The float32 target copy is kept in
+      column-major order, so the sgemm reads its transpose contiguously, and
+      a block takes the sgemm (the -2 folded into the operand with fewer
+      rows), one elementwise pass that adds the target norms, and the
+      candidate filter. This search only keeps candidates: each row's
+      targets within an error bound of its float32 minimum (`_nearest`
+      derives the bound), about one per row on eval sets. The filter takes
+      two reductions over the block, each row's argmin and, with that entry
+      masked, its second minimum; only a row whose second minimum lies
+      within its bound is scanned in full. The kept pairs are scored again
+      in float64, O(D) each, and the row's match is the candidate at the
+      smallest float64 distance, ties to the lower target row.
   retrieval — O(N log N) to index rows by label; K draws per query for K
       distractors, made in blocks of about BLOCK_FLOATS draws, each mapped
       to its row in O(1); then O(P * D) per query for a pool of P rows, in
       blocks of queries whose gathered rows, and whose label-mate against
       pool comparisons, hold at most BLOCK_FLOATS entries; the blocks of one
-      pool shape share one buffer of rows and one of distances. A block
-      is laid out pool-major, the p-th pool row of every query together, so
-      each pass runs over the whole block rather than over one query's D
-      entries or P pool rows at a time. It gathers its pool rows, subtracts
-      the queries and takes one dot per pair, the distance verification and
-      matching use. Ranking is O(S * P) per query for its S label-mates,
-      with no sort: a mate's rank counts the pool entries nearer than it,
-      and only the queries where a mate ties another entry also count the
-      tied entries of smaller row index.
+      pool shape in one part share one buffer of rows and one of distances.
+      A block is laid out pool-major, the p-th pool row of every query
+      together, so each pass runs over the whole block rather than over one
+      query's D entries or P pool rows at a time. It gathers its pool rows,
+      subtracts the queries and takes one dot per pair, the distance
+      verification and matching use. Ranking is O(S * P) per query for its S
+      label-mates, with no sort: a mate's rank counts the pool entries
+      nearer than it, and only the queries where a mate ties another entry
+      also count the tied entries of smaller row index.
+  two CPUs — matching's query blocks against one target sequence, and
+      retrieval's query blocks of one pool shape, go through
+      `numerics.split_rows`: with at least 2 * MIN_PART_BLOCKS blocks, the
+      blocks before the block boundary nearest the middle run on the calling
+      thread and the rest on the worker thread, each part with its own block
+      buffers and writing its own rows of the results. Fewer blocks stay on
+      the calling thread: split, the 5 retrieval blocks of 600 32-D rows
+      took no less time. A block's values depend only on its own rows, so
+      the split changes no bit.
 
 Random draws. Every draw is a public `Generator.integers` call over a whole
 array, never one call per attempt or query: verification draws all of a
@@ -83,13 +92,16 @@ import numpy as np
 
 from .data import TIER_NAMES, DescriptorSet, LabelIndex
 from .errors import ConfigError
-from .numerics import as_matrix, pairwise_distance_matrix, row_norms
+from .numerics import as_matrix, pairwise_distance_matrix, row_norms, split_rows
 
 # Entries in the largest array one block of matching or retrieval works on:
 # 2 MiB of float64 (1 MiB for matching's float32 blocks), so a block's arrays
 # stay in cache between passes (at 5,000 target rows, matching blocks hold 52
 # reference rows).
 BLOCK_FLOATS = 1 << 18
+# Blocks each part must get before matching or retrieval splits its blocks
+# over two threads (`numerics.split_rows`).
+MIN_PART_BLOCKS = 4
 
 
 @dataclass
@@ -367,10 +379,11 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
     of the largest entry, so every entry lies below 1 in magnitude and no
     float32 cast or square overflows. A float32 search then finds the
     candidates: query rows go in blocks of about BLOCK_FLOATS / T through
-    `pairwise_distance_matrix(..., shifted=True)` in float32, every block
-    writing into the same buffer, which gives G, the float32 value of
-    |b_j|^2 - 2a.b_j for query row a and target row b_j. That is the
-    squared distance |a - b_j|^2 less the row's own |a|^2, so within a row
+    `pairwise_distance_matrix(..., shifted=True)` in float32, in at most
+    two parts (`split_rows`) whose blocks each write into their part's one
+    buffer, which gives G, the float32 value of |b_j|^2 - 2a.b_j for query
+    row a and target row b_j. That is the squared distance |a - b_j|^2
+    less the row's own |a|^2, so within a row
     it orders the targets as the squared distances do, and a row keeps each
     target whose G lies within 2E of the row's smallest G (E from
     `_search_error`). The kept candidates are scored again with the
@@ -412,36 +425,41 @@ def _nearest(queries: np.ndarray, targets: np.ndarray):
     rows = max(1, BLOCK_FLOATS // len(targets))
     nn = np.empty(len(queries), dtype=np.int64)
     nn_dist = np.empty(len(queries))
-    out = np.empty(min(len(queries), rows) * len(targets), np.float32)
-    for lo in range(0, len(queries), rows):
-        hi = min(lo + rows, len(queries))
-        g = pairwise_distance_matrix(queries32[lo:hi], targets32, b_sq=targets32_sq,
-                                     shifted=True, out=out)
-        # each row's first float32 minimum is its first candidate
-        row, col = np.arange(hi - lo), g.argmin(axis=1)
-        # the row's float32 minimum plus 2E, rounded up into float32
-        limit = (g[row, col] + slack[lo:hi]).astype(np.float32)
-        limit = np.nextafter(limit, np.float32(np.inf))
-        # with each minimum masked, a row's second minimum tells whether it
-        # has more candidates; only those rows are scanned in full, and the
-        # masked minima keep the scan from finding them again
-        g[row, col] = np.inf
-        multi = np.flatnonzero(g.min(axis=1) <= limit)
-        if len(multi):
-            # np.nonzero of the 2-D mask gives the same (row, col) order but
-            # took 15x as long on a 52 x 5,000 block (numpy 2.4)
-            more_row, more_col = np.divmod(
-                np.flatnonzero(g[multi] <= limit[multi, None]), len(targets))
-            row = np.concatenate([row, multi[more_row]])
-            col = np.concatenate([col, more_col])
-        dist = row_norms(queries[lo + row] - targets[col])
-        if len(multi):
-            # each row's candidate at the smallest distance, then lowest column
-            order = np.lexsort((col, dist, row))
-            first = order[np.searchsorted(row[order], np.arange(hi - lo))]
-            col, dist = col[first], dist[first]
-        nn[lo:hi] = col
-        nn_dist[lo:hi] = dist
+
+    def search(start, stop, out):
+        # the rows' blocks, from `start`, all write into this part's `out`
+        for lo in range(start, stop, rows):
+            hi = min(lo + rows, stop)
+            g = pairwise_distance_matrix(queries32[lo:hi], targets32, b_sq=targets32_sq,
+                                         shifted=True, out=out)
+            # each row's first float32 minimum is its first candidate
+            row, col = np.arange(hi - lo), g.argmin(axis=1)
+            # the row's float32 minimum plus 2E, rounded up into float32
+            limit = (g[row, col] + slack[lo:hi]).astype(np.float32)
+            limit = np.nextafter(limit, np.float32(np.inf))
+            # with each minimum masked, a row's second minimum tells whether it
+            # has more candidates; only those rows are scanned in full, and the
+            # masked minima keep the scan from finding them again
+            g[row, col] = np.inf
+            multi = np.flatnonzero(g.min(axis=1) <= limit)
+            if len(multi):
+                # np.nonzero of the 2-D mask gives the same (row, col) order but
+                # took 15x as long on a 52 x 5,000 block (numpy 2.4)
+                more_row, more_col = np.divmod(
+                    np.flatnonzero(g[multi] <= limit[multi, None]), len(targets))
+                row = np.concatenate([row, multi[more_row]])
+                col = np.concatenate([col, more_col])
+            dist = row_norms(queries[lo + row] - targets[col])
+            if len(multi):
+                # each row's candidate at the smallest distance, then lowest column
+                order = np.lexsort((col, dist, row))
+                first = order[np.searchsorted(row[order], np.arange(hi - lo))]
+                col, dist = col[first], dist[first]
+            nn[lo:hi] = col
+            nn_dist[lo:hi] = dist
+
+    split_rows(search, len(queries), rows, MIN_PART_BLOCKS,
+               lambda width: np.empty(width * len(targets), np.float32))
     return nn, np.ldexp(nn_dist, -shift)
 
 
@@ -498,47 +516,51 @@ def eval_retrieval(dset: DescriptorSet, distractors_per_query: int = 50,
         # the rank count compares `same` mates with the pool: same * P per query
         block = max(1, BLOCK_FLOATS // (size * max(dset.dim, same)))
         j = np.arange(same)[:, None]
-        # every block of this pool shape gathers its rows into `work` and
-        # takes their distances in place, by np.linalg.norm's own steps; the
-        # pool rows are valid, and np.take's default mode would gather into a
-        # temporary before copying into `out`
-        width = min(block, len(members))
-        work = np.empty(size * width * dset.dim)
-        work_dist = np.empty(size * width)
-        for lo in range(0, len(members), block):
-            part = members[lo:lo + block]
-            q = queries[part]
-            label = codes[q]
-            # pool-major: row p holds each query's p-th pool entry, so every
-            # pass below runs over whole rows of the block's queries. The
-            # first `same` rows are the label-mates, skipping the query itself
-            pool = np.empty((size, len(part)), dtype=np.int64)
-            pool[:same] = index.rows[index.start[label] + j
-                                     + (j >= index.slot[q] - index.start[label])]
-            pool[same:] = index.outside(label, picks[part, :far].T)
-            diff = np.take(x, pool, axis=0, mode="clip",
-                           out=work[:pool.size * dset.dim].reshape(*pool.shape, dset.dim))
-            diff -= x[q]
-            dist = work_dist[:pool.size].reshape(pool.shape)
-            row_norms(diff.reshape(-1, dset.dim), out=dist.reshape(-1))
-            # ties break by row index: a mate's 0-based rank counts the pool
-            # entries ahead of it, nearer or as near with a smaller row index.
-            # Every mate is as near as itself; only the queries where a mate
-            # ties another entry take the second count.
-            mate_dist = dist[:same, None, :]
-            rank = (dist < mate_dist).sum(axis=1)
-            tie = dist == mate_dist
-            if np.count_nonzero(tie) > rank.size:
-                tied = np.flatnonzero(np.count_nonzero(tie, axis=(0, 1)) > same)
-                rank[:, tied] += (tie[:, :, tied]
-                                  & (pool[:, tied] < pool[:same, None, tied])).sum(axis=1)
-            # the mate at rank r that is the k-th mate found scores precision
-            # k / (r + 1); the AP sums each query's precisions over its pool in
-            # rank order, zeros between them
-            found = (rank[:, None, :] <= rank).sum(axis=0)
-            precision = np.zeros((len(part), size))
-            precision[np.arange(len(part))[:, None], rank.T] = (found / (rank + 1)).T
-            aps[part] = precision.sum(axis=1) / same
+
+        def score(start, stop, bufs):
+            # every block of this pool shape, from `start`, gathers its rows
+            # into this part's `work` and takes their distances in place, by
+            # np.linalg.norm's own steps; the pool rows are valid, and
+            # np.take's default mode would gather into a temporary before
+            # copying into `out`
+            work, work_dist = bufs
+            for lo in range(start, stop, block):
+                part = members[lo:min(lo + block, stop)]
+                q = queries[part]
+                label = codes[q]
+                # pool-major: row p holds each query's p-th pool entry, so every
+                # pass below runs over whole rows of the block's queries. The
+                # first `same` rows are the label-mates, skipping the query itself
+                pool = np.empty((size, len(part)), dtype=np.int64)
+                pool[:same] = index.rows[index.start[label] + j
+                                         + (j >= index.slot[q] - index.start[label])]
+                pool[same:] = index.outside(label, picks[part, :far].T)
+                gathered = work[:pool.size * dset.dim].reshape(*pool.shape, dset.dim)
+                diff = np.take(x, pool, axis=0, mode="clip", out=gathered)
+                diff -= x[q]
+                dist = work_dist[:pool.size].reshape(pool.shape)
+                row_norms(diff.reshape(-1, dset.dim), out=dist.reshape(-1))
+                # ties break by row index: a mate's 0-based rank counts the pool
+                # entries ahead of it, nearer or as near with a smaller row index.
+                # Every mate is as near as itself; only the queries where a mate
+                # ties another entry take the second count.
+                mate_dist = dist[:same, None, :]
+                rank = (dist < mate_dist).sum(axis=1)
+                tie = dist == mate_dist
+                if np.count_nonzero(tie) > rank.size:
+                    tied = np.flatnonzero(np.count_nonzero(tie, axis=(0, 1)) > same)
+                    smaller = pool[:, tied] < pool[:same, None, tied]
+                    rank[:, tied] += (tie[:, :, tied] & smaller).sum(axis=1)
+                # the mate at rank r that is the k-th mate found scores precision
+                # k / (r + 1); the AP sums each query's precisions over its pool in
+                # rank order, zeros between them
+                found = (rank[:, None, :] <= rank).sum(axis=0)
+                precision = np.zeros((len(part), size))
+                precision[np.arange(len(part))[:, None], rank.T] = (found / (rank + 1)).T
+                aps[part] = precision.sum(axis=1) / same
+
+        split_rows(score, len(members), block, MIN_PART_BLOCKS, lambda width: (
+            np.empty(size * width * dset.dim), np.empty(size * width)))
     return EvalReport(
         task="retrieval",
         map_overall=float(np.mean(aps)),

@@ -53,13 +53,16 @@ import numpy as np
 
 from ._binio import read_file, u32_bytes, write_atomic
 from .errors import ConfigError, FormatError, ShapeError, StateError
-from .numerics import NORM_EPS, as_matrix, l2_normalize_rows
+from .numerics import NORM_EPS, as_matrix, l2_normalize_rows, split_rows
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 MAX_HIDDEN_LAYERS = 2
 DTYPE = np.float32  # of every parameter, gradient, moment and layer activation
 PROJECT_CHUNK = 2048  # rows per chunk of `project`
+# chunks each part must get before `project` splits its chunks over two
+# threads (`numerics.split_rows`)
+PROJECT_MIN_PART_CHUNKS = 1
 ADAM_CHUNK = 32768  # parameters per chunk of `adam_step`: 128 KiB per operand
 
 
@@ -485,6 +488,14 @@ def project(model: MlpModel, batch) -> np.ndarray:
     never copied whole. The output is float64: a final l2norm divides the
     widened rows, so they are unit rows to float64 precision. Descriptor
     reduction and `ss` reclustering both run it.
+
+    With two CPUs and at least 2 * PROJECT_MIN_PART_CHUNKS chunks' worth of
+    rows, the chunks go in two parts through `numerics.split_rows`: those
+    before the chunk boundary nearest the middle on the calling thread, the
+    rest on the worker thread, each part with its own chunk buffers. Fewer
+    rows stay on the calling thread; 2,100 rows would leave the worker 52.
+    Every chunk is the one the serial loop makes, so the output has the same
+    bits whatever the number of CPUs.
     """
     x = _checked_batch(model, batch)
     plan = _fold_plan(model)
@@ -492,25 +503,32 @@ def project(model: MlpModel, batch) -> np.ndarray:
     n = len(x)
     out = np.empty((n, model.output_dim))
     chunk = PROJECT_CHUNK
-    h_in = np.empty((chunk, x.shape[1]), dtype=DTYPE)
-    bufs = [np.empty((chunk, w.shape[1]), dtype=DTYPE) for w, _ in plan]
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        h = h_in[: stop - start]
-        h[...] = x[start:stop]
-        for i, (w, b) in enumerate(plan):
-            if i:
-                np.maximum(h, 0.0, out=h)
-            h = np.dot(h, w, out=bufs[i][: stop - start])
-            h += b
-        if normalize:  # in float64
-            h = h.astype(np.float64)
-            norms = np.sqrt(np.einsum("ij,ij->i", h, h))
-            zero = norms < NORM_EPS
-            norms[zero] = 1.0
-            h /= norms[:, None]
-            h[zero] = 0.0
-        out[start:stop] = h
+
+    def buffers(width):
+        # a part's buffer for its input chunk, then one per linear
+        return [np.empty((width, k), dtype=DTYPE)
+                for k in (x.shape[1], *(w.shape[1] for w, _ in plan))]
+
+    def run(start, stop, bufs):
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            h = bufs[0][: hi - lo]
+            h[...] = x[lo:hi]
+            for i, (w, b) in enumerate(plan):
+                if i:
+                    np.maximum(h, 0.0, out=h)
+                h = np.dot(h, w, out=bufs[i + 1][: hi - lo])
+                h += b
+            if normalize:  # in float64
+                h = h.astype(np.float64)
+                norms = np.sqrt(np.einsum("ij,ij->i", h, h))
+                zero = norms < NORM_EPS
+                norms[zero] = 1.0
+                h /= norms[:, None]
+                h[zero] = 0.0
+            out[lo:hi] = h
+
+    split_rows(run, n, chunk, PROJECT_MIN_PART_CHUNKS, buffers)
     return out
 
 

@@ -2,11 +2,18 @@
 
 Matrices are plain 2-D numpy arrays in either memory order, float32 or
 float64: a float32 array stays float32, anything else becomes float64, and
-results have the input's dtype. Everything here is pure: inputs are never
-mutated and results depend only on the arguments.
+results have the input's dtype. Everything here but `split_rows` is pure:
+inputs are never mutated and results depend only on the arguments.
+
+`split_rows` is the one place the package runs work on a second thread. It
+hands a row-blocked loop's second half to one module-level worker thread,
+shared by every caller, and waits for it; what the loop computes does not
+depend on the split.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +24,52 @@ from .errors import NumericError, ShapeError
 # all-zero instead of dividing by its norm, and the losses take a distance
 # below it as zero.
 NORM_EPS = 1e-12
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads `split_rows` runs a loop's parts on, the caller's included.
+WORKERS = min(2, _cpu_count())
+_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="desclite-rows")
+
+
+def split_rows(fn, n: int, block: int, min_blocks: int, buffers) -> None:
+    """Run `fn(lo, hi, bufs)` over the rows [0, n) of a loop that works in
+    blocks of `block` rows from row 0, in at most two contiguous parts.
+
+    With WORKERS >= 2 and at least 2 * min_blocks blocks' worth of rows, the
+    rows are cut at the multiple of `block` nearest n / 2: the caller runs
+    the first part and the worker thread the second, and this returns once
+    both have ended. Otherwise the caller runs fn(0, n, bufs). Either way
+    `fn` sees the blocks the serial loop makes, so a loop whose blocks
+    depend only on their own rows, and whose parts write disjoint slices of
+    arrays allocated before the call, gives the same bits split or not.
+
+    Each part gets work buffers of its own, `bufs = buffers(rows)` for its
+    largest block of `rows` rows, made on the calling thread: glibc keeps
+    what a thread frees in that thread's arena, so buffers the worker made
+    would stay resident after the call. An exception raised in either part
+    reaches the caller once both parts have ended; when both raise, the
+    caller's wins. `fn` must not call `split_rows` itself, since the worker
+    thread it would wait on is the one running it.
+    """
+    if WORKERS < 2 or n < 2 * min_blocks * block:
+        fn(0, n, buffers(min(n, block)))
+        return
+    mid = (n + block) // (2 * block) * block
+    first, second = buffers(block), buffers(min(n - mid, block))
+    later = _worker.submit(fn, mid, n, second)
+    try:
+        fn(0, mid, first)
+    finally:
+        wait((later,))
+    later.result()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

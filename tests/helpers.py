@@ -1,7 +1,24 @@
-"""Shared test utilities: finite-difference gradient oracles."""
+"""Shared test utilities: finite-difference gradient oracles, and a record
+of the parts `split_rows` hands its worker thread."""
 import numpy as np
 
+from desclite import numerics
 from desclite.nn import backward, forward
+
+
+def record_worker_parts(monkeypatch, workers):
+    """Set numerics.WORKERS to `workers` and return a list that collects the
+    (lo, hi) of every part `split_rows` then hands the worker thread."""
+    monkeypatch.setattr(numerics, "WORKERS", workers)
+    parts = []
+    submit = numerics._worker.submit
+
+    def recorded(fn, lo, hi, bufs):
+        parts.append((lo, hi))
+        return submit(fn, lo, hi, bufs)
+
+    monkeypatch.setattr(numerics._worker, "submit", recorded)
+    return parts
 
 
 def finite_diff_matrix(fn, x, h=1e-5, indices=None):

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from desclite import cli
+from desclite import cli, numerics
 from desclite.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_NUMERIC, EXIT_USAGE, main
 from desclite.data import (
     DescriptorSet,
@@ -331,7 +331,7 @@ class TestTrain:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("key,field", [("lr", "learning_rate"), ("margin", "margin"),
                                            ("alpha", "alpha"), ("beta", "beta")])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_a_non_finite_setting_exits_4_and_writes_nothing(
             self, tmp_path, descriptor_file, source, key, field, value, capsys):
         # NaN passes every comparison of the range checks, and inf trains
@@ -557,6 +557,21 @@ class TestEval:
             assert any(line.startswith("tier.all.map=") for line in lines), task
             assert all(line.startswith("tier.all.") for line in lines
                        if line.startswith("tier.")), task
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_reduce_and_eval_manifests_record_the_worker_count(tmp_path, descriptor_file,
+                                                          workers, monkeypatch, capsys):
+    monkeypatch.setattr(numerics, "WORKERS", workers)
+    model, reduced = tmp_path / "pca.dpc", tmp_path / "r.ddr"
+    assert main(["fit-pca", str(descriptor_file), "--dim", "8", "-o", str(model)]) == 0
+    assert main(["reduce", str(descriptor_file), "--model", str(model),
+                 "-o", str(reduced), "-m", str(tmp_path / "r.manifest")]) == 0
+    assert _facts(tmp_path / "r.manifest")["workers"] == str(workers)
+    for task in ("verification", "matching", "retrieval"):
+        assert main(["eval", str(reduced), "--task", task,
+                     "-m", str(tmp_path / "e.manifest")]) == 0
+        assert _facts(tmp_path / "e.manifest")["workers"] == str(workers)
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "eval", "sweep"])

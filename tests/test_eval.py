@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from desclite import eval as ev
+from desclite import numerics
 from desclite.data import TIER_NAMES, DescriptorSet, LabelIndex, save_descriptors
 from desclite.errors import ConfigError, NumericError
 from desclite.eval import (
@@ -20,6 +21,8 @@ from desclite.eval import (
     eval_verification,
 )
 from desclite.numerics import pairwise_distance_matrix, row_norms
+
+from helpers import record_worker_parts
 
 
 def hand_average_precision(rel):
@@ -564,6 +567,84 @@ class TestReferenceOracle:
         labels = np.concatenate([np.arange(n), perm])
         dset = make_set(x, labels, np.repeat([0, 1], n))
         assert eval_matching(dset) == _reference_matching(dset)
+
+
+class TestTwoWorkers:
+    """Matching and retrieval hand the second half of their blocks to the
+    worker thread (`numerics.split_rows`); every report keeps the bits of
+    the one-thread loop."""
+
+    @staticmethod
+    def _set():
+        # 30 classes, each seen once in each of 4 sequences, 8-D, tiered:
+        # matching queries 30 reference rows against 3 targets of 30 rows,
+        # and retrieval's 120 queries share one pool shape, 3 mates and 10
+        # distractors
+        rng = np.random.default_rng(21)
+        labels = np.tile(np.arange(30), 4)
+        x = rng.standard_normal((30, 8))[labels] + 0.6 * rng.standard_normal((120, 8))
+        return make_set(x, labels, np.repeat(np.arange(4), 30),
+                        rng.integers(0, 3, size=120).astype(np.uint8))
+
+    @staticmethod
+    def _both(monkeypatch, run):
+        """`run()` with one worker, then with two, and the parts handed to
+        the worker thread."""
+        record_worker_parts(monkeypatch, 1)
+        serial = run()
+        handed = record_worker_parts(monkeypatch, 2)
+        return serial, run(), handed
+
+    # (blocks, matching rows per block, retrieval queries per block): one
+    # block, two, an odd count, and an even count whose last block is short
+    @pytest.mark.parametrize("blocks,match_rows,retrieval_rows",
+                             [(1, 30, 120), (2, 15, 60), (5, 7, 26), (4, 8, 35)])
+    def test_reports_keep_the_bits_of_one_thread(self, blocks, match_rows, retrieval_rows,
+                                                 monkeypatch):
+        monkeypatch.setattr(ev, "MIN_PART_BLOCKS", 1)
+        dset = self._set()
+        tasks = [(lambda: eval_matching(dset), match_rows * 30, match_rows, 30, 3),
+                 (lambda: eval_retrieval(dset, distractors_per_query=10, seed=3),
+                  retrieval_rows * 13 * 8, retrieval_rows, 120, 1)]
+        for run, block_floats, rows, n, loops in tasks:
+            monkeypatch.setattr(ev, "BLOCK_FLOATS", block_floats)
+            assert -(-n // rows) == blocks
+            serial, split, handed = self._both(monkeypatch, run)
+            assert split == serial
+            assert split.lines() == serial.lines()
+            # every target sequence, or the one pool shape, is cut at a block
+            assert len(handed) == (loops if blocks > 1 else 0)
+            assert all(lo % rows == 0 and hi == n for lo, hi in handed)
+
+    @pytest.mark.parametrize("tiered", [True, False])
+    def test_uneven_sets_keep_the_bits_of_one_thread(self, tiered, monkeypatch):
+        # many pool shapes and sequences of unequal length, in small blocks
+        monkeypatch.setattr(ev, "MIN_PART_BLOCKS", 1)
+        monkeypatch.setattr(ev, "BLOCK_FLOATS", 60)
+        dset = _uneven_set(3, tiered)
+        for task in (eval_verification, eval_matching, eval_retrieval):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                serial, split, handed = self._both(monkeypatch,
+                                                   lambda: task(dset, seed=4))
+            assert split == serial
+            assert split.lines() == serial.lines()
+            # verification has no blocks to hand over
+            assert bool(handed) == (task is not eval_verification)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_a_split_needs_min_part_blocks_for_each_thread(self, split, monkeypatch):
+        # blocks of rows // (2 * MIN_PART_BLOCKS) rows give each thread
+        # MIN_PART_BLOCKS blocks' worth; one row more per block stays serial
+        dset = self._set()
+        tasks = [(lambda: eval_matching(dset), 30, 30, 3),
+                 (lambda: eval_retrieval(dset, distractors_per_query=10, seed=3),
+                  120, 13 * 8, 1)]
+        for run, n, per_row, loops in tasks:
+            rows = n // (2 * ev.MIN_PART_BLOCKS) + (not split)
+            monkeypatch.setattr(ev, "BLOCK_FLOATS", rows * per_row)
+            _, _, handed = self._both(monkeypatch, run)
+            assert len(handed) == (loops if split else 0)
 
 
 @pytest.mark.parametrize("task", [eval_verification, eval_matching, eval_retrieval])

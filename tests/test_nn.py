@@ -25,7 +25,7 @@ from desclite.nn import (
     save_model,
 )
 
-from helpers import check_model_gradients
+from helpers import check_model_gradients, record_worker_parts
 
 
 @pytest.fixture
@@ -548,6 +548,32 @@ class TestProject:
         model = build_encoder(5, 3, [7], seed=35)
         x = rng.standard_normal((23, 5))
         assert np.array_equal(project(model, x), project(model, x))
+
+    # chunks of 17 rows: one chunk, two, an odd count, and an even count
+    # whose last chunk is short
+    @pytest.mark.parametrize("rows,chunks", [(17, 1), (34, 2), (85, 5), (62, 4)])
+    @pytest.mark.parametrize("hidden", [[], [16, 8]])
+    def test_two_workers_keep_the_bytes_of_one_thread(self, rows, chunks, hidden,
+                                                      monkeypatch):
+        monkeypatch.setattr(nn, "PROJECT_CHUNK", 17)
+        rng = np.random.default_rng(36)
+        model = _trained_encoder(hidden, rng)
+        x = rng.standard_normal((rows, 12))
+        assert -(-rows // 17) == chunks
+        record_worker_parts(monkeypatch, 1)
+        serial = project(model, x)
+        handed = record_worker_parts(monkeypatch, 2)
+        assert project(model, x).tobytes() == serial.tobytes()
+        assert len(handed) == (chunks > 1)
+        assert all(lo % 17 == 0 and hi == rows for lo, hi in handed)
+
+    @pytest.mark.parametrize("rows,split", [(2100, False), (4095, False), (4096, True)])
+    def test_a_split_needs_a_full_chunk_for_each_thread(self, rows, split, monkeypatch):
+        # 2,100 rows would leave the worker 52
+        model = build_encoder(5, 3, [7], seed=37)
+        handed = record_worker_parts(monkeypatch, 2)
+        project(model, np.ones((rows, 5)))
+        assert handed == ([(nn.PROJECT_CHUNK, rows)] if split else [])
 
 
 class TestBuildMlp:

@@ -1,13 +1,20 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from desclite import numerics
 from desclite.errors import NumericError, ShapeError
 from desclite.numerics import (
     EigenDecomposition,
     as_matrix,
     pairwise_distance_matrix,
+    split_rows,
     sym_eigen,
 )
+
+from helpers import record_worker_parts
 
 
 class TestSymEigen:
@@ -232,6 +239,81 @@ class TestPairwiseDistanceMatrix:
             pairwise_distance_matrix(a, np.ones((3, 2)))
         with pytest.raises(NumericError):
             pairwise_distance_matrix(np.ones((3, 2)), a)
+
+
+class TestSplitRows:
+    @pytest.mark.parametrize("workers,n,block,min_blocks,worker_part", [
+        (1, 100, 10, 1, None),  # one CPU: the caller runs every block
+        (2, 0, 10, 1, None),
+        (2, 19, 10, 1, None),  # less than two blocks' worth of rows
+        (2, 20, 10, 1, (10, 20)),
+        (2, 85, 10, 1, (40, 85)),  # the block boundary nearest 42.5
+        (2, 95, 10, 1, (50, 95)),  # and nearest 47.5
+        (2, 79, 10, 4, None),  # less than 2 x 4 blocks' worth
+        (2, 80, 10, 4, (40, 80)),
+    ])
+    def test_the_cut(self, workers, n, block, min_blocks, worker_part, monkeypatch):
+        handed = record_worker_parts(monkeypatch, workers)
+        made, ran = [], []
+
+        def buffers(rows):
+            made.append((rows, threading.get_ident()))
+            return rows
+
+        split_rows(lambda lo, hi, rows: ran.append((lo, hi, rows)), n, block, min_blocks,
+                   buffers)
+        # every part's buffers are made on the calling thread, for its
+        # largest block
+        assert {ident for _, ident in made} == {threading.get_ident()}
+        if worker_part is None:
+            assert handed == [] and ran == [(0, n, min(n, block))]
+        else:
+            lo, hi = worker_part
+            assert handed == [worker_part]
+            assert sorted(ran) == [(0, lo, block), (lo, hi, min(hi - lo, block))]
+        assert sorted(rows for rows, _ in made) == sorted(rows for _, _, rows in ran)
+
+    def test_a_worker_exception_reaches_the_caller_after_its_own_part(self, monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", 2)
+        raised = threading.Event()
+        ended = []
+
+        def part(lo, hi, bufs):
+            if lo:  # the worker's part
+                ended.append(("worker", threading.get_ident()))
+                raised.set()
+                raise ValueError("in the worker's part")
+            # the caller's part goes on after the worker has raised
+            assert raised.wait(timeout=30)
+            ended.append(("caller", threading.get_ident()))
+
+        with pytest.raises(ValueError, match="in the worker's part"):
+            split_rows(part, 20, 10, 1, lambda rows: None)
+        assert [who for who, _ in ended] == ["worker", "caller"]
+        assert ended[0][1] != ended[1][1] == threading.get_ident()
+
+    @pytest.mark.parametrize("worker_raises", [False, True])
+    def test_a_caller_exception_waits_for_the_worker_s_part(self, worker_raises,
+                                                           monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", 2)
+        started = threading.Event()
+        ended = []
+
+        def part(lo, hi, bufs):
+            if lo:
+                started.set()
+                time.sleep(0.05)
+                ended.append(lo)
+                if worker_raises:
+                    raise ValueError("in the worker's part")
+                return
+            assert started.wait(timeout=30)
+            raise KeyError("in the caller's part")
+
+        # when both parts raise, the caller's exception is the one raised
+        with pytest.raises(KeyError):
+            split_rows(part, 20, 10, 1, lambda rows: None)
+        assert ended == [10]
 
 
 def _reference_pairwise_distance_matrix(a, b):
