@@ -284,6 +284,7 @@ def _cmd_train(args) -> int:
     for key in ("steps_per_epoch", "total_steps", "unused_classes_per_epoch"):
         if key in last_epoch:  # unused classes: sv only
             manifest.add(key, last_epoch[key])
+    manifest.add("workers", numerics.WORKERS)
     manifest.emit(args.manifest, [args.output, args.log])
     return 0
 

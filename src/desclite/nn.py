@@ -21,6 +21,18 @@ column's products row by row without fusing multiply and add, as
 `(a * b).sum(axis=0)` does, so it gives the same bits without the product
 array.
 
+A linear's backward makes two products that do not depend on each other:
+the weight gradient x.T @ grad, written into the preallocated
+`grad_weight`, and the input gradient grad @ weight.T. When the input
+gradient is wanted and each product takes at least PAIR_MIN_MULTIPLY_ADDS
+multiply-adds (rows x in_dim x out_dim), the weight product runs on the
+worker thread of `numerics.run_pair` while the calling thread sums the bias
+gradient and makes the input gradient; the worker runs that one numpy call
+and allocates nothing. The first linear, which skips its input gradient,
+and smaller products run on the calling thread. Each product is the same
+numpy call on the same operands either way, so gradients and trained models
+have the same bits on one CPU or two.
+
 Training and projection run in one dtype, the module constant DTYPE
 (float32): parameters, gradients, batchnorm running statistics, Adam moments,
 layer caches and `project`'s chunk buffers are all DTYPE, and a batch is cast
@@ -49,11 +61,13 @@ values that DTYPE cannot represent loads as their nearest DTYPE values.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ._binio import read_file, u32_bytes, write_atomic
 from .errors import ConfigError, FormatError, ShapeError, StateError
-from .numerics import NORM_EPS, as_matrix, l2_normalize_rows, split_rows
+from .numerics import NORM_EPS, as_matrix, l2_normalize_rows, run_pair, split_rows
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
@@ -64,6 +78,14 @@ PROJECT_CHUNK = 2048  # rows per chunk of `project`
 # threads (`numerics.split_rows`)
 PROJECT_MIN_PART_CHUNKS = 1
 ADAM_CHUNK = 32768  # parameters per chunk of `adam_step`: 128 KiB per operand
+# multiply-adds per product (rows x in_dim x out_dim) from which a linear's
+# backward runs its two products on two threads. Timed with one BLAS thread
+# on a 2-vCPU x86-64 VM, a hand-off costs about 70 us back to back but about
+# 200 us to a worker that has idled for a millisecond or more, as it has at
+# the first pairing of each backward pass. In training, pairing 8.4 M
+# products slowed them (650 -> 750 us a backward) and pairing 16.8 M ones
+# sped them up (880 -> 740 us); the rule sits between the two.
+PAIR_MIN_MULTIPLY_ADDS = 12_000_000
 
 
 class _Layer:
@@ -104,13 +126,31 @@ class Linear(_Layer):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray | None:
+        """Fill `grad_weight` with x.T @ grad and `grad_bias` with the column
+        sums of grad; return the input gradient grad @ weight.T, or None
+        when `input_grad` is off.
+
+        When the input gradient is wanted and each product takes at least
+        PAIR_MIN_MULTIPLY_ADDS multiply-adds, `numerics.run_pair` runs the
+        weight product on the worker thread, straight into `grad_weight`,
+        while this thread sums the bias gradient and makes the input
+        gradient. Each product is the same numpy call either way, so the
+        gradients have the same bits whatever the number of CPUs.
+        """
         if self._cache is None:
             raise StateError("linear backward without a cached forward")
         x = self._cache
         self._cache = None
-        np.dot(x.T, grad, out=self.grad_weight)
-        self.grad_bias[...] = grad.sum(axis=0)
-        return grad @ self.weight.T if self.input_grad else None
+        weight_grad = partial(np.dot, x.T, grad, out=self.grad_weight)
+
+        def rest():
+            self.grad_bias[...] = grad.sum(axis=0)
+            return grad @ self.weight.T if self.input_grad else None
+
+        if self.input_grad and x.size * self.out_dim >= PAIR_MIN_MULTIPLY_ADDS:
+            return run_pair(rest, weight_grad)
+        weight_grad()
+        return rest()
 
 
 class ReLU(_Layer):

@@ -2,19 +2,24 @@
 
 Matrices are plain 2-D numpy arrays in either memory order, float32 or
 float64: a float32 array stays float32, anything else becomes float64, and
-results have the input's dtype. Everything here but `split_rows` is pure:
-inputs are never mutated and results depend only on the arguments.
+results have the input's dtype. Everything here but `run_pair` and
+`split_rows` is pure: inputs are never mutated and results depend only on
+the arguments.
 
-`split_rows` is the one place the package runs work on a second thread. It
-hands a row-blocked loop's second half to one module-level worker thread,
-shared by every caller, and waits for it; what the loop computes does not
-depend on the split.
+`run_pair` is the one place the package hands work to a second thread: it
+runs one part on a module-level worker thread, shared by every caller, and
+another on the calling thread, and returns once both have ended. It has two
+users. `split_rows` hands it a row-blocked loop's second half (matching,
+retrieval and `nn.project`), and `nn.Linear.backward` its weight-gradient
+product. Neither computes anything that depends on whether the worker ran.
+A child made by `os.fork` gets a worker thread of its own.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,9 +39,48 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# Threads `split_rows` runs a loop's parts on, the caller's included.
+# Threads that `run_pair` runs its two parts on, the caller's included.
 WORKERS = min(2, _cpu_count())
-_worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="desclite-rows")
+
+
+def _start_worker() -> None:
+    """Make the worker thread's executor. A child made by `os.fork` inherits
+    the parent's executor but not its thread, so the child makes its own."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="desclite-worker")
+
+
+_start_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_worker)
+
+
+def run_pair(first, second):
+    """Run `second()` on the worker thread and `first()` on the calling
+    thread; return what `first()` returns once both have ended.
+
+    An exception raised in either part reaches the caller once both parts
+    have ended; when both raise, the caller's wins. With WORKERS < 2 the
+    caller runs `second()` and then `first()`, and an exception ends the
+    pair where it is raised.
+
+    The arrays `second` writes are best made before the call, on the
+    calling thread: glibc keeps what a thread frees in that thread's arena,
+    so arrays the worker made would stay resident after the call. `second`
+    must not hand work to the worker thread itself, by `run_pair`,
+    `split_rows` or a linear's backward, since the worker thread it would
+    wait on is the one running it.
+    """
+    if WORKERS < 2:
+        second()
+        return first()
+    later = _worker.submit(second)
+    try:
+        result = first()
+    finally:
+        wait((later,))
+    later.result()
+    return result
 
 
 def split_rows(fn, n: int, block: int, min_blocks: int, buffers) -> None:
@@ -44,32 +88,27 @@ def split_rows(fn, n: int, block: int, min_blocks: int, buffers) -> None:
     blocks of `block` rows from row 0, in at most two contiguous parts.
 
     With WORKERS >= 2 and at least 2 * min_blocks blocks' worth of rows, the
-    rows are cut at the multiple of `block` nearest n / 2: the caller runs
-    the first part and the worker thread the second, and this returns once
-    both have ended. Otherwise the caller runs fn(0, n, bufs). Either way
-    `fn` sees the blocks the serial loop makes, so a loop whose blocks
-    depend only on their own rows, and whose parts write disjoint slices of
-    arrays allocated before the call, gives the same bits split or not.
+    rows are cut at the multiple of `block` nearest n / 2, and `run_pair`
+    runs the first part on the calling thread and the second on the worker
+    thread. Otherwise the caller runs fn(0, n, bufs). Either way `fn` sees
+    the blocks the serial loop makes, so a loop whose blocks depend only on
+    their own rows, and whose parts write disjoint slices of arrays
+    allocated before the call, gives the same bits split or not.
 
     Each part gets work buffers of its own, `bufs = buffers(rows)` for its
-    largest block of `rows` rows, made on the calling thread: glibc keeps
-    what a thread frees in that thread's arena, so buffers the worker made
-    would stay resident after the call. An exception raised in either part
-    reaches the caller once both parts have ended; when both raise, the
-    caller's wins. `fn` must not call `split_rows` itself, since the worker
-    thread it would wait on is the one running it.
+    largest block of `rows` rows, made on the calling thread for the reason
+    `run_pair` gives. An exception raised in either part reaches the caller
+    once both parts have ended; when both raise, the caller's wins. `fn`
+    must not hand work to the worker thread itself, by `split_rows`,
+    `run_pair` or a linear's backward, since the worker thread it would wait
+    on is the one running it.
     """
     if WORKERS < 2 or n < 2 * min_blocks * block:
         fn(0, n, buffers(min(n, block)))
         return
     mid = (n + block) // (2 * block) * block
     first, second = buffers(block), buffers(min(n - mid, block))
-    later = _worker.submit(fn, mid, n, second)
-    try:
-        fn(0, mid, first)
-    finally:
-        wait((later,))
-    later.result()
+    run_pair(partial(fn, 0, mid, first), partial(fn, mid, n, second))
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

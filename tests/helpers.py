@@ -1,24 +1,42 @@
-"""Shared test utilities: finite-difference gradient oracles, and a record
-of the parts `split_rows` hands its worker thread."""
+"""Shared test utilities: finite-difference gradient oracles, and records
+of the work handed to `numerics`' worker thread."""
 import numpy as np
 
 from desclite import numerics
 from desclite.nn import backward, forward
 
 
+def _record_handed(monkeypatch, workers, entry):
+    """Set numerics.WORKERS to `workers` and return a list that collects
+    `entry(part)` for every part then handed to the worker thread, leaving
+    out those for which it is None."""
+    monkeypatch.setattr(numerics, "WORKERS", workers)
+    handed = []
+    submit = numerics._worker.submit
+
+    def recorded(part):
+        kept = entry(part)
+        if kept is not None:
+            handed.append(kept)
+        return submit(part)
+
+    monkeypatch.setattr(numerics._worker, "submit", recorded)
+    return handed
+
+
 def record_worker_parts(monkeypatch, workers):
     """Set numerics.WORKERS to `workers` and return a list that collects the
     (lo, hi) of every part `split_rows` then hands the worker thread."""
-    monkeypatch.setattr(numerics, "WORKERS", workers)
-    parts = []
-    submit = numerics._worker.submit
+    return _record_handed(monkeypatch, workers, lambda part: (
+        None if part.func is np.dot else tuple(part.args[:2])))
 
-    def recorded(fn, lo, hi, bufs):
-        parts.append((lo, hi))
-        return submit(fn, lo, hi, bufs)
 
-    monkeypatch.setattr(numerics._worker, "submit", recorded)
-    return parts
+def record_weight_products(monkeypatch, workers):
+    """Set numerics.WORKERS to `workers` and return a list that collects the
+    `grad_weight` array of every linear whose backward then hands its weight
+    product to the worker thread."""
+    return _record_handed(monkeypatch, workers, lambda part: (
+        part.keywords["out"] if part.func is np.dot else None))
 
 
 def finite_diff_matrix(fn, x, h=1e-5, indices=None):

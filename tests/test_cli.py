@@ -574,6 +574,16 @@ def test_reduce_and_eval_manifests_record_the_worker_count(tmp_path, descriptor_
         assert _facts(tmp_path / "e.manifest")["workers"] == str(workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_train_manifest_records_the_worker_count(tmp_path, descriptor_file, workers,
+                                                     monkeypatch, capsys):
+    monkeypatch.setattr(numerics, "WORKERS", workers)
+    assert main(["train", str(descriptor_file), "--scheme", "us", "--dim", "8",
+                 "--hidden", "16", "--epochs", "1", "--batch-size", "4",
+                 "-o", str(tmp_path / "m.dnn"), "-m", str(tmp_path / "m.manifest")]) == 0
+    assert _facts(tmp_path / "m.manifest")["workers"] == str(workers)
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "eval", "sweep"])
 def test_a_negative_seed_exits_1_and_writes_nothing(tmp_path, descriptor_file, command,
                                                      capsys):

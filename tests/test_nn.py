@@ -25,7 +25,7 @@ from desclite.nn import (
     save_model,
 )
 
-from helpers import check_model_gradients, record_worker_parts
+from helpers import check_model_gradients, record_weight_products, record_worker_parts
 
 
 @pytest.fixture
@@ -342,6 +342,56 @@ class TestOwnership:
             grads.append(model.grads.copy())
         assert grads[0].tobytes() == grads[1].tobytes()
         assert np.any(grads[0] != 0.0)
+
+
+class TestTwoWorkers:
+    """A linear's backward hands its weight product to the worker thread
+    (`numerics.run_pair`) when it returns an input gradient and each product
+    takes PAIR_MIN_MULTIPLY_ADDS multiply-adds or more, with the bits of one
+    thread."""
+
+    @pytest.mark.parametrize("hidden,normalize", BUILT_STACKS)
+    @pytest.mark.parametrize("rows", [4, 9])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_gradients_keep_the_bytes_of_one_thread(self, hidden, normalize, rows,
+                                                    input_grad, monkeypatch, tmp_path):
+        # at 9 rows the 6 x 7 and 7 x 5 linears reach the rule (378 and 315
+        # multiply-adds) and the 6 x 4, 7 x 4 and 5 x 4 ones do not; at 4
+        # rows none does
+        monkeypatch.setattr(nn, "PAIR_MIN_MULTIPLY_ADDS", 9 * 7 * 5)
+        rng = np.random.default_rng(45)
+        batch = rng.standard_normal((rows, 6))
+        upstream = rng.standard_normal((rows, 4))
+        model = _built(hidden, normalize, False, tmp_path)
+        linears = [layer for layer in model.layers if layer.kind == "linear"]
+        passes = []
+        for workers in (1, 2):
+            handed = record_weight_products(monkeypatch, workers)
+            forward(model, batch)
+            g_in = backward(model, upstream, input_grad=input_grad)
+            passes.append((None if g_in is None else g_in.tobytes(),
+                           model.grads.tobytes(), [id(a) for a in handed]))
+        (serial_g, serial_grads, serial_handed), (g, grads, paired) = passes
+        assert g == serial_g and grads == serial_grads
+        assert (g is None) == (not input_grad)
+        assert serial_handed == []
+        want = [id(layer.grad_weight) for layer in reversed(linears)
+                if (input_grad or layer is not linears[0])
+                and rows * layer.in_dim * layer.out_dim >= 9 * 7 * 5]
+        assert paired == want
+        if rows == 9 and len(hidden) == 2:
+            assert want
+
+    @pytest.mark.parametrize("short", [True, False])
+    def test_the_rule_counts_rows_times_both_widths(self, short, monkeypatch):
+        # the 256 x 256 linear is the only one that reaches the rule
+        rows = -(-nn.PAIR_MIN_MULTIPLY_ADDS // (256 * 256)) - short
+        model = build_encoder(16, 8, [256, 256], seed=46)
+        rng = np.random.default_rng(47)
+        handed = record_weight_products(monkeypatch, 2)
+        forward(model, rng.standard_normal((rows, 16)))
+        backward(model, rng.standard_normal((rows, 8)), input_grad=False)
+        assert [id(a) for a in handed] == ([] if short else [id(model.layers[3].grad_weight)])
 
 
 class TestColumnDots:

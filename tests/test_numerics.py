@@ -10,6 +10,7 @@ from desclite.numerics import (
     EigenDecomposition,
     as_matrix,
     pairwise_distance_matrix,
+    run_pair,
     split_rows,
     sym_eigen,
 )
@@ -314,6 +315,82 @@ class TestSplitRows:
         with pytest.raises(KeyError):
             split_rows(part, 20, 10, 1, lambda rows: None)
         assert ended == [10]
+
+
+class TestRunPair:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_both_parts_run_and_first_s_result_comes_back(self, workers, monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", workers)
+        ran = []
+
+        def part(name, result=None):
+            def run():
+                ran.append((name, threading.get_ident()))
+                return result
+            return run
+
+        assert run_pair(part("first", "result"), part("second")) == "result"
+        threads = dict(ran)
+        assert sorted(threads) == ["first", "second"]
+        assert threads["first"] == threading.get_ident()
+        # two workers: `second` runs off the calling thread; one: on it,
+        # before `first`
+        assert (threads["second"] != threading.get_ident()) == (workers == 2)
+        if workers == 1:
+            assert [name for name, _ in ran] == ["second", "first"]
+
+    def test_a_worker_exception_reaches_the_caller_after_its_own_part(self, monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", 2)
+        raised = threading.Event()
+        ended = []
+
+        def second():
+            ended.append("second")
+            raised.set()
+            raise ValueError("in the worker's part")
+
+        def first():
+            # the caller's part goes on after the worker has raised
+            assert raised.wait(timeout=30)
+            ended.append("first")
+
+        with pytest.raises(ValueError, match="in the worker's part"):
+            run_pair(first, second)
+        assert ended == ["second", "first"]
+
+    @pytest.mark.parametrize("worker_raises", [False, True])
+    def test_a_caller_exception_waits_for_the_worker_s_part(self, worker_raises,
+                                                           monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", 2)
+        started = threading.Event()
+        ended = []
+
+        def second():
+            started.set()
+            time.sleep(0.05)
+            ended.append("second")
+            if worker_raises:
+                raise ValueError("in the worker's part")
+
+        def first():
+            assert started.wait(timeout=30)
+            raise KeyError("in the caller's part")
+
+        # when both parts raise, the caller's exception is the one raised
+        with pytest.raises(KeyError):
+            run_pair(first, second)
+        assert ended == ["second"]
+
+    def test_one_worker_stops_at_the_first_exception(self, monkeypatch):
+        monkeypatch.setattr(numerics, "WORKERS", 1)
+        ran = []
+
+        def second():
+            raise ValueError("in the second part")
+
+        with pytest.raises(ValueError):
+            run_pair(lambda: ran.append("first"), second)
+        assert ran == []
 
 
 def _reference_pairwise_distance_matrix(a, b):

@@ -1,18 +1,25 @@
+import hashlib
 import importlib
+import os
+import signal
+import threading
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from desclite import nn
+from desclite import nn, numerics
 from desclite.cluster import _plus_plus_init, kmeans_fit
 from desclite.data import DescriptorSet, LabelIndex, extract_descriptors, \
     generate_synthetic, split_dataset
 from desclite.eval import eval_matching, eval_retrieval, eval_verification
 from desclite.errors import ConfigError, StateError
-from desclite.nn import BN_EPS, BN_MOMENTUM, save_model
+from desclite.nn import BN_EPS, BN_MOMENTUM, project, save_model
+from desclite.numerics import split_rows
 from desclite.pca import fit_pca, pca_transform
 from desclite.train import TrainConfig, reduce, train
+
+from helpers import record_weight_products
 
 train_module = importlib.import_module("desclite.train")
 
@@ -198,8 +205,15 @@ ORACLE_CONFIGS = {
 
 
 class TestReferenceOracle:
+    # (workers, PAIR_MIN_MULTIPLY_ADDS): one thread, and two with every
+    # linear that returns an input gradient pairing its products, which the
+    # oracle's 6 to 24-row batches would otherwise never reach
+    @pytest.mark.parametrize("workers,pair_min", [(1, nn.PAIR_MIN_MULTIPLY_ADDS), (2, 0)],
+                             ids=["serial", "paired"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
-    def test_models_are_byte_equal(self, name, tmp_path, monkeypatch):
+    def test_models_are_byte_equal(self, name, workers, pair_min, tmp_path, monkeypatch):
+        monkeypatch.setattr(nn, "PAIR_MIN_MULTIPLY_ADDS", pair_min)
+        handed = record_weight_products(monkeypatch, workers)
         dset = _classed_set(40, 3, seed=5)
         cfg = TrainConfig(target_dim=8, hidden_sizes=(24, 20), epochs=3, seed=4,
                           **ORACLE_CONFIGS[name])
@@ -212,6 +226,7 @@ class TestReferenceOracle:
                 return fh.read(), events
 
         got, got_events = model_bytes("flat")
+        assert bool(handed) == (workers == 2)
         with monkeypatch.context() as patch:
             patch.setattr(nn.Linear, "forward", _reference_linear_forward)
             patch.setattr(nn.Linear, "backward", _reference_linear_backward)
@@ -223,6 +238,57 @@ class TestReferenceOracle:
         assert got_events == want_events
         if cfg.scheme == "ss":
             assert sum(e["event"] == "recluster" for e in got_events) == 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_trains_and_projects_with_the_parent_s_bits(monkeypatch):
+    """A child made by os.fork after the worker thread has run gets a worker
+    of its own: its two-part calls end, with the parent's bits."""
+    monkeypatch.setattr(numerics, "WORKERS", 2)
+    monkeypatch.setattr(nn, "PAIR_MIN_MULTIPLY_ADDS", 0)
+    monkeypatch.setattr(nn, "PROJECT_CHUNK", 8)
+    dset = _classed_set(12, 3, seed=6)
+    cfg = TrainConfig(scheme="us", target_dim=4, hidden_sizes=(8,), epochs=2,
+                      batch_size=6, seed=7)
+
+    def work():
+        """Digest of a two-part `split_rows`, a trained model (paired
+        backwards) and its two-part `project`, and whether the second part
+        of `split_rows` ran off the calling thread."""
+        threads = []
+
+        def part(lo, hi, bufs):
+            threads.append(threading.get_ident())
+            rows[lo:hi] = np.arange(lo, hi) ** 2
+
+        rows = np.zeros(20)
+        split_rows(part, 20, 10, 1, lambda width: None)
+        model = train(dset, cfg)
+        digest = hashlib.sha256(rows.tobytes() + model.params.tobytes()
+                                + project(model, dset.descriptors).tobytes())
+        return digest.digest() + bytes([len(set(threads)) == 2])
+
+    want = work()  # the parent's worker thread has now run
+    assert want[-1] == 1
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, or die by the alarm if a call hangs
+        code = 1
+        try:
+            os.close(read)
+            signal.alarm(30)
+            os.write(write, work())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        got = fh.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, (
+        "the child was killed by a signal" if os.WIFSIGNALED(status)
+        else "the child raised")
+    assert got == want
 
 
 class TestFloat32:
