@@ -157,6 +157,7 @@ def _cmd_synth(args) -> int:
     manifest.add("output", args.output)
     manifest.add("patches", len(dataset))
     manifest.add("classes", args.classes)
+    manifest.add("workers", numerics.WORKERS)
     manifest.emit(args.manifest, [args.output])
     return 0
 
@@ -177,6 +178,7 @@ def _cmd_describe(args) -> int:
     manifest.add("dim", dset.dim)
     if len(dset):
         manifest.add("describe_us_per_patch", f"{elapsed / len(dset) * 1e6:.3f}")
+    manifest.add("workers", numerics.WORKERS)
     manifest.emit(args.manifest, [args.output])
     return 0
 

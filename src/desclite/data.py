@@ -19,7 +19,7 @@ import numpy as np
 
 from ._binio import check_u32, read_file, u32_bytes, write_atomic
 from .errors import ConfigError, FormatError, ShapeError
-from .numerics import row_norms
+from .numerics import row_norms, split_rows
 
 PATCH_SIZE = 32
 DESCRIPTOR_DIM = 128
@@ -268,13 +268,22 @@ _CLAMP = 0.2
 _ROW_BINS = DESCRIPTOR_DIM + _ORI_BINS
 
 # Patches described per chunk. Each patch casts 8 x 1024 votes, a bin index
-# and a float64 weight each: 128 KiB of vote buffers per patch, 4 MiB at 32
-# patches. Describing 3,000 patches took 0.27-0.31 s at 16, 32 or 64, 0.34-0.43
-# s at 128 and 0.43-0.50 s at 256 (best and median of five runs, one BLAS
-# thread, 2-vCPU x86-64 VM with 2 MiB of L2 per core), with equal descriptors
-# at every size; one chunk for all patches would need the buffers for all of
-# them (about 390 MB at 3,000 patches).
-DESCRIBE_CHUNK = 32
+# and a float64 weight each: 128 KiB of vote buffers per patch, 2 MiB at 16
+# patches. Each of `_describe`'s two parts has its own, so the two take the
+# 4 MiB that one part took at 32. Describing 3,000 patches in two parts took
+# 0.20-0.22 s at 8, 0.14-0.16 s at 16 or 32, 0.16-0.18 s at 64, 0.18-0.20 s
+# at 128 and 0.21-0.22 s at 256; in one part, 0.24-0.27 s at 8 to 32 and
+# 0.31-0.36 s at 64 to 256 (best and median of nine interleaved runs, one
+# BLAS thread, 2-vCPU x86-64 VM with 2 MiB of L2 per core), with equal
+# descriptors at every size. One chunk for all patches would need the
+# buffers for all of them (about 390 MB at 3,000 patches).
+DESCRIBE_CHUNK = 16
+
+# Chunks each part must get before `extract_descriptors` or
+# `generate_synthetic` splits its chunks over two threads
+# (`numerics.split_rows`). A chunk takes 1-2 ms, several times what a
+# hand-off to the worker thread costs (70-200 us, `nn.PAIR_MIN_MULTIPLY_ADDS`).
+MIN_PART_CHUNKS = 1
 
 
 def _cell_grid():
@@ -306,23 +315,55 @@ def _cell_grid():
 _GAUSS_WEIGHT, _CORNER_OFFSET, _CORNER_WY, _CORNER_WX = _cell_grid()
 
 
-def _describe_chunk(patches: np.ndarray, bin_base: np.ndarray,
-                    idx: np.ndarray, votes: np.ndarray) -> np.ndarray:
-    """Descriptors of an (n, 32, 32) chunk. `bin_base[c, p]` is corner c's
-    per-pixel bin offset into patch p's histogram row; `idx` and `votes` are
-    (8, >= n, 1024) work buffers for the votes' bins and weights."""
+def _gradient(img: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """`np.gradient(img, axis=axis)` of an (n, 32, 32) stack, written into the
+    float64 `out` with its bits: unit-spacing central differences inside, and
+    one-sided ones (divided by 1) at the two edges."""
+    f, g = np.moveaxis(img, axis, 1), np.moveaxis(out, axis, 1)
+    np.subtract(f[:, 2:], f[:, :-2], out=g[:, 1:-1], dtype=np.float64)
+    g[:, 1:-1] /= 2.0
+    np.subtract(f[:, 1], f[:, 0], out=g[:, 0], dtype=np.float64)
+    np.subtract(f[:, -1], f[:, -2], out=g[:, -1], dtype=np.float64)
+
+
+def _describe_buffers(rows: int):
+    """Work buffers for chunks of up to `rows` patches: `bin_base[c, p]`,
+    corner c's per-pixel bin offset into patch p's histogram row; the votes'
+    bins and weights, (8, rows, 1024) each; and four float64 and two int64
+    per-pixel arrays."""
+    bin_base = (np.arange(rows)[:, None] * _ROW_BINS)[None] + _CORNER_OFFSET[:, None, :]
+    idx = np.empty((2 * len(_CORNER_OFFSET), rows, PATCH_SIZE * PATCH_SIZE), dtype=np.intp)
+    return (bin_base, idx, np.empty(idx.shape), np.empty((4, rows, PATCH_SIZE, PATCH_SIZE)),
+            np.empty((2, rows, PATCH_SIZE * PATCH_SIZE), dtype=np.intp))
+
+
+def _describe_chunk(patches: np.ndarray, bin_base: np.ndarray, idx: np.ndarray,
+                    votes: np.ndarray, pixels: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Descriptors of an (n, 32, 32) chunk, with the work buffers of
+    `_describe_buffers` for n or more rows. Every chunk-sized array is one of
+    them, made on the calling thread: the worker thread's own arrays would
+    stay resident in its malloc arena after the call, and raised paper-3k's
+    peak RSS ≈0.9 MB more."""
     n = len(patches)
-    img = np.asarray(patches, dtype=np.float64)
-    gy, gx = np.gradient(img, axis=(1, 2))
-    mag = np.hypot(gx, gy).reshape(n, -1) * _GAUSS_WEIGHT
+    gy, gx, ori_bin, rest = pixels[:, :n]
+    o0, o1 = bins[:, :n]
+    _gradient(patches, 1, gy)
+    _gradient(patches, 2, gx)
     # The angle in bins lies in [-4, 4], where `% _ORI_BINS` is fmod (which
     # leaves it as is) plus 8 below 0: adding 8 below 0 gives the same bits
     # without the libm calls. o0 is then 0..8, so `& 7` wraps it.
-    ori_bin = np.arctan2(gy, gx).reshape(n, -1) / (2.0 * np.pi / _ORI_BINS)
-    ori_bin = np.where(ori_bin < 0, ori_bin + _ORI_BINS, ori_bin)
-    o0 = np.floor(ori_bin).astype(np.int64)
-    fo = ori_bin - o0
-    orientations = ((o0 & (_ORI_BINS - 1), 1.0 - fo), ((o0 + 1) & (_ORI_BINS - 1), fo))
+    ori_bin = np.arctan2(gy, gx, out=ori_bin).reshape(n, -1)
+    ori_bin /= 2.0 * np.pi / _ORI_BINS
+    np.add(ori_bin, _ORI_BINS, out=ori_bin, where=ori_bin < 0)
+    mag = np.hypot(gx, gy, out=gx).reshape(n, -1)
+    mag *= _GAUSS_WEIGHT
+    np.floor(ori_bin, out=o0, casting="unsafe")
+    fo = np.subtract(ori_bin, o0, out=ori_bin)
+    np.add(o0, 1, out=o1)
+    o0 &= _ORI_BINS - 1
+    o1 &= _ORI_BINS - 1
+    orientations = ((o0, np.subtract(1.0, fo, out=rest.reshape(n, -1))), (o1, fo))
+    w_spatial = gy.reshape(n, -1)  # gy is read no more; gx holds the magnitudes
 
     # Votes in (corner, do) x patch x pixel order: each bin then receives its
     # votes in the order of the per-patch loop's np.add.at calls, so the
@@ -331,7 +372,8 @@ def _describe_chunk(patches: np.ndarray, bin_base: np.ndarray,
     votes = votes[:, :n]
     g = 0
     for c in range(len(_CORNER_OFFSET)):
-        w_spatial = mag * _CORNER_WY[c] * _CORNER_WX[c]
+        np.multiply(mag, _CORNER_WY[c], out=w_spatial)
+        w_spatial *= _CORNER_WX[c]
         for oc, wo in orientations:
             np.add(bin_base[c, :n], oc, out=idx[g])
             np.multiply(w_spatial, wo, out=votes[g])
@@ -349,18 +391,20 @@ def _describe_chunk(patches: np.ndarray, bin_base: np.ndarray,
 
 
 def _describe(patches: np.ndarray) -> np.ndarray:
-    """Descriptors of an (N, 32, 32) stack, DESCRIBE_CHUNK patches at a time.
-    Every chunk reuses one pair of vote buffers: fresh ones per chunk, whose
-    pages are faulted in again each time, made 3,000 patches ≈20% slower."""
+    """Descriptors of an (N, 32, 32) stack, DESCRIBE_CHUNK patches at a time,
+    in up to two parts (`numerics.split_rows`). Every chunk of a part reuses
+    the part's work buffers: fresh ones per chunk, whose pages are faulted
+    in again each time, made 3,000 patches ≈20% slower."""
     n = len(patches)
-    chunk = max(1, min(n, DESCRIBE_CHUNK))
-    bin_base = (np.arange(chunk)[:, None] * _ROW_BINS)[None] + _CORNER_OFFSET[:, None, :]
-    idx = np.empty((2 * len(_CORNER_OFFSET), chunk, PATCH_SIZE * PATCH_SIZE), dtype=np.intp)
-    votes = np.empty(idx.shape)
+    chunk = DESCRIBE_CHUNK
     out = np.empty((n, DESCRIPTOR_DIM))
-    for start in range(0, n, chunk):
-        out[start:start + chunk] = _describe_chunk(
-            patches[start:start + chunk], bin_base, idx, votes)
+
+    def run(start, stop, bufs):
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            out[lo:hi] = _describe_chunk(patches[lo:hi], *bufs)
+
+    split_rows(run, n, chunk, MIN_PART_CHUNKS, _describe_buffers)
     return out
 
 
@@ -385,13 +429,17 @@ def extract_descriptors(dataset: PatchDataset) -> DescriptorSet:
 
     Patches are described in chunks of DESCRIBE_CHUNK: per chunk, one
     gradient pass and one `np.bincount` over its 8 x 1024 votes per patch,
-    so the cost is linear in N with no per-patch Python work: about 0.1 ms
-    per patch (3,000 patches in ≈0.3 s with one BLAS thread on a 2-vCPU
+    so the cost is linear in N with no per-patch Python work. With two CPUs
+    and at least 2 * MIN_PART_CHUNKS chunks, the chunks go in two parts
+    through `numerics.split_rows`: those before the chunk boundary nearest
+    the middle on the calling thread, the rest on the worker thread, each
+    part with its own work buffers. 3,000 patches take ≈0.16 s in two parts
+    and ≈0.26 s in one, about 0.09 ms per patch (one BLAS thread on a 2-vCPU
     x86-64 VM, numpy 2.4), where the per-patch loop took 0.55 ms. Every
     bin adds its votes in the order of the per-patch reference loop (eight
     `np.add.at` calls, `tests/test_data.py`) and row norms are the same BLAS dot
     products, so each row is bit for bit that loop's descriptor, whatever
-    the chunk size.
+    the chunk size and in one part or two.
     """
     return DescriptorSet(
         descriptors=_describe(dataset.patches),
@@ -431,11 +479,13 @@ _TIER_JITTER = np.array([
 _TIER_NOISE = (4.0, 10.0, 18.0)
 
 # Patches rendered per chunk, in seven (chunk, 1024) float64 work buffers
-# and one of noise: 1 MiB at 16. The heap keeps these pages resident after
-# a call, so the chunk bounds what a call leaves behind: the benchmark's
-# paper-3k peak RSS rose ≈0.16 MB at 32 and ≈0.06 MB at 16, while chunks
-# of 8 to 128 ran within ≈12% of each other (one BLAS thread, 2-vCPU
-# x86-64 VM).
+# and one of noise: 1 MiB at 16, in each of `generate_synthetic`'s two
+# parts. The heap keeps these pages resident after a call, so the chunk
+# bounds what a call leaves behind: in one part, the benchmark's paper-3k
+# peak RSS rose ≈0.16 MB at 32 and ≈0.06 MB at 16, while chunks of 8 to 128
+# ran within ≈12% of each other. 500 x 6 patches took 0.43-0.48 s in two
+# parts at 8, 0.33-0.34 s at 16 and 0.26-0.28 s at 32 or 64 (best and median
+# of seven interleaved runs, one BLAS thread, 2-vCPU x86-64 VM).
 RENDER_CHUNK = 16
 
 _GRID_X, _GRID_Y = (g.ravel() for g in np.meshgrid(
@@ -544,11 +594,16 @@ def generate_synthetic(classes: int, patches_per_class: int,
     Cost. Patches are rendered RENDER_CHUNK at a time in reused (chunk,
     1024) buffers, with no per-patch pixel work in Python and each pixel's
     arithmetic in a fixed order, so every patch's bytes are the same at any
-    chunk size. Per patch that leaves a generator and two draw calls (≈60
-    µs) and ≈60 numpy passes over its 1024 pixels: 500 x 6 take ≈0.5 s,
-    about 0.17 ms per patch, with one BLAS thread on a 2-vCPU x86-64 VM
-    (numpy 2.4). Half of that is the 9.2M carrier cosines: numpy's float64
-    `cos` takes ≈25 ns a value there, its `exp` ≈1.3.
+    chunk size. The chunks go in one part or two as `extract_descriptors`'
+    do, each part with its own buffers, and every patch draws from its own
+    generator, so the bytes are also the same in one part or two. Per patch
+    that leaves a generator and two draw calls (≈45 µs) and ≈60 numpy
+    passes over its 1024 pixels: 500 x 6 take ≈0.41 s in one part, about
+    0.14 ms per patch, and ≈0.34 s in two, with one BLAS thread on a 2-vCPU
+    x86-64 VM (numpy 2.4). Half of the one-part time is the 9.2M carrier
+    cosines: numpy's float64 `cos` takes ≈25 ns a value there, its `exp`
+    ≈1.3. The two parts overlap only where numpy releases the GIL: making
+    the 2,500 generators and their uniform draws holds it for ≈0.07 s.
     """
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
@@ -566,27 +621,33 @@ def generate_synthetic(classes: int, patches_per_class: int,
     tiers = np.where(seq == 0, 0, tier_codes[(seq - 1) % len(tier_codes)]).astype(np.uint8)
     comps = _class_components(classes, seed)
 
-    chunk = min(n, RENDER_CHUNK)
-    jitter = np.empty((chunk, _TIER_JITTER.shape[1]))
-    noise = np.empty((chunk, pixels))
-    work = np.empty((7, chunk, pixels))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        for r, row in enumerate(range(start, stop)):
-            ci, j = divmod(row, patches_per_class)
-            if j == 0:
-                jitter[r] = 0.0
-                noise[r] = 0.0
-                continue
-            prng = np.random.default_rng((seed, ci, j))
-            hi = _TIER_JITTER[tiers[row]]
-            jitter[r] = prng.uniform(-hi, hi)
-            prng.standard_normal(out=noise[r])
-            noise[r] *= _TIER_NOISE[tiers[row]]
-        m = stop - start
-        affine = _affines(jitter[:m], seq[start:stop] == 0)
-        patches[start:stop] = _render_chunk(comps[labels[start:stop]], affine, jitter[:m],
-                                            noise[:m], work)
+    chunk = RENDER_CHUNK
+
+    def buffers(rows):
+        return (np.empty((rows, _TIER_JITTER.shape[1])), np.empty((rows, pixels)),
+                np.empty((7, rows, pixels)))
+
+    def run(start, stop, bufs):
+        jitter, noise, work = bufs
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            for r, row in enumerate(range(lo, hi)):
+                ci, j = divmod(row, patches_per_class)
+                if j == 0:
+                    jitter[r] = 0.0
+                    noise[r] = 0.0
+                    continue
+                prng = np.random.default_rng((seed, ci, j))
+                bound = _TIER_JITTER[tiers[row]]
+                jitter[r] = prng.uniform(-bound, bound)
+                prng.standard_normal(out=noise[r])
+                noise[r] *= _TIER_NOISE[tiers[row]]
+            m = hi - lo
+            affine = _affines(jitter[:m], seq[lo:hi] == 0)
+            patches[lo:hi] = _render_chunk(comps[labels[lo:hi]], affine, jitter[:m],
+                                           noise[:m], work)
+
+    split_rows(run, n, chunk, MIN_PART_CHUNKS, buffers)
     return PatchDataset(patches=patches.reshape(n, PATCH_SIZE, PATCH_SIZE),
                         labels=labels, sequence_ids=seq, tiers=tiers)
 

@@ -10,7 +10,8 @@ the arguments.
 runs one part on a module-level worker thread, shared by every caller, and
 another on the calling thread, and returns once both have ended. It has two
 users. `split_rows` hands it a row-blocked loop's second half (matching,
-retrieval and `nn.project`), and `nn.Linear.backward` its weight-gradient
+retrieval, `nn.project`, and the patch chunks of `data.extract_descriptors`
+and `data.generate_synthetic`), and `nn.Linear.backward` its weight-gradient
 product. Neither computes anything that depends on whether the worker ran.
 A child made by `os.fork` gets a worker thread of its own.
 """

@@ -584,6 +584,19 @@ def test_the_train_manifest_records_the_worker_count(tmp_path, descriptor_file, 
     assert _facts(tmp_path / "m.manifest")["workers"] == str(workers)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_synth_and_describe_manifests_record_the_worker_count(tmp_path, workers,
+                                                                  monkeypatch, capsys):
+    monkeypatch.setattr(numerics, "WORKERS", workers)
+    patches = tmp_path / "p.dpt"
+    assert main(["synth", "--classes", "20", "--per-class", "4", "-o", str(patches),
+                 "-m", str(tmp_path / "s.manifest")]) == 0
+    assert _facts(tmp_path / "s.manifest")["workers"] == str(workers)
+    assert main(["describe", str(patches), "-o", str(tmp_path / "d.ddr"),
+                 "-m", str(tmp_path / "d.manifest")]) == 0
+    assert _facts(tmp_path / "d.manifest")["workers"] == str(workers)
+
+
 @pytest.mark.parametrize("command", ["synth", "train", "eval", "sweep"])
 def test_a_negative_seed_exits_1_and_writes_nothing(tmp_path, descriptor_file, command,
                                                      capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from desclite import data
+from desclite import data, numerics
 from desclite.data import (
     DescriptorSet,
     PatchDataset,
@@ -16,6 +16,8 @@ from desclite.data import (
 )
 from desclite.errors import ConfigError, FormatError, ShapeError
 from desclite.numerics import pairwise_distance_matrix
+
+from helpers import record_worker_parts
 
 
 def _reference_cell_grid():
@@ -166,6 +168,23 @@ def _assert_matches_reference(patches):
     assert np.array_equal(got, want)
 
 
+@pytest.fixture(params=[1, 2], ids=["one_worker", "two_workers"])
+def handed(request, monkeypatch):
+    """numerics.WORKERS at 1 and at 2; the (lo, hi) of every part then
+    handed to the worker thread."""
+    return record_worker_parts(monkeypatch, request.param)
+
+
+def _assert_one_part_on_a_chunk_boundary(handed, n, chunk):
+    """With two workers, exactly one part went to the worker thread: the
+    rows from a chunk boundary inside the set to its end. With one, none."""
+    if numerics.WORKERS < 2:
+        assert handed == []
+        return
+    [(lo, hi)] = handed
+    assert 0 < lo < n and lo % chunk == 0 and hi == n
+
+
 def random_set(rng, n=10, dim=128, n_labels=5):
     return DescriptorSet(
         descriptors=rng.standard_normal((n, dim)),
@@ -211,19 +230,24 @@ class TestSiftLikeDescriptor:
         assert cos > 0.9
 
 
+@pytest.mark.usefixtures("handed")
 class TestMatchesPerPatchLoop:
-    """`extract_descriptors` is bit for bit the per-patch reference loop."""
+    """`extract_descriptors` is bit for bit the per-patch reference loop, at
+    one worker and at two."""
 
     @pytest.mark.parametrize("seed", [0, 11])
-    def test_generated_patches_of_every_tier(self, seed):
+    def test_generated_patches_of_every_tier(self, seed, handed):
         ds = generate_synthetic(40, 7, seed=seed)
         assert set(ds.tiers.tolist()) == {0, 1, 2}
+        handed.clear()
         _assert_matches_reference(ds.patches)
+        _assert_one_part_on_a_chunk_boundary(handed, 280, data.DESCRIBE_CHUNK)
 
-    def test_random_patches_not_a_multiple_of_the_chunk(self):
+    def test_random_patches_not_a_multiple_of_the_chunk(self, handed):
         rng = np.random.default_rng(5)
         assert 777 % data.DESCRIBE_CHUNK
         _assert_matches_reference(rng.integers(0, 256, (777, 32, 32), dtype=np.uint8))
+        _assert_one_part_on_a_chunk_boundary(handed, 777, data.DESCRIBE_CHUNK)
 
     def test_edge_cases(self):
         constant = np.full((32, 32), 117, dtype=np.uint8)
@@ -235,14 +259,16 @@ class TestMatchesPerPatchLoop:
         assert not extract_descriptors(_patch_set(patches)).descriptors[0].any()
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_empty_and_single_patch(self, n):
+    def test_empty_and_single_patch(self, n, handed):
         rng = np.random.default_rng(n)
         _assert_matches_reference(rng.integers(0, 256, (n, 32, 32), dtype=np.uint8))
+        assert handed == []  # below the split rule
 
-    def test_tiny_chunk(self, monkeypatch):
+    def test_tiny_chunk(self, monkeypatch, handed):
         monkeypatch.setattr(data, "DESCRIBE_CHUNK", 3)
-        ds = generate_synthetic(4, 5, seed=3)
+        ds = generate_synthetic(4, 5, seed=3)  # 20 patches: a last chunk of 2
         _assert_matches_reference(ds.patches)
+        _assert_one_part_on_a_chunk_boundary(handed, 20, 3)
 
     def test_angles_at_the_bin_wrap(self):
         # Float patches whose middle row has gx != 0 over gy = -0.0 (arctan2
@@ -283,23 +309,31 @@ def _assert_same_dataset(got, want):
         assert np.array_equal(a, b), name
 
 
+@pytest.mark.usefixtures("handed")
 class TestMatchesPerPatchGenerator:
-    """`generate_synthetic` is byte for byte the per-patch reference loop."""
+    """`generate_synthetic` is byte for byte the per-patch reference loop, at
+    one worker and at two."""
 
     @pytest.mark.parametrize("classes,per_class,tiers", [
         (500, 6, ("easy", "hard", "tough")),
         (40, 7, ("tough", "easy")),
-        (2, 2, ("hard",)),
     ])
-    def test_patches_labels_and_tiers(self, classes, per_class, tiers):
+    def test_patches_labels_and_tiers(self, classes, per_class, tiers, handed):
         _assert_same_dataset(generate_synthetic(classes, per_class, tiers, seed=4),
                              _reference_generate_synthetic(classes, per_class, tiers, seed=4))
+        _assert_one_part_on_a_chunk_boundary(handed, classes * per_class, data.RENDER_CHUNK)
+
+    def test_a_set_below_the_split_rule(self, handed):
+        _assert_same_dataset(generate_synthetic(2, 2, ("hard",), seed=4),
+                             _reference_generate_synthetic(2, 2, ("hard",), seed=4))
+        assert handed == []
 
     @pytest.mark.parametrize("chunk", [1, 7])  # 165 patches: 7 leaves a last chunk of 4
-    def test_partial_last_chunk(self, monkeypatch, chunk):
+    def test_partial_last_chunk(self, monkeypatch, chunk, handed):
         monkeypatch.setattr(data, "RENDER_CHUNK", chunk)
         _assert_same_dataset(generate_synthetic(33, 5, seed=8),
                              _reference_generate_synthetic(33, 5, seed=8))
+        _assert_one_part_on_a_chunk_boundary(handed, 165, chunk)
 
 
 class TestGenerateSynthetic:

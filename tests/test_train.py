@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from desclite import nn, numerics
+from desclite import data, nn, numerics
 from desclite.cluster import _plus_plus_init, kmeans_fit
 from desclite.data import DescriptorSet, LabelIndex, extract_descriptors, \
     generate_synthetic, split_dataset
@@ -243,18 +243,22 @@ class TestReferenceOracle:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_trains_and_projects_with_the_parent_s_bits(monkeypatch):
     """A child made by os.fork after the worker thread has run gets a worker
-    of its own: its two-part calls end, with the parent's bits."""
+    of its own: its two-part calls end, with the parent's bits. They include
+    two-part patch generation and description."""
     monkeypatch.setattr(numerics, "WORKERS", 2)
     monkeypatch.setattr(nn, "PAIR_MIN_MULTIPLY_ADDS", 0)
     monkeypatch.setattr(nn, "PROJECT_CHUNK", 8)
+    monkeypatch.setattr(data, "RENDER_CHUNK", 4)
+    monkeypatch.setattr(data, "DESCRIBE_CHUNK", 4)
     dset = _classed_set(12, 3, seed=6)
     cfg = TrainConfig(scheme="us", target_dim=4, hidden_sizes=(8,), epochs=2,
                       batch_size=6, seed=7)
 
     def work():
-        """Digest of a two-part `split_rows`, a trained model (paired
-        backwards) and its two-part `project`, and whether the second part
-        of `split_rows` ran off the calling thread."""
+        """Digest of a two-part `split_rows`, a two-part generated and
+        described patch set, a trained model (paired backwards) and its
+        two-part `project`, and whether the second part of `split_rows` ran
+        off the calling thread."""
         threads = []
 
         def part(lo, hi, bufs):
@@ -263,8 +267,11 @@ def test_a_forked_child_trains_and_projects_with_the_parent_s_bits(monkeypatch):
 
         rows = np.zeros(20)
         split_rows(part, 20, 10, 1, lambda width: None)
+        patches = generate_synthetic(5, 4, seed=2)
+        described = extract_descriptors(patches)
         model = train(dset, cfg)
-        digest = hashlib.sha256(rows.tobytes() + model.params.tobytes()
+        digest = hashlib.sha256(rows.tobytes() + patches.patches.tobytes()
+                                + described.descriptors.tobytes() + model.params.tobytes()
                                 + project(model, dset.descriptors).tobytes())
         return digest.digest() + bytes([len(set(threads)) == 2])
 
