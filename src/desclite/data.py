@@ -479,14 +479,15 @@ _TIER_JITTER = np.array([
 _TIER_NOISE = (4.0, 10.0, 18.0)
 
 # Patches rendered per chunk, in seven (chunk, 1024) float64 work buffers
-# and one of noise: 1 MiB at 16, in each of `generate_synthetic`'s two
+# and one of noise: 2 MiB at 32, in each of `generate_synthetic`'s two
 # parts. The heap keeps these pages resident after a call, so the chunk
-# bounds what a call leaves behind: in one part, the benchmark's paper-3k
-# peak RSS rose ≈0.16 MB at 32 and ≈0.06 MB at 16, while chunks of 8 to 128
-# ran within ≈12% of each other. 500 x 6 patches took 0.43-0.48 s in two
+# bounds what a call leaves behind. 500 x 6 patches took 0.43-0.48 s in two
 # parts at 8, 0.33-0.34 s at 16 and 0.26-0.28 s at 32 or 64 (best and median
-# of seven interleaved runs, one BLAS thread, 2-vCPU x86-64 VM).
-RENDER_CHUNK = 16
+# of seven interleaved runs, one BLAS thread, 2-vCPU x86-64 VM), most likely
+# because the two parts pass the GIL to each other once per chunk (not
+# profiled). Going from 16 to 32 took the benchmark's paper-3k `setup_s`
+# from 0.81 to 0.68 s (medians of 10 pairs) and left its median peak RSS.
+RENDER_CHUNK = 32
 
 _GRID_X, _GRID_Y = (g.ravel() for g in np.meshgrid(
     np.arange(PATCH_SIZE) - (PATCH_SIZE - 1) / 2.0,

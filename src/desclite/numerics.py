@@ -10,9 +10,10 @@ the arguments.
 runs one part on a module-level worker thread, shared by every caller, and
 another on the calling thread, and returns once both have ended. It has two
 users. `split_rows` hands it a row-blocked loop's second half (matching,
-retrieval, `nn.project`, and the patch chunks of `data.extract_descriptors`
-and `data.generate_synthetic`), and `nn.Linear.backward` its weight-gradient
-product. Neither computes anything that depends on whether the worker ran.
+retrieval, `nn.project`, the patch chunks of `data.extract_descriptors` and
+`data.generate_synthetic`, and the batch rows of `nn.Linear.forward`'s
+product), and `nn.Linear.backward` its weight-gradient product. Neither
+computes anything that depends on whether the worker ran.
 A child made by `os.fork` gets a worker thread of its own.
 """
 from __future__ import annotations
@@ -69,8 +70,8 @@ def run_pair(first, second):
     calling thread: glibc keeps what a thread frees in that thread's arena,
     so arrays the worker made would stay resident after the call. `second`
     must not hand work to the worker thread itself, by `run_pair`,
-    `split_rows` or a linear's backward, since the worker thread it would
-    wait on is the one running it.
+    `split_rows` or a linear's forward or backward, since the worker thread
+    it would wait on is the one running it.
     """
     if WORKERS < 2:
         second()
@@ -101,8 +102,8 @@ def split_rows(fn, n: int, block: int, min_blocks: int, buffers) -> None:
     `run_pair` gives. An exception raised in either part reaches the caller
     once both parts have ended; when both raise, the caller's wins. `fn`
     must not hand work to the worker thread itself, by `split_rows`,
-    `run_pair` or a linear's backward, since the worker thread it would wait
-    on is the one running it.
+    `run_pair` or a linear's forward or backward, since the worker thread it
+    would wait on is the one running it.
     """
     if WORKERS < 2 or n < 2 * min_blocks * block:
         fn(0, n, buffers(min(n, block)))

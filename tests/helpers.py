@@ -24,11 +24,26 @@ def _record_handed(monkeypatch, workers, entry):
     return handed
 
 
+def _is_forward(part) -> bool:
+    """Whether `part` is the row half of a linear's forward that
+    `split_rows` hands over."""
+    return getattr(part.func, "__qualname__", "") == "Linear.forward.<locals>.rows"
+
+
 def record_worker_parts(monkeypatch, workers):
     """Set numerics.WORKERS to `workers` and return a list that collects the
-    (lo, hi) of every part `split_rows` then hands the worker thread."""
+    (lo, hi) of every part `split_rows` then hands the worker thread, a
+    linear's forward half excepted."""
     return _record_handed(monkeypatch, workers, lambda part: (
-        None if part.func is np.dot else tuple(part.args[:2])))
+        None if part.func is np.dot or _is_forward(part) else tuple(part.args[:2])))
+
+
+def record_forward_parts(monkeypatch, workers):
+    """Set numerics.WORKERS to `workers` and return a list that collects the
+    (lo, hi) of every linear's forward half then handed to the worker
+    thread, its rows of the batch."""
+    return _record_handed(monkeypatch, workers, lambda part: (
+        tuple(part.args[:2]) if _is_forward(part) else None))
 
 
 def record_weight_products(monkeypatch, workers):

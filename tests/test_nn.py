@@ -25,7 +25,8 @@ from desclite.nn import (
     save_model,
 )
 
-from helpers import check_model_gradients, record_weight_products, record_worker_parts
+from helpers import (check_model_gradients, record_forward_parts, record_weight_products,
+                     record_worker_parts)
 
 
 @pytest.fixture
@@ -392,6 +393,68 @@ class TestTwoWorkers:
         forward(model, rng.standard_normal((rows, 16)))
         backward(model, rng.standard_normal((rows, 8)), input_grad=False)
         assert [id(a) for a in handed] == ([] if short else [id(model.layers[3].grad_weight)])
+
+
+# (rows, in_dim, out_dim) of every linear forward the benchmark splits: its
+# batches of 256 to 2,048 rows through the 128 -> 512 -> 512 -> 32 encoders
+# and us's 32 -> 512 -> 512 -> 128 decoder, products under
+# PAIR_MIN_MULTIPLY_ADDS left out
+SPLIT_FORWARDS = [(rows, i, o) for rows in (256, 512, 1024, 2048)
+                  for i, o in ((128, 512), (512, 512), (512, 32), (32, 512), (512, 128))
+                  if rows * i * o >= nn.PAIR_MIN_MULTIPLY_ADDS]
+
+
+class TestForwardHalves:
+    """A linear's forward hands the second row half of its product to the
+    worker thread (`numerics.split_rows`) when the product takes
+    PAIR_MIN_MULTIPLY_ADDS multiply-adds or more and the batch holds two
+    FORWARD_BLOCKs of rows, with the bits of x @ weight + bias."""
+
+    @pytest.mark.parametrize("rows,in_dim,out_dim", SPLIT_FORWARDS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_halves_have_the_bits_of_the_whole_product(self, rows, in_dim, out_dim,
+                                                       workers, monkeypatch):
+        rng = np.random.default_rng(rows + in_dim + out_dim)
+        layer = Linear(in_dim, out_dim, rng)
+        layer.bias[...] = rng.standard_normal(out_dim)
+        x = rng.standard_normal((rows, in_dim)).astype(np.float32)
+        kept = x.copy()
+        handed = record_forward_parts(monkeypatch, workers)
+        out = layer.forward(x)
+        assert out.dtype == nn.DTYPE
+        assert out.tobytes() == (x @ layer.weight + layer.bias).tobytes()
+        assert x.tobytes() == kept.tobytes()
+        assert handed == ([(rows // 2, rows)] if workers == 2 else [])
+
+    # 183 x 128 x 512 is just under the rule and 184 x 128 x 512 just over,
+    # cut at 64; 127 rows of 512 x 512 reach the rule but make no two
+    # blocks, while 128 do; us's 52-row tail of 512 x 512 (13.6 M) stays whole
+    @pytest.mark.parametrize("rows,in_dim,out_dim,cut", [
+        (183, 128, 512, None), (184, 128, 512, 64), (127, 512, 512, None),
+        (128, 512, 512, 64), (52, 512, 512, None)])
+    def test_the_rule_and_the_row_count_decide_the_split(self, rows, in_dim, out_dim,
+                                                         cut, monkeypatch):
+        rng = np.random.default_rng(48)
+        layer = Linear(in_dim, out_dim, rng)
+        x = rng.standard_normal((rows, in_dim)).astype(np.float32)
+        handed = record_forward_parts(monkeypatch, 2)
+        out = layer.forward(x)
+        assert handed == ([] if cut is None else [(cut, rows)])
+        assert out.tobytes() == (x @ layer.weight + layer.bias).tobytes()
+
+    def test_the_training_pass_leaves_the_batch_and_keeps_the_bits(self, monkeypatch):
+        # the float32 batch is the first linear's input itself
+        rng = np.random.default_rng(49)
+        batch = rng.standard_normal((256, 128)).astype(np.float32)
+        kept = batch.copy()
+        outs = []
+        for workers in (1, 2):
+            model = build_encoder(128, 32, [512, 512], seed=50)
+            handed = record_forward_parts(monkeypatch, workers)
+            outs.append(forward(model, batch).tobytes())
+            assert handed == ([(128, 256)] * 2 if workers == 2 else [])
+            assert batch.tobytes() == kept.tobytes()
+        assert outs[0] == outs[1]
 
 
 class TestColumnDots:

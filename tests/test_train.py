@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from desclite import data, nn, numerics
+from desclite import data, nn
 from desclite.cluster import _plus_plus_init, kmeans_fit
 from desclite.data import DescriptorSet, LabelIndex, extract_descriptors, \
     generate_synthetic, split_dataset
@@ -19,7 +19,7 @@ from desclite.numerics import split_rows
 from desclite.pca import fit_pca, pca_transform
 from desclite.train import TrainConfig, reduce, train
 
-from helpers import record_weight_products
+from helpers import record_forward_parts, record_weight_products
 
 train_module = importlib.import_module("desclite.train")
 
@@ -204,6 +204,36 @@ ORACLE_CONFIGS = {
 }
 
 
+def _trained_and_reference(dset, cfg, tmp_path, monkeypatch):
+    """The DNN1 bytes and events of `train(dset, cfg)`, then those of the same
+    run through the reference layer passes and Adam loop."""
+
+    def model_bytes(tag):
+        events = []
+        path = str(tmp_path / f"{tag}.dnn")
+        save_model(train(dset, cfg, log_fn=events.append), path)
+        with open(path, "rb") as fh:
+            return fh.read(), events
+
+    got = model_bytes("flat")
+    with monkeypatch.context() as patch:
+        patch.setattr(nn.Linear, "forward", _reference_linear_forward)
+        patch.setattr(nn.Linear, "backward", _reference_linear_backward)
+        patch.setattr(nn.BatchNorm, "forward", _reference_batchnorm_forward)
+        patch.setattr(nn.BatchNorm, "backward", _reference_batchnorm_backward)
+        patch.setattr(train_module, "adam_step", _reference_adam_step)
+        want = model_bytes("reference")
+    return got, want
+
+
+# us and sv with 130-row batches through 512 x 512 linears: that forward
+# (34 M multiply-adds) reaches PAIR_MIN_MULTIPLY_ADDS and is cut at row 64
+SPLIT_FORWARD_CONFIGS = {
+    "us": dict(scheme="us", batch_size=130),
+    "sv": dict(scheme="sv", batch_size=65),
+}
+
+
 class TestReferenceOracle:
     # (workers, PAIR_MIN_MULTIPLY_ADDS): one thread, and two with every
     # linear that returns an input gradient pairing its products, which the
@@ -217,35 +247,41 @@ class TestReferenceOracle:
         dset = _classed_set(40, 3, seed=5)
         cfg = TrainConfig(target_dim=8, hidden_sizes=(24, 20), epochs=3, seed=4,
                           **ORACLE_CONFIGS[name])
-
-        def model_bytes(tag):
-            events = []
-            path = str(tmp_path / f"{tag}.dnn")
-            save_model(train(dset, cfg, log_fn=events.append), path)
-            with open(path, "rb") as fh:
-                return fh.read(), events
-
-        got, got_events = model_bytes("flat")
+        (got, got_events), (want, want_events) = _trained_and_reference(
+            dset, cfg, tmp_path, monkeypatch)
         assert bool(handed) == (workers == 2)
-        with monkeypatch.context() as patch:
-            patch.setattr(nn.Linear, "forward", _reference_linear_forward)
-            patch.setattr(nn.Linear, "backward", _reference_linear_backward)
-            patch.setattr(nn.BatchNorm, "forward", _reference_batchnorm_forward)
-            patch.setattr(nn.BatchNorm, "backward", _reference_batchnorm_backward)
-            patch.setattr(train_module, "adam_step", _reference_adam_step)
-            want, want_events = model_bytes("reference")
         assert got == want
         assert got_events == want_events
         if cfg.scheme == "ss":
             assert sum(e["event"] == "recluster" for e in got_events) == 3
+
+    # at the module's own rule: 140 classes of 3 rows give us three 130-row
+    # batches and a 30-row tail per epoch, each full batch splitting the
+    # encoder's and the decoder's 512 x 512 forward, and sv two 130-row
+    # batches, each splitting the encoder's
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(SPLIT_FORWARD_CONFIGS))
+    def test_models_with_split_forwards_are_byte_equal(self, name, workers, tmp_path,
+                                                       monkeypatch):
+        handed = record_forward_parts(monkeypatch, workers)
+        dset = _classed_set(140, 3, seed=8)
+        cfg = TrainConfig(target_dim=8, hidden_sizes=(512, 512), epochs=2, seed=9,
+                          **SPLIT_FORWARD_CONFIGS[name])
+        (got, got_events), (want, want_events) = _trained_and_reference(
+            dset, cfg, tmp_path, monkeypatch)
+        splits = {"us": 2 * 3 * 2, "sv": 2 * 2}[name] if workers == 2 else 0
+        assert handed == [(64, 130)] * splits
+        assert got == want
+        assert got_events == want_events
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_trains_and_projects_with_the_parent_s_bits(monkeypatch):
     """A child made by os.fork after the worker thread has run gets a worker
     of its own: its two-part calls end, with the parent's bits. They include
-    two-part patch generation and description."""
-    monkeypatch.setattr(numerics, "WORKERS", 2)
+    two-part patch generation and description, and a linear's two-part
+    forward."""
+    handed = record_forward_parts(monkeypatch, 2)
     monkeypatch.setattr(nn, "PAIR_MIN_MULTIPLY_ADDS", 0)
     monkeypatch.setattr(nn, "PROJECT_CHUNK", 8)
     monkeypatch.setattr(data, "RENDER_CHUNK", 4)
@@ -257,8 +293,9 @@ def test_a_forked_child_trains_and_projects_with_the_parent_s_bits(monkeypatch):
     def work():
         """Digest of a two-part `split_rows`, a two-part generated and
         described patch set, a trained model (paired backwards) and its
-        two-part `project`, and whether the second part of `split_rows` ran
-        off the calling thread."""
+        two-part `project`, a 128 -> 512 linear's two-part forward of 256
+        rows, and whether the second part of `split_rows` ran off the
+        calling thread."""
         threads = []
 
         def part(lo, hi, bufs):
@@ -270,13 +307,17 @@ def test_a_forked_child_trains_and_projects_with_the_parent_s_bits(monkeypatch):
         patches = generate_synthetic(5, 4, seed=2)
         described = extract_descriptors(patches)
         model = train(dset, cfg)
+        batch = np.tile(described.descriptors[:16], (16, 1)).astype(nn.DTYPE)
+        halves = nn.Linear(128, 512, np.random.default_rng(8)).forward(batch)
         digest = hashlib.sha256(rows.tobytes() + patches.patches.tobytes()
                                 + described.descriptors.tobytes() + model.params.tobytes()
-                                + project(model, dset.descriptors).tobytes())
+                                + project(model, dset.descriptors).tobytes()
+                                + halves.tobytes())
         return digest.digest() + bytes([len(set(threads)) == 2])
 
     want = work()  # the parent's worker thread has now run
     assert want[-1] == 1
+    assert handed == [(128, 256)]
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: report, or die by the alarm if a call hangs
