@@ -24,6 +24,11 @@ import sys
 import time
 from dataclasses import replace
 
+try:
+    import resource
+except ImportError:  # no getrusage (Windows): manifests record no fault counts
+    resource = None
+
 from . import __version__, numerics
 from ._binio import write_atomic
 from .data import (
@@ -62,6 +67,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _minor_faults():
+    """Minor page faults this process has taken so far, or None without
+    `resource`."""
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class _Manifest:
     """Phase timings plus key=value facts, written and printed at the end of
     a command."""
@@ -77,10 +90,15 @@ class _Manifest:
 
     @contextlib.contextmanager
     def phase(self, name: str):
-        """Time the block and record it as `phase.<name>_s`."""
+        """Time the block and record it as `phase.<name>_s`, and the minor
+        page faults the process took in it as `phase.<name>_faults` where
+        the OS reports them."""
         t0 = time.perf_counter()
+        f0 = _minor_faults()
         yield
         self.add(f"phase.{name}_s", f"{time.perf_counter() - t0:.3f}")
+        if f0 is not None:
+            self.add(f"phase.{name}_faults", _minor_faults() - f0)
 
     def emit(self, path=None, outputs=(), report: str = ""):
         """Write the manifest file, then print `report` and the manifest. If

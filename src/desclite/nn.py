@@ -33,16 +33,18 @@ and smaller products run on the calling thread. Each product is the same
 numpy call on the same operands either way, so gradients and trained models
 have the same bits on one CPU or two.
 
-A linear's forward splits its product by batch rows under the same rule:
+A linear's forward splits its product by batch rows:
 `numerics.split_rows` cuts a batch of at least 2 * FORWARD_BLOCK rows at the
 multiple of FORWARD_BLOCK nearest its middle, and the worker thread writes
 x[mid:] @ weight + bias into the rows of the output that the calling thread
-made, while that thread writes the rows before. Above OpenBLAS's
-small-matrix size, sgemm sums each output entry over in_dim in an order that
-does not depend on the row count, so both halves have the bits of the whole
-product. Under the rule each half holds at least a third of the rows, so
-4 M multiply-adds or more, well above that size; halves of about 1 M or
-fewer were seen to differ.
+made, while that thread writes the rows before. It does so only when each
+half takes at least PAIR_MIN_MULTIPLY_ADDS // 2 multiply-adds, so an uneven
+cut of a product just over the backward's rule stays whole. Above
+OpenBLAS's small-matrix size, sgemm sums each output entry over in_dim in an
+order that does not depend on the row count, so both halves have the bits of
+the whole product. Under the rule each half takes 6 M multiply-adds or
+more, well above that size; halves of about 1 M or fewer were seen to
+differ.
 
 Training and projection run in one dtype, the module constant DTYPE
 (float32): parameters, gradients, batchnorm running statistics, Adam moments,
@@ -78,7 +80,7 @@ import numpy as np
 
 from ._binio import read_file, u32_bytes, write_atomic
 from .errors import ConfigError, FormatError, ShapeError, StateError
-from .numerics import NORM_EPS, as_matrix, l2_normalize_rows, run_pair, split_rows
+from .numerics import NORM_EPS, as_matrix, l2_normalize_rows, row_cut, run_pair, split_rows
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
@@ -89,17 +91,19 @@ PROJECT_CHUNK = 2048  # rows per chunk of `project`
 # threads (`numerics.split_rows`)
 PROJECT_MIN_PART_CHUNKS = 1
 ADAM_CHUNK = 32768  # parameters per chunk of `adam_step`: 128 KiB per operand
-# multiply-adds per product (rows x in_dim x out_dim) from which a linear's
-# backward runs its two products on two threads, and its forward its two
-# row halves. Timed with one BLAS thread on a 2-vCPU x86-64 VM, a hand-off
-# costs about 70 us back to back but about 200 us to a worker that has idled
-# for a millisecond or more, as it has at the first pairing of each backward
-# pass. In training, pairing 8.4 M products slowed them (650 -> 750 us a
-# backward) and pairing 16.8 M ones sped them up (880 -> 740 us); the rule
-# sits between the two. Forwards split back to back went 1.67 -> 1.04 ms at
-# 256 x 512 x 512, 6.72 -> 3.62 ms at 1,024 x 512 x 512 and 0.54 -> 0.45 ms
-# at 1,024 x 512 x 32 (16.8 M), but 0.26 -> 0.33 ms at 184 x 128 x 512
-# (12.1 M, cut 64 / 120) and 0.22 -> 0.24 ms at 512 x 512 x 32 (8.4 M).
+# multiply-adds (rows x in_dim x out_dim) from which a linear's backward
+# runs its two products on two threads, each product taking at least this
+# many; a linear's forward splits into two row halves when each half takes
+# at least half of it. Timed with one BLAS thread on a 2-vCPU x86-64 VM, a
+# hand-off costs about 70 us back to back but about 200 us to a worker that
+# has idled for a millisecond or more, as it has at the first pairing of
+# each backward pass. In training, pairing 8.4 M products slowed them
+# (650 -> 750 us a backward) and pairing 16.8 M ones sped them up
+# (880 -> 740 us); the rule sits between the two. Forwards split back to
+# back went 1.67 -> 1.04 ms at 256 x 512 x 512, 6.72 -> 3.62 ms at
+# 1,024 x 512 x 512 and 0.54 -> 0.45 ms at 1,024 x 512 x 32 (halves of
+# 8.4 M), but 0.26 -> 0.33 ms at 184 x 128 x 512 (cut 64 / 120, a 4.2 M
+# half) and 0.22 -> 0.24 ms at 512 x 512 x 32 (halves of 4.2 M).
 PAIR_MIN_MULTIPLY_ADDS = 12_000_000
 # rows per block of a split linear forward, whose halves are cut at a
 # multiple of it: a batch under two blocks stays whole
@@ -140,15 +144,18 @@ class Linear(_Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Return x @ weight + bias, caching x for `backward`.
 
-        When the product takes at least PAIR_MIN_MULTIPLY_ADDS multiply-adds,
         `numerics.split_rows` cuts a batch of 2 * FORWARD_BLOCK rows or more
-        at the multiple of FORWARD_BLOCK nearest its middle, and the worker
-        thread writes the second half into the output this thread made,
-        allocating nothing. Each half has the bits of the whole product (see
-        the module docstring), so the output is the same on one CPU or two.
+        at the multiple of FORWARD_BLOCK nearest its middle when each half
+        takes at least PAIR_MIN_MULTIPLY_ADDS // 2 multiply-adds, and the
+        worker thread writes the second half into the output this thread
+        made, allocating nothing. Each half has the bits of the whole
+        product (see the module docstring), so the output is the same on one
+        CPU or two.
         """
         self._cache = x
-        if len(x) * self.in_dim * self.out_dim < PAIR_MIN_MULTIPLY_ADDS:
+        cut = row_cut(len(x), FORWARD_BLOCK)
+        smaller_half = min(cut, len(x) - cut)
+        if smaller_half * self.in_dim * self.out_dim < PAIR_MIN_MULTIPLY_ADDS // 2:
             out = x @ self.weight
             out += self.bias
             return out

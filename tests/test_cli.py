@@ -223,6 +223,15 @@ class TestTrain:
         assert (facts["config.epochs"], facts["config.lr-schedule"]) == ("10", "linear")
         assert facts["config.batch-size"] == "2"
 
+    @pytest.mark.skipif(cli.resource is None, reason="needs the resource module")
+    def test_manifest_records_the_train_phase_s_page_faults(self, tmp_path,
+                                                            descriptor_file, capsys):
+        manifest = tmp_path / "m.manifest"
+        assert main(["train", str(descriptor_file), "--scheme", "us", "--dim", "8",
+                     "--hidden", "16", "--epochs", "1", "--batch-size", "8",
+                     "-o", str(tmp_path / "m.dnn"), "-m", str(manifest)]) == 0
+        assert _facts(manifest)["phase.train_faults"].isdigit()  # an integer >= 0
+
     def test_ss_manifest_records_the_cluster_count_used(self, tmp_path, descriptor_file,
                                                         capsys):
         manifest, log = tmp_path / "m.manifest", tmp_path / "train.log"

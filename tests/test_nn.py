@@ -397,18 +397,18 @@ class TestTwoWorkers:
 
 # (rows, in_dim, out_dim) of every linear forward the benchmark splits: its
 # batches of 256 to 2,048 rows through the 128 -> 512 -> 512 -> 32 encoders
-# and us's 32 -> 512 -> 512 -> 128 decoder, products under
-# PAIR_MIN_MULTIPLY_ADDS left out
+# and us's 32 -> 512 -> 512 -> 128 decoder, each cut in even halves; those
+# whose halves are under PAIR_MIN_MULTIPLY_ADDS // 2 left out
 SPLIT_FORWARDS = [(rows, i, o) for rows in (256, 512, 1024, 2048)
                   for i, o in ((128, 512), (512, 512), (512, 32), (32, 512), (512, 128))
-                  if rows * i * o >= nn.PAIR_MIN_MULTIPLY_ADDS]
+                  if rows // 2 * i * o >= nn.PAIR_MIN_MULTIPLY_ADDS // 2]
 
 
 class TestForwardHalves:
     """A linear's forward hands the second row half of its product to the
-    worker thread (`numerics.split_rows`) when the product takes
-    PAIR_MIN_MULTIPLY_ADDS multiply-adds or more and the batch holds two
-    FORWARD_BLOCKs of rows, with the bits of x @ weight + bias."""
+    worker thread (`numerics.split_rows`) when each half takes
+    PAIR_MIN_MULTIPLY_ADDS // 2 multiply-adds or more and the batch holds
+    two FORWARD_BLOCKs of rows, with the bits of x @ weight + bias."""
 
     @pytest.mark.parametrize("rows,in_dim,out_dim", SPLIT_FORWARDS)
     @pytest.mark.parametrize("workers", [1, 2])
@@ -426,11 +426,13 @@ class TestForwardHalves:
         assert x.tobytes() == kept.tobytes()
         assert handed == ([(rows // 2, rows)] if workers == 2 else [])
 
-    # 183 x 128 x 512 is just under the rule and 184 x 128 x 512 just over,
-    # cut at 64; 127 rows of 512 x 512 reach the rule but make no two
-    # blocks, while 128 do; us's 52-row tail of 512 x 512 (13.6 M) stays whole
+    # each half must reach half the rule: 219 rows of 128 x 512, cut at 128,
+    # leave 91 rows (5.96 M) after the cut and stay whole, while 220 leave
+    # 92 (6.03 M) and split; 127 rows of 512 x 512 reach the rule but make
+    # no two blocks, while 128 do; us's 52-row tail of 512 x 512 (13.6 M)
+    # stays whole
     @pytest.mark.parametrize("rows,in_dim,out_dim,cut", [
-        (183, 128, 512, None), (184, 128, 512, 64), (127, 512, 512, None),
+        (219, 128, 512, None), (220, 128, 512, 128), (127, 512, 512, None),
         (128, 512, 512, 64), (52, 512, 512, None)])
     def test_the_rule_and_the_row_count_decide_the_split(self, rows, in_dim, out_dim,
                                                          cut, monkeypatch):

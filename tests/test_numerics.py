@@ -1,3 +1,7 @@
+import ctypes
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -391,6 +395,46 @@ class TestRunPair:
         with pytest.raises(ValueError):
             run_pair(lambda: ran.append("first"), second)
         assert ran == []
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+# a fresh process that imports desclite, makes and frees ten 2 MiB arrays,
+# the (1,024, 512) float32 outputs and gradients of a us step, then prints
+# the minor page faults of five more rounds
+_ROUNDS_CHILD = """
+import resource
+import numpy as np
+import desclite
+
+def round_():
+    arrays = [np.ones((1024, 512), np.float32) for _ in range(10)]
+    del arrays
+
+round_()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    round_()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs a C library with mallopt")
+def test_freed_arrays_stay_in_the_process():
+    # glibc's own thresholds hand the 20 MiB back to the OS after each round
+    # and fault it in again on the next: ≈25,000 faults for the five rounds
+    src = os.path.dirname(os.path.dirname(numerics.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _ROUNDS_CHILD], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 1000
 
 
 def _reference_pairwise_distance_matrix(a, b):
